@@ -16,6 +16,10 @@ collapses the expected mean fidelity to
 
 with Q the second-moment matrix of w.  Both identities follow from the
 Born overlap alone; the moments are evaluated with the grid quadrature.
+
+Densities, updates and the axis search carry a leading batch axis, so an
+ensemble of states is estimated in one pass; a single state is the batch
+of one, and every batch row rounds exactly as it would on its own.
 """
 
 import math
@@ -24,9 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import PureState, Z_PLUS, as_generator
-from .sphere import SphereGrid, default_grid, maximize_on_sphere
+from .sphere import (SphereGrid, _row_dot, _row_norm, default_grid, maximize_on_sphere,
+                     moment_grid)
 
 FOUR_PI = 4.0 * math.pi
+# mean_fidelity_experiment estimates at most this many states x max(grid
+# nodes, coarse search axes) at once, which bounds its working memory.
+_CHUNK_SIZE = 1 << 14
 
 
 class DegenerateUpdateError(ArithmeticError):
@@ -34,30 +42,35 @@ class DegenerateUpdateError(ArithmeticError):
 
 
 def as_direction(direction) -> np.ndarray:
-    """Coerce a PureState, (theta, phi) pair, or 3-vector to a unit vector."""
+    """Coerce a PureState, (theta, phi) pair, 3-vector or (B, 3) array of
+    vectors to unit vector(s)."""
     if isinstance(direction, PureState):
         return direction.bloch()
     arr = np.asarray(direction, dtype=float)
     if arr.shape == (2,):
         return PureState(*arr).bloch()
-    if arr.shape != (3,):
+    if arr.ndim not in (1, 2) or arr.shape[-1] != 3:
         raise ValueError(f"direction must be a PureState, (theta, phi), or 3-vector, got shape {arr.shape}")
-    norm = np.linalg.norm(arr)
-    if not (0.99 < norm < 1.01):
-        raise ValueError(f"direction vector must be unit length, got |m|={norm}")
+    norm = _row_norm(arr)[..., None]
+    if not np.all((0.99 < norm) & (norm < 1.01)):
+        raise ValueError(f"direction vector must be unit length, got |m|={norm.ravel()}")
     return arr / norm
 
 
 @dataclass(frozen=True)
 class SphereDistribution:
-    """Immutable density snapshot w(theta_k, phi_k) on a quadrature grid."""
+    """Immutable density snapshot w(theta_k, phi_k) on a quadrature grid.
+
+    values is (K,) for one density or (..., K) for a batch of densities
+    on the same grid; integral and the moments then carry the batch axes.
+    """
 
     grid: SphereGrid
     values: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.size,):
+        if v.ndim < 1 or v.shape[-1] != self.grid.size:
             raise ValueError(f"values shape {v.shape} does not match grid size {self.grid.size}")
         if np.any(v < -1e-12) or not np.all(np.isfinite(v)):
             raise ValueError("density values must be finite and non-negative")
@@ -65,25 +78,27 @@ class SphereDistribution:
         v.flags.writeable = False
 
     @property
-    def integral(self) -> float:
+    def integral(self):
         return self.grid.integrate(self.values)
 
     def normalized(self) -> "SphereDistribution":
-        total = self.integral
-        if total <= 0.0:
+        total = np.asarray(self.integral)
+        if np.any(total <= 0.0):
             raise DegenerateUpdateError("density integrates to zero")
-        return SphereDistribution(self.grid, self.values / total)
+        return SphereDistribution(self.grid, self.values / total[..., None])
 
     def mean_vector(self) -> np.ndarray:
-        """First moment S = <u> of the normalized density."""
+        """First moment S = <u> of the normalized density, (..., 3)."""
         wv = self.grid.weights * self.values
-        return (wv @ self.grid.units) / self.integral
+        s = np.matmul(wv[..., None, :], self.grid.units)[..., 0, :]
+        return s / np.asarray(self.integral)[..., None]
 
     def second_moment(self) -> np.ndarray:
-        """Second moment Q = <u u^T> of the normalized density."""
+        """Second moment Q = <u u^T> of the normalized density, (..., 3, 3)."""
         wv = self.grid.weights * self.values
         u = self.grid.units
-        return (u.T * wv) @ u / self.integral
+        q = np.swapaxes(wv[..., :, None] * u, -1, -2) @ u
+        return q / np.asarray(self.integral)[..., None, None]
 
 
 def uniform_prior(grid_spec=None) -> SphereDistribution:
@@ -105,21 +120,23 @@ def outcome_probability(dist: SphereDistribution, direction) -> float:
     return 0.5 * (1.0 + float(s_bar @ m))
 
 
-def bayes_update(dist: SphereDistribution, direction, outcome: int) -> SphereDistribution:
+def bayes_update(dist: SphereDistribution, direction, outcome) -> SphereDistribution:
     """Condition the density on a projective result along `direction`.
 
     outcome +1 keeps the direction, -1 uses its antipode.  The returned
-    snapshot is renormalized.
+    snapshot is renormalized.  A batch of B densities takes (B, 3)
+    directions and (B,) outcomes, one per row.
     """
-    if outcome not in (+1, -1):
+    outcome = np.asarray(outcome)
+    if not np.all((outcome == 1) | (outcome == -1)):
         raise ValueError(f"outcome must be +1 or -1, got {outcome}")
-    m = outcome * as_direction(direction)
-    likelihood = 0.5 * (1.0 + dist.grid.units @ m)
+    m = outcome[..., None] * as_direction(direction)
+    likelihood = 0.5 * (1.0 + (dist.grid.units @ m[..., :, None])[..., 0])
     posterior = dist.values * likelihood
-    norm = dist.grid.integrate(posterior)
-    if norm <= 1e-300:
+    norm = np.asarray(dist.grid.integrate(posterior))
+    if np.any(norm <= 1e-300):
         raise DegenerateUpdateError("observed outcome has zero probability under the prior")
-    return SphereDistribution(dist.grid, posterior / norm)
+    return SphereDistribution(dist.grid, posterior / norm[..., None])
 
 
 def fidelity_map(dist: SphereDistribution):
@@ -144,13 +161,15 @@ def estimate_state(dist: SphereDistribution) -> tuple[np.ndarray, float]:
     The fidelity map is linear in the candidate direction, so the argmax
     is the normalized posterior mean.  A flat map (|S| ~ 0, e.g. the
     uniform prior) is tie-broken to the first grid node in (theta, phi)
-    lexicographic order.
+    lexicographic order.  For a batch both results carry its axes.
     """
     s_bar = dist.mean_vector()
-    norm = float(np.linalg.norm(s_bar))
-    if norm < 1e-12:
-        return dist.grid.units[0].copy(), 0.5
-    return s_bar / norm, 0.5 * (1.0 + norm)
+    norm = _row_norm(s_bar)
+    flat = norm < 1e-12
+    direction = np.where(flat[..., None], dist.grid.units[0],
+                         s_bar / np.where(flat, 1.0, norm)[..., None])
+    fidelity = np.where(flat, 0.5, 0.5 * (1.0 + norm))
+    return direction, (float(fidelity) if fidelity.ndim == 0 else fidelity)
 
 
 def expected_mean_fidelity(dist: SphereDistribution, candidate_direction) -> float:
@@ -173,22 +192,26 @@ def optimal_next_direction(dist: SphereDistribution, coarse: int = 400,
     Coarse Fibonacci sweep plus local refinement; a flat objective
     (fresh uniform prior, where any axis is equally good) returns the
     canonical +z.  Antipodal ties are broken to the upper hemisphere.
+    A batch of densities gets one (B, 3) row of axes per density.
     """
-    s_bar = dist.mean_vector()
-    q = dist.second_moment()
+    s_bar = dist.mean_vector()[..., None, :]
+    q_t = np.swapaxes(dist.second_moment(), -1, -2)
+
+    def norm(v):
+        # np.linalg.norm(v, axis=-1) term for term, without its slow reduce;
+        # squares in place, as v is always a temporary
+        v *= v
+        return np.sqrt(v[..., 0] + v[..., 1] + v[..., 2])
 
     def objective(dirs):
-        qm = dirs @ q.T
-        plus = np.linalg.norm(s_bar[None, :] + qm, axis=1)
-        minus = np.linalg.norm(s_bar[None, :] - qm, axis=1)
-        return 0.5 + 0.25 * (plus + minus)
+        qm = dirs @ q_t
+        return 0.5 + 0.25 * (norm(s_bar + qm) + norm(s_bar - qm))
 
     best, _, flat = maximize_on_sphere(objective, coarse=coarse, rounds=refine_rounds)
-    if flat:
-        return Z_PLUS.copy()
-    if best[2] < 0 or (best[2] == 0 and (best[1] < 0 or (best[1] == 0 and best[0] < 0))):
-        best = -best
-    return best
+    x, y, z = np.moveaxis(best, -1, 0)
+    lower = (z < 0) | ((z == 0) & ((y < 0) | ((y == 0) & (x < 0))))
+    best = np.where(lower[..., None], -best, best)
+    return np.where(flat[..., None], Z_PLUS, best)
 
 
 @dataclass(frozen=True)
@@ -217,10 +240,11 @@ class ImperfectionParams:
 
 
 def apply_imperfections(s: np.ndarray, params: ImperfectionParams) -> np.ndarray:
-    """Bloch image of rho -> (1-2 lam) rho + lam I + delta_eta sigma_z."""
-    shrink = 1.0 - 2.0 * params.lam
-    out = np.array([shrink * s[0], shrink * s[1], shrink * s[2] + 2.0 * params.delta_eta])
-    if np.linalg.norm(out) > 1.0 + 1e-9:
+    """Bloch image of rho -> (1-2 lam) rho + lam I + delta_eta sigma_z,
+    for one (3,) or many (..., 3) Bloch vectors."""
+    out = (1.0 - 2.0 * params.lam) * np.asarray(s, dtype=float)
+    out[..., 2] += 2.0 * params.delta_eta
+    if np.any(_row_norm(out) > 1.0 + 1e-9):
         raise ValueError("imperfection map produced a Bloch vector outside the unit ball")
     return out
 
@@ -245,9 +269,12 @@ class StrategyConfig:
 
 @dataclass(frozen=True)
 class EstimationTrajectory:
-    """Record of one estimation run: axes chosen, raw outcomes, seed."""
+    """Record of one estimation run: axes chosen, raw outcomes, seed.
 
-    true_state: np.ndarray
+    A batch run of B states adds a leading B axis to the arrays.
+    """
+
+    true_state: np.ndarray     # (3,)
     directions: np.ndarray     # (n, 3)
     outcomes: np.ndarray       # (n,) of +/-1
     seed: int | None
@@ -276,42 +303,57 @@ def _resolve_strategy(strategy, n) -> StrategyConfig:
 def run_estimation(true_state, n=None, strategy="self_learning",
                    imperfections: ImperfectionParams | None = None,
                    seed=None, grid: SphereGrid | None = None):
-    """Estimate one qubit state from n single-copy measurements.
+    """Estimate one qubit state, or a batch of them, from n single-copy
+    measurements each.
 
     Each measurement consumes a fresh copy of the intended pure state
     passed through the imperfection channel; the Bayesian update itself
     assumes ideal conditions (as the experiment's algorithm did).
     Returns (estimate, fidelity, trajectory) with fidelity
     cos^2(gamma/2) against the intended pure state.
+
+    A (B, 3) array of true states is estimated as one batch; `seed` is
+    then a sequence of B seeds or generators, one stream per state, and
+    the results carry a leading B axis.  Each stream is drawn in the
+    same order as a lone run of its state.  The default grid is
+    `moment_grid(n)`, on which the moments are exact.
     """
     cfg = _resolve_strategy(strategy, n)
     imperfections = imperfections or ImperfectionParams.ideal()
-    rng = as_generator(seed)
-    target = as_direction(true_state)
+    single = np.ndim(true_state) < 2
+    rngs = [as_generator(s) for s in ([seed] if single else seed)]
+    target = as_direction(true_state).reshape(-1, 3)
+    if len(rngs) != len(target):
+        raise ValueError(f"got {len(rngs)} seeds for {len(target)} states")
     transmitted = apply_imperfections(target, imperfections)
 
-    dist = uniform_prior(grid)
-    directions = np.empty((cfg.n_measurements, 3))
-    outcomes = np.empty(cfg.n_measurements, dtype=int)
+    prior = uniform_prior(grid if grid is not None else moment_grid(cfg.n_measurements))
+    dist = SphereDistribution(prior.grid,
+                              np.broadcast_to(prior.values, (len(target), prior.grid.size)))
+    directions = np.empty((len(target), cfg.n_measurements, 3))
+    outcomes = np.empty((len(target), cfg.n_measurements), dtype=int)
     for k in range(cfg.n_measurements):
         if cfg.kind == "self_learning":
             m = optimal_next_direction(dist, cfg.coarse_points, cfg.refine_rounds)
         elif cfg.kind == "random":
-            m = random_direction(rng)
+            m = np.array([random_direction(rng) for rng in rngs])
         else:
-            m = _FIXED_AXES[k % 3]
-        p_plus = 0.5 * (1.0 + float(transmitted @ m))
-        outcome = 1 if rng.random() < p_plus else -1
+            m = np.broadcast_to(_FIXED_AXES[k % 3], target.shape)
+        p_plus = 0.5 * (1.0 + _row_dot(transmitted, m))
+        outcome = np.array([1 if rng.random() < p else -1 for rng, p in zip(rngs, p_plus)])
         dist = bayes_update(dist, m, outcome)
-        directions[k] = m
-        outcomes[k] = outcome
+        directions[:, k] = m
+        outcomes[:, k] = outcome
 
     estimate, _ = estimate_state(dist)
-    fidelity = 0.5 * (1.0 + float(estimate @ target))
-    traj = EstimationTrajectory(
-        true_state=target, directions=directions, outcomes=outcomes,
-        seed=seed if np.isscalar(seed) else None, strategy=cfg.kind,
-    )
+    fidelity = 0.5 * (1.0 + _row_dot(estimate, target))
+    if single:
+        traj = EstimationTrajectory(
+            true_state=target[0], directions=directions[0], outcomes=outcomes[0],
+            seed=seed if np.isscalar(seed) else None, strategy=cfg.kind)
+        return estimate[0], float(fidelity[0]), traj
+    traj = EstimationTrajectory(true_state=target, directions=directions,
+                                outcomes=outcomes, seed=None, strategy=cfg.kind)
     return estimate, fidelity, traj
 
 
@@ -321,21 +363,25 @@ def mean_fidelity_experiment(num_states: int, n: int, strategy="self_learning",
     """Mean estimation fidelity over an ensemble of random pure states.
 
     States are drawn uniformly on the sphere (area measure); each state
-    gets its own RNG stream derived from the master seed.  Returns
-    (mean, stderr, fidelities).
+    gets its own RNG stream derived from the master seed.  The ensemble
+    is estimated in batches of states.  Returns (mean, stderr, fidelities).
     """
     if num_states < 1:
         raise ValueError(f"num_states must be >= 1, got {num_states}")
     master = as_generator(seed)
     state_seeds = master.integers(0, 2**63, size=num_states, dtype=np.uint64)
-    grid = grid or default_grid()
+    rngs = [np.random.default_rng(int(s)) for s in state_seeds]
+    targets = np.array([random_direction(rng) for rng in rngs])
+    cfg = _resolve_strategy(strategy, n)
+    if grid is None:
+        grid = moment_grid(cfg.n_measurements)
+    chunk = max(1, _CHUNK_SIZE // max(grid.size, cfg.coarse_points))
 
     fidelities = np.empty(num_states)
-    for i in range(num_states):
-        child = np.random.default_rng(int(state_seeds[i]))
-        target = random_direction(child)
-        _, fidelities[i], _ = run_estimation(
-            target, n, strategy, imperfections, seed=child, grid=grid)
+    for start in range(0, num_states, chunk):
+        part = slice(start, start + chunk)
+        _, fidelities[part], _ = run_estimation(
+            targets[part], strategy=cfg, imperfections=imperfections, seed=rngs[part], grid=grid)
     mean = float(np.mean(fidelities))
     stderr = float(np.std(fidelities, ddof=1) / math.sqrt(num_states)) if num_states > 1 else 0.0
     return mean, stderr, fidelities

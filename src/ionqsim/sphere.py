@@ -1,9 +1,22 @@
 """Sphere discretization and search utilities.
 
 The quadrature grid is a product rule: Gauss-Legendre nodes in
-cos(theta) times a uniform trapezoid rule in phi.  Densities produced
-by Bayesian updates are trigonometric polynomials of low degree, so
-this rule integrates them to machine precision.
+cos(theta) times a uniform trapezoid rule in phi.  After N Bayes
+updates of a uniform prior the density is a polynomial of degree N in
+the Cartesian components of u, so the moments S = <u> and Q = <u u^T>
+integrate polynomials of degree at most N + 2.  Over phi these are
+trigonometric polynomials of order <= N + 2, which the trapezoid rule
+integrates exactly with n_phi >= N + 3 nodes; what is left is a
+polynomial of degree <= N + 2 in cos(theta), which n_theta-point
+Gauss-Legendre integrates exactly when 2 n_theta - 1 >= N + 2, i.e.
+n_theta >= (N + 3)/2.  `moment_grid(N)` is the smallest such grid with
+n_phi = 2 n_theta (8x16 at N = 12).  `default_grid()` stays 64x128:
+it is the general-purpose rule for densities that are not polynomials
+(a von Mises density, say), which no finite grid integrates exactly.
+
+Functions here take a leading batch axis where noted, so that many
+densities can be searched at once; each batch row is rounded exactly
+as the same row would be on its own.
 """
 
 import math
@@ -55,8 +68,24 @@ class SphereGrid:
         p = np.tile(self.phis, self.thetas.size)
         return np.column_stack([t, p])
 
-    def integrate(self, values: np.ndarray) -> float:
-        return float(np.dot(self.weights, values))
+    def integrate(self, values: np.ndarray):
+        """Quadrature of (..., K) node values; a float for a single density."""
+        total = _row_dot(values, self.weights)
+        return float(total) if total.ndim == 0 else total
+
+
+def _row_dot(a, b) -> np.ndarray:
+    """Dot products along the last axis, broadcast over the leading ones.
+
+    Each row goes through the same BLAS dot as a 1-D np.dot, so a batch
+    row rounds exactly as it would on its own.
+    """
+    return np.matmul(np.asarray(a)[..., None, :], np.asarray(b)[..., :, None])[..., 0, 0]
+
+
+def _row_norm(a) -> np.ndarray:
+    """Euclidean norm along the last axis, rounded like np.linalg.norm of one row."""
+    return np.sqrt(_row_dot(a, a))
 
 
 _DEFAULT_GRID = None
@@ -70,6 +99,13 @@ def default_grid() -> SphereGrid:
     return _DEFAULT_GRID
 
 
+def moment_grid(n_updates: int) -> SphereGrid:
+    """Smallest grid on which the first and second moments of a uniform
+    prior after `n_updates` Bayes updates are exact (see module notes)."""
+    n_theta = (n_updates + 4) // 2          # ceil((n_updates + 3) / 2)
+    return SphereGrid.build(n_theta, 2 * n_theta)
+
+
 def fibonacci_sphere(n: int) -> np.ndarray:
     """n roughly equidistributed unit vectors (golden-angle spiral)."""
     i = np.arange(n)
@@ -81,65 +117,79 @@ def fibonacci_sphere(n: int) -> np.ndarray:
 
 def fibonacci_cap(center: np.ndarray, radius: float, n: int) -> np.ndarray:
     """n unit vectors covering the spherical cap of angular radius
-    `radius` around `center` (golden-angle spiral in the cap)."""
+    `radius` around `center` (golden-angle spiral in the cap).
+
+    `center` may be (..., 3); the result is then (..., n, 3), one cap
+    per center, all rotated from the same spiral around +z.
+    """
     i = np.arange(n)
     cos_r = math.cos(min(radius, math.pi))
     z = 1.0 - (1.0 - cos_r) * (2.0 * i + 1.0) / (2.0 * n)
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     phi = i * GOLDEN_ANGLE
     pts = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
-    return pts @ _frame_to(center).T
+    return pts @ np.swapaxes(_frame_to(center), -1, -2)
 
 
 def _frame_to(direction: np.ndarray) -> np.ndarray:
-    """Rotation matrix mapping +z to the given unit direction."""
+    """Rotation matrices mapping +z to the given unit direction(s), (..., 3, 3)."""
     d = np.asarray(direction, dtype=float)
-    z = np.array([0.0, 0.0, 1.0])
-    c = float(np.dot(z, d))
-    if c > 1.0 - 1e-12:
-        return np.eye(3)
-    if c < -1.0 + 1e-12:
-        return np.diag([1.0, -1.0, -1.0])
-    axis = np.cross(z, d)
-    axis /= np.linalg.norm(axis)
-    angle = math.acos(max(-1.0, min(1.0, c)))
-    return rotation_matrix(axis, angle)
+    c = d[..., 2]
+    axis = np.stack([-d[..., 1], d[..., 0], np.zeros_like(c)], axis=-1)   # z x d
+    norm = _row_norm(axis)[..., None]
+    rot = rotation_matrix(axis / np.where(norm > 0.0, norm, 1.0), np.arccos(np.clip(c, -1.0, 1.0)))
+    rot[c > 1.0 - 1e-12] = np.eye(3)
+    rot[c < -1.0 + 1e-12] = np.diag([1.0, -1.0, -1.0])
+    return rot
 
 
-def rotation_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
-    """Right-handed rotation matrix about a unit axis (Rodrigues form)."""
-    x, y, z = np.asarray(axis, dtype=float)
-    c, s = math.cos(angle), math.sin(angle)
+def rotation_matrix(axis: np.ndarray, angle) -> np.ndarray:
+    """Right-handed rotation matrix about a unit axis (Rodrigues form).
+
+    Broadcasts over (..., 3) axes and (...,) angles to (..., 3, 3).
+    """
+    x, y, z = np.moveaxis(np.asarray(axis, dtype=float), -1, 0)
+    c, s = np.cos(angle), np.sin(angle)
     cc = 1.0 - c
-    return np.array([
-        [c + x * x * cc, x * y * cc - z * s, x * z * cc + y * s],
-        [y * x * cc + z * s, c + y * y * cc, y * z * cc - x * s],
-        [z * x * cc - y * s, z * y * cc + x * s, c + z * z * cc],
-    ])
+    rot = np.empty(np.broadcast(x, c).shape + (3, 3))
+    rot[..., 0, 0] = c + x * x * cc
+    rot[..., 0, 1] = x * y * cc - z * s
+    rot[..., 0, 2] = x * z * cc + y * s
+    rot[..., 1, 0] = y * x * cc + z * s
+    rot[..., 1, 1] = c + y * y * cc
+    rot[..., 1, 2] = y * z * cc - x * s
+    rot[..., 2, 0] = z * x * cc - y * s
+    rot[..., 2, 1] = z * y * cc + x * s
+    rot[..., 2, 2] = c + z * z * cc
+    return rot
 
 
 def maximize_on_sphere(objective, coarse: int = 400, rounds: int = 2,
                        cap_points: int = 96, shrink: float = 0.2):
-    """Maximize a batch objective over unit directions.
+    """Maximize a batch objective over unit directions, for many rows at once.
 
-    objective maps an (n, 3) array of unit vectors to an (n,) array of
-    values.  A coarse Fibonacci sweep locates the basin, then `rounds`
-    local cap grids shrink around the running best.  Returns
-    (direction, value, flat) where flat reports whether the coarse sweep
-    was constant to within 1e-6 (degenerate objective).
+    objective maps an (n, 3) array of unit vectors shared by every row,
+    or an (..., n, 3) array with one set per row, to (..., n) values.  A
+    coarse Fibonacci sweep locates each row's basin, then `rounds` local
+    cap grids shrink around the running best.  Returns (direction, value,
+    flat), shaped (..., 3), (...) and (...), where flat reports whether
+    the coarse sweep was constant to within 1e-6 (degenerate objective).
     """
     pts = fibonacci_sphere(coarse)
     vals = objective(pts)
-    flat = float(np.max(vals) - np.min(vals)) < 1e-6
-    k = int(np.argmax(vals))
-    best, best_val = pts[k], float(vals[k])
+    flat = np.max(vals, axis=-1) - np.min(vals, axis=-1) < 1e-6
+    k = np.argmax(vals, axis=-1)
+    best, best_val = pts[k], np.take_along_axis(vals, k[..., None], axis=-1)[..., 0]
     radius = 2.0 * math.sqrt(4.0 * math.pi / coarse)
     for _ in range(rounds):
         cand = fibonacci_cap(best, radius, cap_points)
-        cand /= np.linalg.norm(cand, axis=1)[:, None]
+        cand /= np.linalg.norm(cand, axis=-1)[..., None]
         vals = objective(cand)
-        k = int(np.argmax(vals))
-        if vals[k] > best_val:
-            best, best_val = cand[k], float(vals[k])
+        k = np.argmax(vals, axis=-1)[..., None]
+        val = np.take_along_axis(vals, k, axis=-1)[..., 0]
+        better = val > best_val
+        pick = np.take_along_axis(cand, k[..., None], axis=-2)[..., 0, :]
+        best = np.where(better[..., None], pick, best)
+        best_val = np.where(better, val, best_val)
         radius *= shrink
     return best, best_val, flat

@@ -12,7 +12,7 @@ from ionqsim.estimation import (DegenerateUpdateError, EstimationTrajectory,
                                 mean_fidelity_experiment, optimal_fidelity_bound,
                                 optimal_next_direction, outcome_probability,
                                 random_direction, run_estimation, uniform_prior)
-from ionqsim.sphere import SphereGrid, fibonacci_sphere, rotation_matrix
+from ionqsim.sphere import SphereGrid, fibonacci_sphere, moment_grid, rotation_matrix
 from oracles import imperfection_oracle
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -48,6 +48,27 @@ class TestPriorAndGrid:
         values[0] = -1.0
         with pytest.raises(ValueError):
             SphereDistribution(grid, values)
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_one_bad_row_rejects_the_batch(self, bad):
+        grid = SphereGrid.build(8, 16)
+        values = np.full((3, grid.size), 1.0)
+        values[1, 5] = bad
+        with pytest.raises(ValueError):
+            SphereDistribution(grid, values)
+
+    def test_moment_grid_is_exact(self):
+        # after N updates S and Q are polynomials of degree <= N + 2; the
+        # sized grid must reproduce a much finer rule to rounding
+        rng = np.random.default_rng(12)
+        for n in (1, 4, 12):
+            small, fine = uniform_prior(moment_grid(n)), uniform_prior(SphereGrid.build(64, 128))
+            for _ in range(n):
+                m, o = random_direction(rng), int(rng.choice([-1, 1]))
+                small, fine = bayes_update(small, m, o), bayes_update(fine, m, o)
+            np.testing.assert_allclose(small.mean_vector(), fine.mean_vector(), atol=1e-14)
+            np.testing.assert_allclose(small.second_moment(), fine.second_moment(), atol=1e-14)
+        assert moment_grid(12).size == 8 * 16
 
 
 class TestOutcomeProbability:
@@ -124,6 +145,29 @@ class TestBayesUpdate:
     def test_bad_outcome_rejected(self):
         with pytest.raises(ValueError):
             bayes_update(uniform_prior(), Z, 0)
+
+    def test_zero_probability_row_fails_the_batch(self):
+        grid = SphereGrid.build(8, 16)
+        values = np.full((3, grid.size), 1.0 / (4.0 * math.pi))
+        values[2] = 0.0
+        with pytest.raises(DegenerateUpdateError):
+            bayes_update(SphereDistribution(grid, values), np.tile(Z, (3, 1)), np.array([1, -1, 1]))
+
+    def test_batch_rows_match_single_updates_exactly(self):
+        rng = np.random.default_rng(13)
+        dirs = np.array([random_direction(rng) for _ in range(4)])
+        outcomes = np.array([1, -1, -1, 1])
+        prior = uniform_prior(moment_grid(6))
+        batch = SphereDistribution(prior.grid, np.tile(prior.values, (4, 1)))
+        for _ in range(3):
+            batch = bayes_update(batch, dirs, outcomes)
+        for row, (m, o) in enumerate(zip(dirs, outcomes)):
+            single = prior
+            for _ in range(3):
+                single = bayes_update(single, m, o)
+            np.testing.assert_array_equal(batch.values[row], single.values)
+            np.testing.assert_array_equal(batch.mean_vector()[row], single.mean_vector())
+            np.testing.assert_array_equal(batch.second_moment()[row], single.second_moment())
 
 
 class TestFidelityAndEstimate:
@@ -217,6 +261,44 @@ class TestOptimalNextDirection:
         want = 0.5 + 1.0 / math.sqrt(12.0)
         assert expected_mean_fidelity(post, m3) == pytest.approx(want, abs=5e-3)
 
+    def test_batch_search_matches_single_searches_exactly(self):
+        rng = np.random.default_rng(14)
+        prior = uniform_prior(moment_grid(12))
+        batch = SphereDistribution(prior.grid, np.tile(prior.values, (5, 1)))
+        for _ in range(3):
+            batch = bayes_update(batch, np.array([random_direction(rng) for _ in range(5)]),
+                                 rng.choice([-1, 1], size=5))
+        axes = optimal_next_direction(batch)
+        assert axes.shape == (5, 3)
+        for row in range(5):
+            single = SphereDistribution(batch.grid, batch.values[row])
+            np.testing.assert_array_equal(axes[row], optimal_next_direction(single))
+
+    def test_gap_to_dense_sweep(self):
+        # Fbar reached by the coarse-plus-caps search against the best of a
+        # 200 000-point Fibonacci sweep, over 10 states x 12 adaptive steps
+        n_states, n_steps = 10, 12
+        rng = np.random.default_rng(15)
+        truth = np.array([random_direction(rng) for _ in range(n_states)])
+        dense = fibonacci_sphere(200_000)
+        prior = uniform_prior(moment_grid(n_steps))
+        dist = SphereDistribution(prior.grid, np.tile(prior.values, (n_states, 1)))
+        worst = 0.0
+        for _ in range(n_steps):
+            axes = optimal_next_direction(dist)
+            for row in range(n_states):
+                single = SphereDistribution(dist.grid, dist.values[row])
+                s_bar, q = single.mean_vector(), single.second_moment()
+                qm = dense @ q.T
+                sq = np.einsum("ij,ij->i", qm, qm) + s_bar @ s_bar
+                cross = 2.0 * (qm @ s_bar)
+                best = 0.5 + 0.25 * np.max(np.sqrt(sq + cross)
+                                           + np.sqrt(np.maximum(sq - cross, 0.0)))
+                worst = max(worst, best - expected_mean_fidelity(single, axes[row]))
+            p_plus = 0.5 * (1.0 + np.sum(truth * axes, axis=1))
+            dist = bayes_update(dist, axes, np.where(rng.random(n_states) < p_plus, 1, -1))
+        assert worst < 1e-5, worst
+
     def test_upper_hemisphere_canonicalization(self):
         # the objective is antipode-even, so the returned representative
         # always sits in (or on the edge of) the upper hemisphere
@@ -296,6 +378,18 @@ class TestRunEstimation:
         mean, stderr, _ = mean_fidelity_experiment(n_states, 1, "random", seed=10)
         assert abs(mean - 2.0 / 3.0) < 4 * stderr
 
+    def test_batch_returns_one_row_per_state(self):
+        targets = np.array([random_direction(np.random.default_rng(i)) for i in range(3)])
+        estimates, fidelities, traj = run_estimation(targets, n=4, seed=[1, 2, 3])
+        assert estimates.shape == (3, 3) and fidelities.shape == (3,)
+        assert traj.directions.shape == (3, 4, 3) and traj.outcomes.shape == (3, 4)
+        for row in range(3):
+            estimate, fidelity, _ = run_estimation(targets[row], n=4, seed=row + 1)
+            np.testing.assert_array_equal(estimates[row], estimate)
+            assert fidelities[row] == fidelity
+        with pytest.raises(ValueError):
+            run_estimation(targets, n=4, seed=[1, 2])
+
     def test_strategy_validation(self):
         with pytest.raises(ValueError):
             run_estimation(PureState(0.2, 0.1), n=2, strategy="bogus", seed=0)
@@ -336,3 +430,38 @@ class TestEnsembleProperties:
         noisy, _, _ = mean_fidelity_experiment(
             200, 6, "self_learning", ImperfectionParams(lam=0.2), seed=44)
         assert noisy < ideal
+
+
+def _per_state_reference(num_states, n, strategy, imperfections, seed):
+    """mean_fidelity_experiment's seeding, one run_estimation per state, on 64x128."""
+    grid = SphereGrid.build(64, 128)
+    fidelities = []
+    for state_seed in np.random.default_rng(seed).integers(0, 2**63, size=num_states,
+                                                           dtype=np.uint64):
+        rng = np.random.default_rng(int(state_seed))
+        target = random_direction(rng)
+        fidelities.append(run_estimation(target, n, strategy, imperfections, seed=rng,
+                                         grid=grid)[1])
+    return np.array(fidelities)
+
+
+class TestBatchedEnsemble:
+    """The batched ensemble on its sized grid against lone runs on 64x128."""
+
+    CASES = [(kind, n, None) for kind in ("self_learning", "random", "fixed_axes")
+             for n in (1, 4, 12)] + [
+        ("self_learning", 12, ImperfectionParams(lam=0.1, delta_eta=0.05))]
+
+    @pytest.mark.parametrize("kind,n,imperfections", CASES)
+    def test_matches_per_state_reference(self, kind, n, imperfections):
+        seed = 700 + 10 * n + StrategyConfig.KINDS.index(kind)
+        _, _, batched = mean_fidelity_experiment(30, n, kind, imperfections, seed=seed)
+        reference = _per_state_reference(30, n, kind, imperfections, seed)
+        np.testing.assert_allclose(batched, reference, rtol=0, atol=1e-12)
+
+    def test_chunks_on_a_fine_grid_match_lone_runs(self):
+        # 64x128 nodes make mean_fidelity_experiment split 30 states into many chunks
+        _, _, batched = mean_fidelity_experiment(30, 12, "self_learning", seed=790,
+                                                 grid=SphereGrid.build(64, 128))
+        np.testing.assert_array_equal(batched, _per_state_reference(30, 12, "self_learning",
+                                                                    None, 790))
