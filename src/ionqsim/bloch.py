@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 TWO_PI = 2.0 * math.pi
 
@@ -84,7 +83,30 @@ class DrivePulse:
 
 
 def _poisson_cdf(mean: float, k: int) -> float:
-    return float(stats.poisson.cdf(k, mean))
+    """P(count <= k) for a Poisson count of the given mean.
+
+    Sums the pmf with math.fsum.  Terms are exp(j log(mean) - mean -
+    lgamma(j + 1)) until one exceeds 1e-300, then p_j = p_{j-1} mean / j,
+    which stays within a few ulp where the log form alone is ~2e-14 off
+    near mean 50.  Past the mean the terms shrink ever faster, so the sum
+    stops at one below 1e-17 of the total: the cost grows with the mean,
+    not with k.
+    """
+    if mean == 0.0:
+        return 1.0
+    log_mean = math.log(mean)
+    terms = []
+    total = term = 0.0
+    for j in range(k + 1):
+        if term < 1e-300:
+            term = math.exp(j * log_mean - mean - math.lgamma(j + 1))
+        else:
+            term *= mean / j
+        terms.append(term)
+        total += term
+        if j > mean and term < 1e-17 * total:
+            break
+    return min(1.0, math.fsum(terms))
 
 
 @dataclass(frozen=True)
@@ -95,42 +117,45 @@ class DetectionModel:
     probability of correctly reading |1> as "on".  When built from the
     photon-counting mechanism (Poisson counts against a fixed threshold,
     "on" means count > threshold), the efficiencies are the Poisson tail
-    masses and both views must agree.
+    masses and both views must agree.  A counting model given with
+    eta0 = eta1 = None (as from_counts does) takes them from the tails.
     """
 
-    eta0: float
-    eta1: float
+    eta0: float | None
+    eta1: float | None
     on_mean: float | None = None
     off_mean: float | None = None
     threshold: int | None = None
 
     def __post_init__(self):
-        if not (0.5 <= self.eta0 <= 1.0 and 0.5 <= self.eta1 <= 1.0):
-            raise ValueError(
-                f"efficiencies must lie in [1/2, 1], got eta0={self.eta0}, eta1={self.eta1}"
-            )
         counting = [self.on_mean, self.off_mean, self.threshold]
         if any(v is not None for v in counting):
             if any(v is None for v in counting):
                 raise ValueError("on_mean, off_mean and threshold must be supplied together")
-            if self.threshold < 0:
-                raise ValueError(f"threshold must be >= 0, got {self.threshold}")
-            if self.on_mean < 0 or self.off_mean < 0:
-                raise ValueError("photon count means must be >= 0")
+            if not isinstance(self.threshold, (int, np.integer)) or self.threshold < 0:
+                raise ValueError(f"threshold must be an integer >= 0, got {self.threshold!r}")
+            if not all(math.isfinite(m) and m >= 0 for m in (self.on_mean, self.off_mean)):
+                raise ValueError("photon count means must be finite and >= 0, got "
+                                 f"on_mean={self.on_mean!r}, off_mean={self.off_mean!r}")
             eta0 = _poisson_cdf(self.off_mean, self.threshold)
             eta1 = 1.0 - _poisson_cdf(self.on_mean, self.threshold)
-            if abs(eta0 - self.eta0) > 1e-9 or abs(eta1 - self.eta1) > 1e-9:
+            if self.eta0 is None and self.eta1 is None:
+                object.__setattr__(self, "eta0", eta0)
+                object.__setattr__(self, "eta1", eta1)
+            elif abs(eta0 - self.eta0) > 1e-9 or abs(eta1 - self.eta1) > 1e-9:
                 raise ValueError(
                     "stored efficiencies disagree with the Poisson tail masses: "
                     f"expected eta0={eta0!r}, eta1={eta1!r}"
                 )
+        if not (0.5 <= self.eta0 <= 1.0 and 0.5 <= self.eta1 <= 1.0):
+            raise ValueError(
+                f"efficiencies must lie in [1/2, 1], got eta0={self.eta0}, eta1={self.eta1}"
+            )
 
     @classmethod
     def from_counts(cls, on_mean: float, off_mean: float, threshold: int) -> "DetectionModel":
         """Derive (eta0, eta1) from Poisson photon statistics and a count cutoff."""
-        eta0 = _poisson_cdf(off_mean, threshold)
-        eta1 = 1.0 - _poisson_cdf(on_mean, threshold)
-        return cls(eta0=eta0, eta1=eta1, on_mean=on_mean, off_mean=off_mean, threshold=threshold)
+        return cls(eta0=None, eta1=None, on_mean=on_mean, off_mean=off_mean, threshold=threshold)
 
     @classmethod
     def from_efficiencies(cls, eta0: float, eta1: float) -> "DetectionModel":

@@ -230,8 +230,8 @@ def _cmd_zeno(params: dict, out) -> int:
                              prep_efficiency=params["prep_efficiency"])
             raw, _records = simulate_fractionated_pi(cfg, seed=params["seed"] + k)
             corrected = corrected_survival(raw, cfg)
-            scale = cfg.prep_efficiency * detection.eta0**n
-            stderr = math.sqrt(max(raw * (1.0 - raw), 0.0) / cfg.sequences) / scale
+            raw_stderr = math.sqrt(max(raw * (1.0 - raw), 0.0) / cfg.sequences)
+            stderr = corrected_survival(raw_stderr, cfg)
             theory = survival_probability(params["theta_total"] / n, n)
             rows.append((n, theory, corrected, stderr))
     elif params["mode"] == "runlength":
@@ -369,15 +369,13 @@ def run(argv) -> int:
     try:
         params = _merge_params(args.command, args)
         return _DISPATCH[args.command](params, args.out)
-    except (ConfigError, ValueError) as exc:
-        if isinstance(exc, NUMERICAL_ERRORS):
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # LinAlgError and ChannelInvalidError are ValueErrors too, so this comes first
     except NUMERICAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (ConfigError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

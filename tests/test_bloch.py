@@ -1,8 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from scipy import stats
 
+from ionqsim import bloch
 from ionqsim.bloch import (DetectionModel, DrivePulse, PureState, Z_PLUS,
                            born_probability, detect, evolve, measure,
                            rabi_excitation_probability, ramsey_probability,
@@ -253,3 +256,34 @@ class TestDetectionModel:
         # a threshold starving eta1 below 1/2 is not a valid model
         with pytest.raises(ValueError):
             DetectionModel.from_counts(on_mean=5.0, off_mean=0.2, threshold=10)
+
+    def test_count_inputs_checked_before_summing(self):
+        for on_mean, off_mean, threshold in ((math.nan, 0.2, 3), (5.0, math.inf, 3),
+                                             (5.0, -0.1, 3), (5.0, 0.2, 1.5)):
+            with pytest.raises(ValueError):
+                DetectionModel.from_counts(on_mean, off_mean, threshold)
+
+    def test_poisson_cdf_matches_scipy(self):
+        thresholds = np.arange(61)
+        for mean in np.linspace(0.0, 100.0, 401):
+            expected = stats.poisson.cdf(thresholds, mean)
+            got = [bloch._poisson_cdf(float(mean), int(k)) for k in thresholds]
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
+
+    def test_tails_summed_once(self, monkeypatch):
+        calls = []
+        cdf = bloch._poisson_cdf
+
+        def counted(mean, k):
+            calls.append(mean)
+            return cdf(mean, k)
+
+        monkeypatch.setattr(bloch, "_poisson_cdf", counted)
+        DetectionModel.from_counts(on_mean=5.3, off_mean=0.2, threshold=1)
+        assert sorted(calls) == [0.2, 5.3]
+
+    def test_huge_threshold_stays_bounded(self):
+        start = time.perf_counter()
+        with pytest.raises(ValueError):   # eta1 = P(count > 1e9) is far below 1/2
+            DetectionModel.from_counts(on_mean=5.0, off_mean=0.2, threshold=10**9)
+        assert time.perf_counter() - start < 1.0

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from ionqsim import cli
 from ionqsim.bloch import rabi_excitation_probability
 from ionqsim.cli import run
 
@@ -262,3 +263,23 @@ class TestConstantsHook:
         normal = json.loads(out.read_text())["J_hz"][1][0]
         # J scales with the squared frequency gradient, i.e. mu_B^2
         assert doubled / normal == pytest.approx(4.0, rel=1e-9)
+
+
+class TestStartup:
+    def test_cli_import_pulls_in_no_scipy(self):
+        code = ("import ionqsim.cli, sys; "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True)
+        assert done.stdout.strip() == "[]"
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("error, code", [(np.linalg.LinAlgError("singular"), 1),
+                                             (ValueError("bad value"), 2)])
+    def test_error_class_sets_exit_code(self, monkeypatch, error, code):
+        def fail(params, out):
+            raise error
+        monkeypatch.setitem(cli._DISPATCH, "rabi", fail)
+        assert run(["rabi"]) == code

@@ -270,9 +270,11 @@ class TestOptimalNextDirection:
                                  rng.choice([-1, 1], size=5))
         axes = optimal_next_direction(batch)
         assert axes.shape == (5, 3)
+        scratch = {}   # reused by every row, as run_estimation reuses it across steps
         for row in range(5):
             single = SphereDistribution(batch.grid, batch.values[row])
             np.testing.assert_array_equal(axes[row], optimal_next_direction(single))
+            np.testing.assert_array_equal(axes[row], optimal_next_direction(single, scratch=scratch))
 
     def test_gap_to_dense_sweep(self):
         # Fbar reached by the coarse-plus-caps search against the best of a
