@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sphere import rotate
+
 TWO_PI = 2.0 * math.pi
 
 Z_PLUS = np.array([0.0, 0.0, 1.0])
@@ -39,10 +41,7 @@ class PureState:
     phi: float = 0.0
 
     def __post_init__(self):
-        if not (0.0 <= self.theta <= math.pi):
-            raise ValueError(f"theta must lie in [0, pi], got {self.theta}")
-        if not (0.0 <= self.phi < TWO_PI):
-            raise ValueError(f"phi must lie in [0, 2*pi), got {self.phi}")
+        _check_angles(self.theta, self.phi)
 
     def bloch(self) -> np.ndarray:
         return state_from_angles(self.theta, self.phi)
@@ -88,16 +87,18 @@ def _poisson_cdf(mean: float, k: int) -> float:
     Sums the pmf with math.fsum.  Terms are exp(j log(mean) - mean -
     lgamma(j + 1)) until one exceeds 1e-300, then p_j = p_{j-1} mean / j,
     which stays within a few ulp where the log form alone is ~2e-14 off
-    near mean 50.  Past the mean the terms shrink ever faster, so the sum
-    stops at one below 1e-17 of the total: the cost grows with the mean,
-    not with k.
+    near mean 50.  The sum starts 40 standard deviations below the mean
+    (the mass below is < 1e-300) and stops past the mean at a term below
+    1e-17 of the total, so its cost grows with sqrt(mean), not with k.
+    At large means the log form's cancellation costs ~mean*log(mean) ulp.
     """
     if mean == 0.0:
         return 1.0
+    start = max(0, math.floor(mean - 40.0 * math.sqrt(mean)))
     log_mean = math.log(mean)
     terms = []
     total = term = 0.0
-    for j in range(k + 1):
+    for j in range(start, k + 1):
         if term < 1e-300:
             term = math.exp(j * log_mean - mean - math.lgamma(j + 1))
         else:
@@ -175,25 +176,21 @@ class DetectionModel:
         return 0.5 * (self.eta1 + self.eta0)
 
 
-def state_from_angles(theta: float, phi: float) -> np.ndarray:
-    """Bloch vector of the pure state |theta, phi>, with |0> at +z.
-
-    Raises ValueError if theta is outside [0, pi] or phi outside [0, 2*pi).
-    """
+def _check_angles(theta: float, phi: float) -> None:
     if not (0.0 <= theta <= math.pi):
         raise ValueError(f"theta must lie in [0, pi], got {theta}")
     if not (0.0 <= phi < TWO_PI):
         raise ValueError(f"phi must lie in [0, 2*pi), got {phi}")
+
+
+def state_from_angles(theta: float, phi: float = 0.0) -> np.ndarray:
+    """Bloch vector of the pure state |theta, phi>, with |0> at +z.
+
+    Raises ValueError if theta is outside [0, pi] or phi outside [0, 2*pi).
+    """
+    _check_angles(theta, phi)
     st = math.sin(theta)
     return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
-
-
-def rotate_vector(v: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarray:
-    """Right-handed Rodrigues rotation of v about the unit vector axis."""
-    axis = np.asarray(axis, dtype=float)
-    v = np.asarray(v, dtype=float)
-    c, s = math.cos(angle), math.sin(angle)
-    return v * c + np.cross(axis, v) * s + axis * np.dot(axis, v) * (1.0 - c)
 
 
 def evolve(state: np.ndarray, pulse: DrivePulse) -> np.ndarray:
@@ -212,7 +209,7 @@ def evolve(state: np.ndarray, pulse: DrivePulse) -> np.ndarray:
         pulse.rabi * math.sin(pulse.phase),
         pulse.detuning,
     ]) / omega_r
-    return rotate_vector(state, axis, omega_r * pulse.duration)
+    return rotate(state, axis, omega_r * pulse.duration)
 
 
 def rabi_excitation_probability(rabi: float, detuning: float, t: float) -> float:
@@ -272,19 +269,20 @@ def measure(state: np.ndarray, direction: PureState, rng) -> tuple[int, np.ndarr
     return -1, -m
 
 
-def detect(true_state_is_one: bool, model: DetectionModel, rng) -> tuple[bool, int]:
-    """Simulate the fluorescence read-out of a z-eigenstate.
+def detect(true_on, model: DetectionModel, rng) -> np.ndarray:
+    """Simulate the fluorescence read-out of z-eigenstates.
 
-    Returns (observed_on, photon_count).  With a photon-counting model
-    the count is Poisson with the state-dependent mean and "on" means
-    count > threshold.  With bare efficiencies the outcome is Bernoulli
-    and the count is a synthetic 0/1 consistent with the observation.
+    true_on is a bool array, True for |1>; returns the "on" observations.
+    With a photon-counting model each count is Poisson with the
+    state-dependent mean and "on" means count > threshold.  With bare
+    efficiencies each read-out is Bernoulli; an ideal model draws nothing.
     """
     rng = as_generator(rng)
+    true_on = np.asarray(true_on, dtype=bool)
     if model.on_mean is not None:
-        mean = model.on_mean if true_state_is_one else model.off_mean
-        count = int(rng.poisson(mean))
-        return count > model.threshold, count
-    p_on = model.eta1 if true_state_is_one else 1.0 - model.eta0
-    observed_on = bool(rng.random() < p_on)
-    return observed_on, int(observed_on)
+        counts = rng.poisson(np.where(true_on, model.on_mean, model.off_mean))
+        return counts > model.threshold
+    if model.eta0 == 1.0 and model.eta1 == 1.0:
+        return true_on.copy()
+    p_on = np.where(true_on, model.eta1, 1.0 - model.eta0)
+    return rng.random(true_on.shape) < p_on

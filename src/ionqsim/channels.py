@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import as_generator
-from .sphere import fibonacci_sphere, rotation_matrix
+from .bloch import as_generator, state_from_angles
+from .sphere import _frame_to, rotation_matrix
 
 _AXES = {
     "x": np.array([1.0, 0.0, 0.0]),
@@ -24,10 +24,12 @@ _AXES = {
     "z": np.array([0.0, 0.0, 1.0]),
 }
 _PREPARATIONS = ("x", "y", "z", "-z")
+_PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 class ChannelInvalidError(ValueError):
-    """An affine map sent a state outside the Bloch ball."""
+    """An affine map that is not completely positive, or that sent a
+    state outside the Bloch ball."""
 
 
 @dataclass(frozen=True)
@@ -50,19 +52,18 @@ class AffineChannel:
     def __call__(self, s: np.ndarray) -> np.ndarray:
         return self.m @ np.asarray(s, dtype=float) + self.v
 
-    def is_physical(self, samples: int = 1000, tol: float = 1e-9) -> bool:
-        """Necessary ball-containment check on sampled unit inputs."""
-        images = fibonacci_sphere(samples) @ self.m.T + self.v
-        return bool(np.max(np.linalg.norm(images, axis=1)) <= 1.0 + tol)
+    def is_physical(self, tol: float = 1e-9) -> bool:
+        """Exact complete-positivity test: the Choi matrix
+        1/2 [I (x) (I + v.sigma) + sum_kl M_lk sigma_k^T (x) sigma_l]
+        has no eigenvalue below -tol."""
+        choi = np.kron(np.eye(2), np.eye(2) + np.tensordot(self.v, _PAULIS, 1))
+        choi += np.einsum("lk,kab,lcd->acbd", self.m, _PAULIS.transpose(0, 2, 1),
+                          _PAULIS).reshape(4, 4)
+        return bool(np.linalg.eigvalsh(0.5 * choi)[0] >= -tol)
 
 
 def identity_channel() -> AffineChannel:
     return AffineChannel(np.eye(3), np.zeros(3))
-
-
-def axis_from_polar(theta: float, phi: float = 0.0) -> np.ndarray:
-    st = math.sin(theta)
-    return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
 
 
 def _unit_axis(axis) -> np.ndarray:
@@ -78,8 +79,7 @@ def phase_damping(lam: float, axis=(0.0, 0.0, 1.0)) -> AffineChannel:
     is untouched.  For axis = z this is diag(1-2lam, 1-2lam, 1)."""
     if not (0.0 <= lam <= 0.5):
         raise ValueError(f"lam must lie in [0, 1/2], got {lam}")
-    n = _unit_axis(axis)
-    r = _rotation_from_z(n)
+    r = _frame_to(_unit_axis(axis))
     m = r @ np.diag([1.0 - 2.0 * lam, 1.0 - 2.0 * lam, 1.0]) @ r.T
     return AffineChannel(m, np.zeros(3))
 
@@ -99,18 +99,6 @@ def affine_shift(v) -> AffineChannel:
     """Pure displacement of the ball (building block for amplitude-damping
     style maps; combine with contractions to stay physical)."""
     return AffineChannel(np.eye(3), np.asarray(v, dtype=float))
-
-
-def _rotation_from_z(n: np.ndarray) -> np.ndarray:
-    """Rotation taking +z to the unit vector n."""
-    c = float(n[2])
-    if c > 1.0 - 1e-12:
-        return np.eye(3)
-    if c < -1.0 + 1e-12:
-        return np.diag([1.0, -1.0, -1.0])
-    axis = np.cross([0.0, 0.0, 1.0], n)
-    axis /= np.linalg.norm(axis)
-    return rotation_matrix(axis, math.acos(max(-1.0, min(1.0, c))))
 
 
 def compose(first: AffineChannel, second: AffineChannel) -> AffineChannel:
@@ -220,7 +208,7 @@ def channel_from_spec(spec: dict) -> AffineChannel:
     Variants: phase_damping {lambda, axis: [theta, phi]},
     depolarizing {lambda}, rotation {axis: [theta, phi], angle},
     composition {parts: [spec, ...]} (applied in list order), and
-    raw {m: 3x3, v: 3} which must pass the ball-containment check.
+    raw {m: 3x3, v: 3} which must be completely positive.
     Unknown keys are rejected.
     """
     if not isinstance(spec, dict):
@@ -241,12 +229,12 @@ def channel_from_spec(spec: dict) -> AffineChannel:
 
     if variant == "phase_damping":
         axis = spec.get("axis", [0.0, 0.0])
-        return phase_damping(float(spec["lambda"]), axis_from_polar(*map(float, axis)))
+        return phase_damping(float(spec["lambda"]), state_from_angles(*map(float, axis)))
     if variant == "depolarizing":
         return depolarizing(float(spec["lambda"]))
     if variant == "rotation":
         axis = spec.get("axis", [0.0, 0.0])
-        return rotation_channel(axis_from_polar(*map(float, axis)), float(spec["angle"]))
+        return rotation_channel(state_from_angles(*map(float, axis)), float(spec["angle"]))
     if variant == "composition":
         parts = spec.get("parts", [])
         if not parts:
@@ -257,5 +245,6 @@ def channel_from_spec(spec: dict) -> AffineChannel:
         return channel
     channel = AffineChannel(np.array(spec["m"], dtype=float), np.array(spec["v"], dtype=float))
     if not channel.is_physical():
-        raise ChannelInvalidError("raw (m, v) maps some pure states outside the Bloch ball")
+        raise ChannelInvalidError("raw (m, v) is not completely positive: "
+                                  "its Choi matrix has a negative eigenvalue")
     return channel

@@ -207,10 +207,7 @@ def _cmd_rabi(params: dict, out) -> int:
 def _detection_from(params: dict) -> DetectionModel:
     counting = [params["on_mean"], params["off_mean"], params["threshold"]]
     if any(v is not None for v in counting):
-        if any(v is None for v in counting):
-            raise ConfigError("on_mean, off_mean and threshold must be given together")
-        return DetectionModel.from_counts(params["on_mean"], params["off_mean"],
-                                          params["threshold"])
+        return DetectionModel.from_counts(*counting)
     return DetectionModel.from_efficiencies(params["eta0"], params["eta1"])
 
 

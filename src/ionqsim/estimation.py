@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import PureState, Z_PLUS, as_generator
-from .sphere import (SphereGrid, _row_dot, _row_norm, default_grid, maximize_on_sphere,
-                     moment_grid)
+from .sphere import (SWEEP_POINTS, SphereGrid, _row_dot, _row_norm, default_grid,
+                     maximize_on_sphere, moment_grid)
 
 FOUR_PI = 4.0 * math.pi
 # mean_fidelity_experiment estimates at most this many states x max(grid
@@ -185,8 +185,7 @@ def expected_mean_fidelity(dist: SphereDistribution, candidate_direction) -> flo
     return 0.5 + 0.25 * (np.linalg.norm(s_bar + qm) + np.linalg.norm(s_bar - qm))
 
 
-def optimal_next_direction(dist: SphereDistribution, coarse: int = 400,
-                           refine_rounds: int = 2, scratch: dict | None = None) -> np.ndarray:
+def optimal_next_direction(dist: SphereDistribution, scratch: dict | None = None) -> np.ndarray:
     """Measurement axis maximizing the expected mean fidelity.
 
     Coarse Fibonacci sweep plus local refinement; a flat objective
@@ -222,7 +221,7 @@ def optimal_next_direction(dist: SphereDistribution, coarse: int = 400,
         np.subtract(s_bar, qm, out=qm)
         return 0.5 + 0.25 * (norm(plus) + norm(qm))
 
-    best, _, flat = maximize_on_sphere(objective, coarse=coarse, rounds=refine_rounds)
+    best, _, flat = maximize_on_sphere(objective)
     x, y, z = np.moveaxis(best, -1, 0)
     lower = (z < 0) | ((z == 0) & ((y < 0) | ((y == 0) & (x < 0))))
     best = np.where(lower[..., None], -best, best)
@@ -266,12 +265,10 @@ def apply_imperfections(s: np.ndarray, params: ImperfectionParams) -> np.ndarray
 
 @dataclass(frozen=True)
 class StrategyConfig:
-    """Which measurement directions to use and how hard to optimize."""
+    """Which measurement directions to use, and how many."""
 
     kind: str                     # self_learning | random | fixed_axes
     n_measurements: int = 1
-    coarse_points: int = 400
-    refine_rounds: int = 2
 
     KINDS = ("self_learning", "random", "fixed_axes")
 
@@ -311,7 +308,7 @@ def _resolve_strategy(strategy, n) -> StrategyConfig:
     if isinstance(strategy, StrategyConfig):
         if n is None:
             return strategy
-        return StrategyConfig(strategy.kind, n, strategy.coarse_points, strategy.refine_rounds)
+        return StrategyConfig(strategy.kind, n)
     return StrategyConfig(str(strategy), n if n is not None else 1)
 
 
@@ -350,7 +347,7 @@ def run_estimation(true_state, n=None, strategy="self_learning",
     scratch = {}
     for k in range(cfg.n_measurements):
         if cfg.kind == "self_learning":
-            m = optimal_next_direction(dist, cfg.coarse_points, cfg.refine_rounds, scratch)
+            m = optimal_next_direction(dist, scratch)
         elif cfg.kind == "random":
             m = np.array([random_direction(rng) for rng in rngs])
         else:
@@ -391,7 +388,7 @@ def mean_fidelity_experiment(num_states: int, n: int, strategy="self_learning",
     cfg = _resolve_strategy(strategy, n)
     if grid is None:
         grid = moment_grid(cfg.n_measurements)
-    chunk = max(1, _CHUNK_SIZE // max(grid.size, cfg.coarse_points))
+    chunk = max(1, _CHUNK_SIZE // max(grid.size, SWEEP_POINTS))
 
     fidelities = np.empty(num_states)
     for start in range(0, num_states, chunk):

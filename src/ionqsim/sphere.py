@@ -143,46 +143,56 @@ def _frame_to(direction: np.ndarray) -> np.ndarray:
     return rot
 
 
+def rotate(v, axis, angle):
+    """Right-handed Rodrigues rotation of v about the unit axis by angle.
+
+    Broadcasts over (..., 3) vectors and axes and (...,) angles.
+    """
+    v = np.asarray(v, dtype=float)
+    axis = np.asarray(axis, dtype=float)
+    c, s = np.cos(angle)[..., None], np.sin(angle)[..., None]
+    a0, a1, a2 = axis[..., 0], axis[..., 1], axis[..., 2]
+    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
+    cross = np.stack([a1 * v2 - a2 * v1, a2 * v0 - a0 * v2, a0 * v1 - a1 * v0], axis=-1)
+    return v * c + cross * s + axis * _row_dot(axis, v)[..., None] * (1.0 - c)
+
+
 def rotation_matrix(axis: np.ndarray, angle) -> np.ndarray:
-    """Right-handed rotation matrix about a unit axis (Rodrigues form).
+    """Right-handed rotation matrix about a unit axis: `rotate` applied
+    to the basis vectors, one per column.
 
     Broadcasts over (..., 3) axes and (...,) angles to (..., 3, 3).
     """
-    x, y, z = np.moveaxis(np.asarray(axis, dtype=float), -1, 0)
-    c, s = np.cos(angle), np.sin(angle)
-    cc = 1.0 - c
-    rot = np.empty(np.broadcast(x, c).shape + (3, 3))
-    rot[..., 0, 0] = c + x * x * cc
-    rot[..., 0, 1] = x * y * cc - z * s
-    rot[..., 0, 2] = x * z * cc + y * s
-    rot[..., 1, 0] = y * x * cc + z * s
-    rot[..., 1, 1] = c + y * y * cc
-    rot[..., 1, 2] = y * z * cc - x * s
-    rot[..., 2, 0] = z * x * cc - y * s
-    rot[..., 2, 1] = z * y * cc + x * s
-    rot[..., 2, 2] = c + z * z * cc
-    return rot
+    axis = np.asarray(axis, dtype=float)[..., None, :]
+    return np.swapaxes(rotate(np.eye(3), axis, np.asarray(angle)[..., None]), -1, -2)
 
 
-def maximize_on_sphere(objective, coarse: int = 400, rounds: int = 2,
-                       cap_points: int = 96, shrink: float = 0.2):
+# maximize_on_sphere sweeps SWEEP_POINTS axes, then searches _CAP_ROUNDS caps
+# of _CAP_SIZE axes, each _CAP_SHRINK times the radius of the last.
+SWEEP_POINTS = 400
+_CAP_ROUNDS = 2
+_CAP_SIZE = 96
+_CAP_SHRINK = 0.2
+
+
+def maximize_on_sphere(objective):
     """Maximize a batch objective over unit directions, for many rows at once.
 
     objective maps an (n, 3) array of unit vectors shared by every row,
     or an (..., n, 3) array with one set per row, to (..., n) values.  A
-    coarse Fibonacci sweep locates each row's basin, then `rounds` local
-    cap grids shrink around the running best.  Returns (direction, value,
+    coarse Fibonacci sweep locates each row's basin, then local cap
+    grids shrink around the running best.  Returns (direction, value,
     flat), shaped (..., 3), (...) and (...), where flat reports whether
     the coarse sweep was constant to within 1e-6 (degenerate objective).
     """
-    pts = fibonacci_sphere(coarse)
+    pts = fibonacci_sphere(SWEEP_POINTS)
     vals = objective(pts)
     flat = np.max(vals, axis=-1) - np.min(vals, axis=-1) < 1e-6
     k = np.argmax(vals, axis=-1)
     best, best_val = pts[k], np.take_along_axis(vals, k[..., None], axis=-1)[..., 0]
-    radius = 2.0 * math.sqrt(4.0 * math.pi / coarse)
-    for _ in range(rounds):
-        cand = fibonacci_cap(best, radius, cap_points)
+    radius = 2.0 * math.sqrt(4.0 * math.pi / SWEEP_POINTS)
+    for _ in range(_CAP_ROUNDS):
+        cand = fibonacci_cap(best, radius, _CAP_SIZE)
         cand /= np.linalg.norm(cand, axis=-1)[..., None]
         vals = objective(cand)
         k = np.argmax(vals, axis=-1)[..., None]
@@ -191,5 +201,5 @@ def maximize_on_sphere(objective, coarse: int = 400, rounds: int = 2,
         pick = np.take_along_axis(cand, k[..., None], axis=-2)[..., 0, :]
         best = np.where(better[..., None], pick, best)
         best_val = np.where(better, val, best_val)
-        radius *= shrink
+        radius *= _CAP_SHRINK
     return best, best_val, flat

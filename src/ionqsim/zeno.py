@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bloch import DetectionModel, as_generator
+from .bloch import DetectionModel, as_generator, detect
 
 
 @dataclass(frozen=True)
@@ -25,14 +25,12 @@ class ZenoConfig:
     """Fractionated pi-pulse protocol parameters.
 
     n_fractions pulses of equal area total_area/n_fractions alternate
-    with projective probes of the z basis.  probe_gap is carried as
-    metadata only (the hyperfine qubit does not dephase during gaps).
+    with projective probes of the z basis.
     """
 
     n_fractions: int
     sequences: int
     total_area: float = math.pi
-    probe_gap: float = 3e-3
     detection: DetectionModel = field(default_factory=DetectionModel.ideal)
     prep_efficiency: float = 1.0
 
@@ -79,18 +77,6 @@ def _flip_probability(theta: float) -> float:
     return math.sin(0.5 * theta) ** 2
 
 
-def _observe(true_on: np.ndarray, detection: DetectionModel, rng) -> np.ndarray:
-    """Vectorized detection of an array of true z-eigenstates."""
-    if detection.on_mean is not None:
-        means = np.where(true_on, detection.on_mean, detection.off_mean)
-        counts = rng.poisson(means)
-        return counts > detection.threshold
-    if detection.eta0 == 1.0 and detection.eta1 == 1.0:
-        return true_on.copy()
-    p_on = np.where(true_on, detection.eta1, 1.0 - detection.eta0)
-    return rng.random(true_on.shape) < p_on
-
-
 def simulate_fractionated_pi(config: ZenoConfig, seed) -> tuple[float, np.ndarray]:
     """Run the fractionated pi-pulse protocol.
 
@@ -109,7 +95,7 @@ def simulate_fractionated_pi(config: ZenoConfig, seed) -> tuple[float, np.ndarra
     prepared_wrong = rng.random(seq) >= config.prep_efficiency
     flips = rng.random((seq, n)) < p_flip
     true_on = (prepared_wrong[:, None].astype(np.int64) + np.cumsum(flips, axis=1)) % 2 == 1
-    records = _observe(true_on, config.detection, rng)
+    records = detect(true_on, config.detection, rng)
     survival = float(np.mean(~records.any(axis=1)))
     return survival, records
 
@@ -142,7 +128,7 @@ def simulate_alternating(theta_per_step: float, n_pairs: int, seed,
     detection = detection or DetectionModel.ideal()
     flips = rng.random(n_pairs) < _flip_probability(theta_per_step)
     true_on = np.cumsum(flips) % 2 == 1
-    results = _observe(true_on, detection, rng)
+    results = detect(true_on, detection, rng)
     config = {
         "theta_per_step": theta_per_step,
         "n_pairs": n_pairs,

@@ -11,9 +11,10 @@ import time
 import numpy as np
 import pytest
 
-from ionqsim.bloch import DrivePulse, PureState, Z_PLUS, born_probability, evolve
-from ionqsim.channels import (axis_from_polar, identity_channel, phase_damping,
-                              tomography_exact, tomography_sampled)
+from ionqsim.bloch import (DrivePulse, PureState, Z_PLUS, born_probability, evolve,
+                           state_from_angles)
+from ionqsim.channels import (identity_channel, phase_damping, tomography_exact,
+                              tomography_sampled)
 from ionqsim.constants import YB171
 from ionqsim.estimation import (ImperfectionParams, bayes_update, estimate_state,
                                 expected_mean_fidelity, mean_fidelity_experiment,
@@ -180,7 +181,7 @@ def test_criterion_6_channel_tomography():
     assert worst < 1e-10
 
     shots = 10_000
-    for target in (identity_channel(), phase_damping(0.2, axis_from_polar(1.0)),
+    for target in (identity_channel(), phase_damping(0.2, state_from_angles(1.0)),
                    random_physical_channel(rng)):
         estimate, _ = tomography_sampled(target, shots, seed=62)
         for row, i in enumerate("xyz"):
@@ -195,7 +196,7 @@ def test_criterion_6_channel_tomography():
                 sigma = math.sqrt(var_z if j == "z" else 4 * var[j] + var_z)
                 assert abs(estimate.m[row, col] - want) <= 5 * sigma + 1e-9
 
-    axis = axis_from_polar(1.0, 0.0)
+    axis = state_from_angles(1.0, 0.0)
     for lam in (0.05, 0.15, 0.25, 0.35, 0.45):
         rebuilt = tomography_exact(phase_damping(lam, axis))
         assert np.max(np.abs(rebuilt.v)) < 1e-10
@@ -225,7 +226,7 @@ def test_criterion_7_trend_anchors():
 
     transverse = []
     for lam in np.linspace(0.0, 0.45, 10):
-        rebuilt = tomography_exact(phase_damping(lam, axis_from_polar(1.0)))
+        rebuilt = tomography_exact(phase_damping(lam, state_from_angles(1.0)))
         transverse.append(np.sort(np.linalg.eigvalsh(rebuilt.m))[0])
     assert all(a > b for a, b in zip(transverse, transverse[1:]))
     report(7, "experimental trend anchors",

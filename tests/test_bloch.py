@@ -223,16 +223,14 @@ class TestDetectionModel:
     def test_zero_off_mean_never_misreads_off(self):
         rng = np.random.default_rng(21)
         model = DetectionModel.from_counts(on_mean=9.0, off_mean=0.0, threshold=0)
-        for _ in range(200):
-            observed_on, count = detect(False, model, rng)
-            assert not observed_on and count == 0
+        assert not detect(np.zeros(200, dtype=bool), model, rng).any()
 
     def test_marginal_error_rates(self):
         rng = np.random.default_rng(22)
         model = DetectionModel.from_counts(on_mean=5.3, off_mean=0.2, threshold=0)
         n = 50_000
-        on_misread = sum(not detect(True, model, rng)[0] for _ in range(n)) / n
-        off_misread = sum(detect(False, model, rng)[0] for _ in range(n)) / n
+        on_misread = np.mean(~detect(np.ones(n, dtype=bool), model, rng))
+        off_misread = np.mean(detect(np.zeros(n, dtype=bool), model, rng))
         for rate, expected in ((on_misread, 1 - model.eta1), (off_misread, 1 - model.eta0)):
             assert abs(rate - expected) < 4 * math.sqrt(expected * (1 - expected) / n)
 
@@ -240,7 +238,7 @@ class TestDetectionModel:
         rng = np.random.default_rng(23)
         model = DetectionModel.from_efficiencies(0.9, 0.95)
         n = 50_000
-        off_ok = sum(not detect(False, model, rng)[0] for _ in range(n)) / n
+        off_ok = np.mean(~detect(np.zeros(n, dtype=bool), model, rng))
         assert abs(off_ok - 0.9) < 4 * math.sqrt(0.9 * 0.1 / n)
 
     def test_validation(self):
@@ -269,6 +267,17 @@ class TestDetectionModel:
             expected = stats.poisson.cdf(thresholds, mean)
             got = [bloch._poisson_cdf(float(mean), int(k)) for k in thresholds]
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
+
+    def test_poisson_cdf_matches_scipy_at_large_means(self):
+        # the log-form exponent cancels terms of size mean*log(mean), which
+        # bounds the accuracy; thresholds 41 sigma below the mean give 0
+        for mean in (1e4, 1e5, 1e6, 1e7):
+            sd = math.sqrt(mean)
+            thresholds = [int(mean + f * sd) for f in (-41, -5, -1, 0, 1, 5)]
+            got = [bloch._poisson_cdf(mean, k) for k in thresholds]
+            tol = 2.0 * np.finfo(float).eps * mean * math.log(mean)
+            np.testing.assert_allclose(got, stats.poisson.cdf(thresholds, mean), rtol=0, atol=tol)
+            assert got[0] == 0.0
 
     def test_tails_summed_once(self, monkeypatch):
         calls = []

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from ionqsim.bloch import state_from_angles
 from ionqsim.channels import (AffineChannel, ChannelInvalidError, affine_shift,
-                              apply, axis_from_polar, channel_from_spec,
+                              apply, channel_from_spec,
                               compose, depolarizing, identity_channel,
                               phase_damping, rotation_channel,
                               tomography_exact, tomography_sampled)
@@ -18,7 +19,7 @@ def random_physical_channel(rng):
     channel = identity_channel()
     for _ in range(rng.integers(1, 4)):
         kind = rng.integers(0, 4)
-        axis = axis_from_polar(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
+        axis = state_from_angles(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
         if kind == 0:
             part = rotation_channel(axis, rng.uniform(0, 2 * math.pi))
         elif kind == 1:
@@ -49,7 +50,7 @@ class TestConstructors:
     def test_phase_damping_axis_preserved(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            axis = axis_from_polar(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
+            axis = state_from_angles(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
             lam = rng.uniform(0, 0.5)
             channel = phase_damping(lam, axis)
             np.testing.assert_allclose(channel.m @ axis, axis, atol=1e-12)
@@ -78,13 +79,13 @@ class TestConstructors:
     def test_rotation_matches_expm_oracle(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
-            axis = axis_from_polar(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
+            axis = state_from_angles(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
             angle = rng.uniform(0, 2 * math.pi)
             got = rotation_channel(axis, angle).m
             np.testing.assert_allclose(got, rotation_matrix_oracle(axis, angle), atol=1e-12)
 
     def test_rotation_composition_adds_angles(self):
-        axis = axis_from_polar(1.1, 0.4)
+        axis = state_from_angles(1.1, 0.4)
         a, b = 0.7, 1.9
         composed = compose(rotation_channel(axis, a), rotation_channel(axis, b))
         np.testing.assert_allclose(composed.m, rotation_channel(axis, a + b).m, atol=1e-12)
@@ -92,7 +93,7 @@ class TestConstructors:
     def test_singular_values_in_unit_interval(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
-            axis = axis_from_polar(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
+            axis = state_from_angles(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
             for channel in (phase_damping(rng.uniform(0, 0.5), axis),
                             depolarizing(rng.uniform(0, 0.5))):
                 sv = np.linalg.svd(channel.m, compute_uv=False)
@@ -130,7 +131,22 @@ class TestComposeApply:
     def test_ball_preserved_for_constructed_channels(self):
         rng = np.random.default_rng(6)
         for _ in range(30):
-            assert random_physical_channel(rng).is_physical(samples=1000)
+            assert random_physical_channel(rng).is_physical()
+        for lam in np.linspace(0.0, 0.5, 21):
+            axis = state_from_angles(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
+            for channel in (phase_damping(lam, axis), depolarizing(lam),
+                            rotation_channel(axis, rng.uniform(0, 2 * math.pi)),
+                            compose(random_physical_channel(rng), random_physical_channel(rng))):
+                assert channel.is_physical()
+
+    def test_transpose_rejected(self):
+        # the transpose map keeps the ball but is not completely positive
+        transpose = AffineChannel(np.diag([1.0, -1.0, 1.0]), np.zeros(3))
+        images = fibonacci_sphere(100) @ transpose.m.T
+        assert np.max(np.linalg.norm(images, axis=1)) <= 1.0 + 1e-12
+        assert not transpose.is_physical()
+        with pytest.raises(ChannelInvalidError):
+            channel_from_spec({"variant": "raw", "m": transpose.m.tolist(), "v": [0.0, 0.0, 0.0]})
 
     def test_apply_flags_ball_violation(self):
         bad = affine_shift([0.5, 0.0, 0.0])
@@ -166,7 +182,7 @@ class TestTomographyExact:
     def test_unital_channels_reconstruct_zero_offset(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
-            axis = axis_from_polar(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
+            axis = state_from_angles(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
             channel = tomography_exact(phase_damping(rng.uniform(0, 0.5), axis))
             assert np.linalg.norm(channel.v) < 1e-10
 
@@ -214,7 +230,7 @@ class TestTrendAndSpec:
     def test_phase_damping_sweep_is_monotone(self):
         # stand-in for the noise-amplitude sweep: transverse matrix
         # elements shrink monotonically with the damping strength
-        axis = axis_from_polar(1.0, 0.0)
+        axis = state_from_angles(1.0, 0.0)
         lams = np.linspace(0.0, 0.5, 11)
         transverse = []
         for lam in lams:
@@ -226,8 +242,8 @@ class TestTrendAndSpec:
     def test_channel_from_spec_variants(self):
         spec = {"variant": "phase_damping", "lambda": 0.2, "axis": [1.0, 0.0]}
         channel = channel_from_spec(spec)
-        np.testing.assert_allclose(channel.m @ axis_from_polar(1.0, 0.0),
-                                   axis_from_polar(1.0, 0.0), atol=1e-12)
+        np.testing.assert_allclose(channel.m @ state_from_angles(1.0, 0.0),
+                                   state_from_angles(1.0, 0.0), atol=1e-12)
         channel = channel_from_spec({"variant": "depolarizing", "lambda": 0.25})
         np.testing.assert_allclose(channel.m, 0.5 * np.eye(3), atol=1e-15)
         channel = channel_from_spec({

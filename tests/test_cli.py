@@ -192,6 +192,18 @@ class TestChannelCommand:
                                     "v": [0.9, 0.0, 0.0]}))
         assert run(["channel", "--spec", str(spec)]) == 2
 
+    def test_transpose_spec_is_config_error(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"variant": "raw", "m": np.diag([1.0, -1.0, 1.0]).tolist(),
+                                    "v": [0.0, 0.0, 0.0]}))
+        assert run(["channel", "--spec", str(spec)]) == 2
+
+    def test_out_of_range_axis_is_config_error(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"variant": "phase_damping", "lambda": 0.1,
+                                    "axis": [4.0, 0.0]}))
+        assert run(["channel", "--spec", str(spec)]) == 2
+
 
 class TestZenoModes:
     def test_runlength_mode(self, tmp_path):
@@ -259,7 +271,8 @@ class TestConstantsHook:
                         "--out", str(out)], check=True, env=env)
         doubled = json.loads(out.read_text())["J_hz"][1][0]
         subprocess.run([sys.executable, "-m", "ionqsim.cli", "chain", "--n", "2",
-                        "--out", str(out)], check=True, env=dict(os.environ))
+                        "--out", str(out)], check=True,
+                       env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
         normal = json.loads(out.read_text())["J_hz"][1][0]
         # J scales with the squared frequency gradient, i.e. mu_B^2
         assert doubled / normal == pytest.approx(4.0, rel=1e-9)

@@ -12,7 +12,7 @@ from ionqsim.estimation import (DegenerateUpdateError, EstimationTrajectory,
                                 mean_fidelity_experiment, optimal_fidelity_bound,
                                 optimal_next_direction, outcome_probability,
                                 random_direction, run_estimation, uniform_prior)
-from ionqsim.sphere import SphereGrid, fibonacci_sphere, moment_grid, rotation_matrix
+from ionqsim.sphere import SphereGrid, fibonacci_sphere, moment_grid, rotate, rotation_matrix
 from oracles import imperfection_oracle
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -467,3 +467,25 @@ class TestBatchedEnsemble:
                                                  grid=SphereGrid.build(64, 128))
         np.testing.assert_array_equal(batched, _per_state_reference(30, 12, "self_learning",
                                                                     None, 790))
+
+
+class TestRodrigues:
+    def test_matrix_columns_are_rotated_basis_vectors(self):
+        rng = np.random.default_rng(41)
+        axes = np.array([random_direction(rng) for _ in range(200)])
+        angles = rng.uniform(-2 * math.pi, 2 * math.pi, 200)
+        batch = rotation_matrix(axes, angles)
+        for axis, angle, rot in zip(axes, angles, batch):
+            lone = rotation_matrix(axis, angle)
+            np.testing.assert_array_equal(rot, lone)
+            for j, e in enumerate(np.eye(3)):
+                np.testing.assert_array_equal(lone[:, j], rotate(e, axis, angle))
+
+    def test_batch_vectors_match_lone_rotations(self):
+        rng = np.random.default_rng(42)
+        axes = np.array([random_direction(rng) for _ in range(200)])
+        angles = rng.uniform(-2 * math.pi, 2 * math.pi, 200)
+        vectors = rng.normal(size=(200, 3))
+        batch = rotate(vectors, axes, angles)
+        for v, axis, angle, row in zip(vectors, axes, angles, batch):
+            np.testing.assert_array_equal(row, rotate(v, axis, float(angle)))
