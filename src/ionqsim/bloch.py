@@ -21,8 +21,12 @@ Z_MINUS = np.array([0.0, 0.0, -1.0])
 X_PLUS = np.array([1.0, 0.0, 0.0])
 Y_PLUS = np.array([0.0, 1.0, 0.0])
 
+# Random draws over long records are made this many at a time, so their
+# float64/int64 temporaries stay at 512 KB whatever the record length.
+BLOCK = 1 << 16
 
-def as_generator(seed_or_rng) -> np.random.Generator:
+
+def as_generator(seed_or_rng) -> "np.random.Generator":
     """Coerce an int seed, SeedSequence, or Generator into a Generator."""
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
@@ -276,13 +280,21 @@ def detect(true_on, model: DetectionModel, rng) -> np.ndarray:
     With a photon-counting model each count is Poisson with the
     state-dependent mean and "on" means count > threshold.  With bare
     efficiencies each read-out is Bernoulli; an ideal model draws nothing.
+    Draws follow true_on in C order, BLOCK at a time, so the stream is
+    the same as one whole-array draw.
     """
     rng = as_generator(rng)
     true_on = np.asarray(true_on, dtype=bool)
-    if model.on_mean is not None:
-        counts = rng.poisson(np.where(true_on, model.on_mean, model.off_mean))
-        return counts > model.threshold
-    if model.eta0 == 1.0 and model.eta1 == 1.0:
+    if model.eta0 == 1.0 and model.eta1 == 1.0 and model.on_mean is None:
         return true_on.copy()
-    p_on = np.where(true_on, model.eta1, 1.0 - model.eta0)
-    return rng.random(true_on.shape) < p_on
+    observed = np.empty(true_on.shape, dtype=bool)
+    flat_in, flat_out = true_on.reshape(-1), observed.reshape(-1)
+    for start in range(0, flat_in.size, BLOCK):
+        state, out = flat_in[start:start + BLOCK], flat_out[start:start + BLOCK]
+        if model.on_mean is not None:
+            counts = rng.poisson(np.where(state, model.on_mean, model.off_mean))
+            np.greater(counts, model.threshold, out=out)
+        else:
+            np.less(rng.random(state.size), np.where(state, model.eta1, 1.0 - model.eta0),
+                    out=out)
+    return observed

@@ -202,48 +202,78 @@ def tomography_sampled(black_box, shots_per_setting: int, seed) -> tuple[AffineC
     return channel, TomographyErrors(m_err=m_err, v_err=v_err)
 
 
+# variant -> (required keys, optional keys), besides "variant" itself
+_SPEC_KEYS = {
+    "phase_damping": ({"lambda"}, {"axis"}),
+    "depolarizing": ({"lambda"}, set()),
+    "rotation": ({"angle"}, {"axis"}),
+    "composition": ({"parts"}, set()),
+    "raw": ({"m", "v"}, set()),
+}
+
+
+def _polar_axis(pair) -> np.ndarray:
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise ValueError("need a [theta, phi] pair")
+    return state_from_angles(float(pair[0]), float(pair[1]))
+
+
+def _float_array(value) -> np.ndarray:
+    return np.array(value, dtype=float)
+
+
+def _spec_value(spec: dict, key: str, convert, default=None):
+    """convert(spec[key]), with any failure reported as a ValueError
+    that names the key."""
+    value = spec.get(key, default)
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad channel spec key {key!r} = {value!r}: {exc}") from None
+
+
 def channel_from_spec(spec: dict) -> AffineChannel:
     """Build a channel from a JSON-style spec dict.
 
     Variants: phase_damping {lambda, axis: [theta, phi]},
     depolarizing {lambda}, rotation {axis: [theta, phi], angle},
     composition {parts: [spec, ...]} (applied in list order), and
-    raw {m: 3x3, v: 3} which must be completely positive.
-    Unknown keys are rejected.
+    raw {m: 3x3, v: 3} which must be completely positive.  The axis
+    defaults to +z.  Unknown or missing keys and malformed values raise
+    ValueError naming the key.
     """
     if not isinstance(spec, dict):
         raise ValueError("channel spec must be a JSON object")
     variant = spec.get("variant")
-    allowed = {
-        "phase_damping": {"variant", "lambda", "axis"},
-        "depolarizing": {"variant", "lambda"},
-        "rotation": {"variant", "axis", "angle"},
-        "composition": {"variant", "parts"},
-        "raw": {"variant", "m", "v"},
-    }
-    if variant not in allowed:
+    if variant not in _SPEC_KEYS:
         raise ValueError(f"unknown channel variant {variant!r}")
-    extra = set(spec) - allowed[variant]
+    required, optional = _SPEC_KEYS[variant]
+    missing = required - set(spec)
+    if missing:
+        raise ValueError(f"{variant} channel spec is missing keys: {sorted(missing)}")
+    extra = set(spec) - required - optional - {"variant"}
     if extra:
         raise ValueError(f"unknown keys in channel spec: {sorted(extra)}")
 
     if variant == "phase_damping":
-        axis = spec.get("axis", [0.0, 0.0])
-        return phase_damping(float(spec["lambda"]), state_from_angles(*map(float, axis)))
+        return phase_damping(_spec_value(spec, "lambda", float),
+                             _spec_value(spec, "axis", _polar_axis, [0.0, 0.0]))
     if variant == "depolarizing":
-        return depolarizing(float(spec["lambda"]))
+        return depolarizing(_spec_value(spec, "lambda", float))
     if variant == "rotation":
-        axis = spec.get("axis", [0.0, 0.0])
-        return rotation_channel(state_from_angles(*map(float, axis)), float(spec["angle"]))
+        return rotation_channel(_spec_value(spec, "axis", _polar_axis, [0.0, 0.0]),
+                                _spec_value(spec, "angle", float))
     if variant == "composition":
-        parts = spec.get("parts", [])
-        if not parts:
-            raise ValueError("composition needs a non-empty parts list")
+        parts = spec["parts"]
+        if not isinstance(parts, list) or not parts:
+            raise ValueError(f"bad channel spec key 'parts' = {parts!r}: "
+                             "need a non-empty list of specs")
         channel = channel_from_spec(parts[0])
         for part in parts[1:]:
             channel = compose(channel, channel_from_spec(part))
         return channel
-    channel = AffineChannel(np.array(spec["m"], dtype=float), np.array(spec["v"], dtype=float))
+    channel = AffineChannel(_spec_value(spec, "m", _float_array),
+                            _spec_value(spec, "v", _float_array))
     if not channel.is_physical():
         raise ChannelInvalidError("raw (m, v) is not completely positive: "
                                   "its Choi matrix has a negative eigenvalue")

@@ -24,8 +24,8 @@ from .estimation import (DegenerateUpdateError, ImperfectionParams,
                          mean_fidelity_experiment)
 from .ionchain import (ConvergenceError, NotAMinimumError, TrapConfig,
                        length_scale, required_gradient, spin_spin_couplings)
-from .zeno import (ZenoConfig, corrected_survival, run_length_distribution,
-                   run_length_ratio, simulate_alternating,
+from .zeno import (ZenoConfig, corrected_survival, count_complete_runs,
+                   run_length_distribution, run_length_ratio, simulate_alternating,
                    simulate_fractionated_pi, survival_probability)
 
 CONSTANTS_ENV = "IONQSIM_CONSTANTS"
@@ -235,7 +235,7 @@ def _cmd_zeno(params: dict, out) -> int:
         traj = simulate_alternating(params["theta"], params["pairs"], seed=params["seed"],
                                     detection=detection)
         dist = run_length_distribution(traj)
-        total_runs = int(np.count_nonzero(np.diff(traj.results)))
+        total_runs = count_complete_runs(traj)
         for q in range(1, params["qmax"] + 1):
             ratio = run_length_ratio(dist, q)
             theory = survival_probability(params["theta"], q - 1)

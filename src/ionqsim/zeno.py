@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bloch import DetectionModel, as_generator, detect
+from .bloch import BLOCK, DetectionModel, as_generator, detect
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,22 @@ def _flip_probability(theta: float) -> float:
     return math.sin(0.5 * theta) ** 2
 
 
+def _true_states(rng, shape, p_flip: float) -> np.ndarray:
+    """True "on" states of probe chains that start in |0>, as a bool
+    array of the given shape whose last axis runs along each chain.
+
+    Each probe flips the state with probability p_flip: the uniforms of
+    rng.random(shape) are drawn BLOCK at a time, in the same order, and
+    the state is the running parity of the flips along the last axis.
+    """
+    states = np.empty(shape, dtype=bool)
+    flat = states.reshape(-1)
+    for start in range(0, flat.size, BLOCK):
+        block = flat[start:start + BLOCK]
+        np.less(rng.random(block.size), p_flip, out=block)
+    return np.logical_xor.accumulate(states, axis=-1, out=states)
+
+
 def simulate_fractionated_pi(config: ZenoConfig, seed) -> tuple[float, np.ndarray]:
     """Run the fractionated pi-pulse protocol.
 
@@ -93,8 +109,8 @@ def simulate_fractionated_pi(config: ZenoConfig, seed) -> tuple[float, np.ndarra
 
     # draw order: preparation, drive flips, detection
     prepared_wrong = rng.random(seq) >= config.prep_efficiency
-    flips = rng.random((seq, n)) < p_flip
-    true_on = (prepared_wrong[:, None].astype(np.int64) + np.cumsum(flips, axis=1)) % 2 == 1
+    true_on = _true_states(rng, (seq, n), p_flip)
+    np.logical_xor(true_on, prepared_wrong[:, None], out=true_on)
     records = detect(true_on, config.detection, rng)
     survival = float(np.mean(~records.any(axis=1)))
     return survival, records
@@ -121,13 +137,18 @@ def simulate_alternating(theta_per_step: float, n_pairs: int, seed,
     The ion starts in |0>; each probe collapses the state, so the true
     outcome sequence is a two-state Markov chain with flip probability
     sin^2(theta/2) per pair.  Results are "on"/"off" observations.
+
+    All flip uniforms are drawn first, then every read-out, each in
+    blocks of BLOCK draws from the one stream, so a seed gives the same
+    record as whole-array draws would.  Apart from the two 1-byte
+    arrays of true states and results (about 2 bytes per pair), the
+    working memory is one block.
     """
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     rng = as_generator(seed)
     detection = detection or DetectionModel.ideal()
-    flips = rng.random(n_pairs) < _flip_probability(theta_per_step)
-    true_on = np.cumsum(flips) % 2 == 1
+    true_on = _true_states(rng, n_pairs, _flip_probability(theta_per_step))
     results = detect(true_on, detection, rng)
     config = {
         "theta_per_step": theta_per_step,
@@ -138,22 +159,49 @@ def simulate_alternating(theta_per_step: float, n_pairs: int, seed,
                       config=config)
 
 
-def run_length_distribution(trajectory: Trajectory) -> dict[int, float]:
-    """Normalized distribution U(q) of maximal runs of q equal results.
+def _change_blocks(trajectory: Trajectory):
+    """(start, changed) per block of the record, where changed[i] is
+    results[start + i] != results[start + i + 1].
 
-    The trailing run is truncated by the end of the record and is
-    excluded from the counts.  U(q)/U(1) estimates P_00(q-1).
+    Each change ends a complete run; the trailing run has none.
     """
     results = np.asarray(trajectory.results)
     if results.size == 0:
         raise ValueError("trajectory is empty")
-    boundaries = np.flatnonzero(results[1:] != results[:-1])
-    # runs that end at a boundary are complete; the final run is dropped
-    run_lengths = np.diff(np.concatenate([[-1], boundaries]))
-    if run_lengths.size == 0:
-        return {}
-    counts = np.bincount(run_lengths)
-    total = run_lengths.size
+    for start in range(0, results.size - 1, BLOCK):
+        stop = min(start + BLOCK, results.size - 1)
+        yield start, results[start + 1:stop + 1] != results[start:stop]
+
+
+def count_complete_runs(trajectory: Trajectory) -> int:
+    """Number of maximal runs of equal results that end inside the
+    record, i.e. the number of changes between neighbouring results."""
+    return sum(int(np.count_nonzero(changed)) for _, changed in _change_blocks(trajectory))
+
+
+def run_length_distribution(trajectory: Trajectory) -> dict[int, float]:
+    """Normalized distribution U(q) of maximal runs of q equal results.
+
+    The trailing run is truncated by the end of the record and is
+    excluded from the counts.  U(q)/U(1) estimates P_00(q-1).  The
+    record is scanned in blocks, so the working memory is one block
+    plus the histogram.
+    """
+    counts = np.zeros(1, dtype=np.int64)
+    last_end = -1
+    for start, changed in _change_blocks(trajectory):
+        ends = np.flatnonzero(changed)
+        if ends.size == 0:
+            continue
+        # the block's first run may have begun in an earlier block
+        first = start + int(ends[0]) - last_end
+        block = np.bincount(ends[1:] - ends[:-1], minlength=first + 1)
+        block[first] += 1
+        last_end = start + int(ends[-1])
+        if block.size > counts.size:
+            counts, block = block, counts
+        counts[:block.size] += block
+    total = int(counts.sum())
     return {int(q): counts[q] / total for q in range(1, counts.size) if counts[q] > 0}
 
 

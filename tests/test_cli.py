@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -204,6 +205,17 @@ class TestChannelCommand:
                                     "axis": [4.0, 0.0]}))
         assert run(["channel", "--spec", str(spec)]) == 2
 
+    @pytest.mark.parametrize("spec, key", [
+        ({"variant": "rotation", "axis": [1.0, 0.0, 0.0], "angle": 1.0}, "'axis'"),
+        ({"variant": "depolarizing"}, "'lambda'"),
+    ])
+    def test_malformed_spec_names_key(self, tmp_path, capsys, spec, key):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert run(["channel", "--spec", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+
 
 class TestZenoModes:
     def test_runlength_mode(self, tmp_path):
@@ -279,13 +291,23 @@ class TestConstantsHook:
 
 
 class TestStartup:
-    def test_cli_import_pulls_in_no_scipy(self):
-        code = ("import ionqsim.cli, sys; "
-                "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    @staticmethod
+    def loaded(module, prefix):
+        code = (f"import {module}, sys; "
+                f"print(sorted(m for m in sys.modules if m.startswith({prefix!r})))")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=env, check=True)
-        assert done.stdout.strip() == "[]"
+        return done.stdout.strip()
+
+    def test_cli_import_pulls_in_no_scipy(self):
+        assert self.loaded("ionqsim.cli", "scipy") == "[]"
+
+    def test_cli_import_pulls_in_no_numpy_random(self):
+        # rabi, ramsey and chain runs draw nothing, so they need not load it
+        if self.loaded("numpy", "numpy.random") != "[]":
+            pytest.skip("a bare `import numpy` already loads numpy.random here")
+        assert self.loaded("ionqsim.cli", "numpy.random") == "[]"
 
 
 class TestExitCodes:
@@ -296,3 +318,33 @@ class TestExitCodes:
             raise error
         monkeypatch.setitem(cli._DISPATCH, "rabi", fail)
         assert run(["rabi"]) == code
+
+
+# sha256 of zeno artifacts, recorded before trajectories were drawn in
+# blocks; a change here means the artifacts drifted and must be explained.
+_ZENO_SURVIVAL = ["zeno", "--fractions", "1,2,3,4,10", "--sequences", "2000", "--seed", "7"]
+_ZENO_RUNLENGTH = ["zeno", "--mode", "runlength", "--theta", "0.628318",
+                   "--pairs", "1000000", "--qmax", "10"]
+_EFFICIENCIES = ["--eta0", "0.97", "--eta1", "0.95"]
+_COUNTS = ["--on-mean", "5.3", "--off-mean", "0.2", "--threshold", "1"]
+
+
+class TestGoldenArtifacts:
+    @pytest.mark.parametrize("argv, digest", [
+        (_ZENO_SURVIVAL,
+         "ae4655e0b3b224a583c1110951c185a70fab577193f81f618a6b068abf75e0fb"),
+        (_ZENO_SURVIVAL + _EFFICIENCIES,
+         "36f1d436f32a1ee158611139e6fa5ce8b77997611bd68909f51260e9c1505658"),
+        (_ZENO_SURVIVAL + _COUNTS,
+         "27712b7beb80bce58e76b64f506a78439bb38ae61807d1f8ab32157709393a36"),
+        (_ZENO_RUNLENGTH,
+         "96626f9939f1d96da6daa12c04d7738f26d409b34cea7da89b33ae453fd5f230"),
+        (_ZENO_RUNLENGTH + _EFFICIENCIES,
+         "ea638520236340120335c68b185f4682695fb13d1b13b70bf9934ca5e77235d0"),
+        (_ZENO_RUNLENGTH + _COUNTS,
+         "2387329d10aca1943f42d42d3d103ae696620f7ee5215ae842789e81dadb8ef3"),
+    ])
+    def test_zeno_artifact_digest(self, tmp_path, argv, digest):
+        out = tmp_path / "zeno.csv"
+        assert run(argv + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from ionqsim.bloch import DetectionModel
-from ionqsim.zeno import (Trajectory, ZenoConfig, corrected_survival,
+from ionqsim.bloch import BLOCK, DetectionModel, detect
+from ionqsim.zeno import (Trajectory, ZenoConfig, corrected_survival, count_complete_runs,
                           net_transition_probability, run_length_distribution,
                           run_length_ratio, simulate_alternating,
                           simulate_fractionated_pi, survival_probability)
@@ -176,3 +177,97 @@ class TestRunLengths:
         traj = simulate_alternating(1.0, 50_000, seed=12)
         dist = run_length_distribution(traj)
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
+
+
+def whole_array_detect(true_on, model, rng):
+    """Reference read-out: every draw made in one whole-array call."""
+    if model.on_mean is not None:
+        return rng.poisson(np.where(true_on, model.on_mean, model.off_mean)) > model.threshold
+    if model.eta0 == 1.0 and model.eta1 == 1.0:
+        return true_on.copy()
+    return rng.random(true_on.shape) < np.where(true_on, model.eta1, 1.0 - model.eta0)
+
+
+def whole_array_runs(results):
+    """Reference run-length histogram built from full-length arrays."""
+    boundaries = np.flatnonzero(results[1:] != results[:-1])
+    run_lengths = np.diff(np.concatenate([[-1], boundaries]))
+    if run_lengths.size == 0:
+        return {}, 0
+    counts = np.bincount(run_lengths)
+    total = run_lengths.size
+    return {int(q): counts[q] / total for q in range(1, counts.size) if counts[q] > 0}, total
+
+
+READOUTS = [DetectionModel.ideal(), DetectionModel.from_efficiencies(0.97, 0.95),
+            DetectionModel.from_counts(5.3, 0.2, 1)]
+LENGTHS = [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7]
+
+
+class TestStreamedDraws:
+    """Block-wise draws reproduce the whole-array formulas bit for bit."""
+
+    @pytest.mark.parametrize("model", READOUTS)
+    @pytest.mark.parametrize("length", LENGTHS)
+    def test_alternating(self, length, model):
+        rng = np.random.default_rng(length)
+        flips = rng.random(length) < math.sin(0.5 * 0.628318) ** 2
+        expected = whole_array_detect(np.cumsum(flips) % 2 == 1, model, rng)
+        traj = simulate_alternating(0.628318, length, seed=length, detection=model)
+        assert np.array_equal(traj.results, expected)
+        dist, total = whole_array_runs(expected)
+        assert run_length_distribution(traj) == dist
+        assert count_complete_runs(traj) == total
+
+    @pytest.mark.parametrize("model", READOUTS)
+    @pytest.mark.parametrize("length", LENGTHS)
+    def test_fractionated(self, length, model):
+        n, seq = 3, length // 3 + 1
+        cfg = ZenoConfig(n_fractions=n, sequences=seq, detection=model, prep_efficiency=0.9)
+        rng = np.random.default_rng(length)
+        prepared_wrong = rng.random(seq) >= 0.9
+        flips = rng.random((seq, n)) < math.sin(0.5 * math.pi / n) ** 2
+        true_on = (prepared_wrong[:, None].astype(np.int64) + np.cumsum(flips, axis=1)) % 2 == 1
+        expected = whole_array_detect(true_on, model, rng)
+        survival, records = simulate_fractionated_pi(cfg, seed=length)
+        assert np.array_equal(records, expected)
+        assert survival == float(np.mean(~expected.any(axis=1)))
+
+    @pytest.mark.parametrize("model", READOUTS)
+    @pytest.mark.parametrize("length", LENGTHS)
+    def test_detect(self, length, model):
+        true_on = np.random.default_rng(1).random((length, 2)) < 0.4
+        expected = whole_array_detect(true_on, model, np.random.default_rng(2))
+        assert np.array_equal(detect(true_on, model, np.random.default_rng(2)), expected)
+
+    def test_run_spanning_blocks(self):
+        results = np.zeros(3 * BLOCK + 7, dtype=bool)
+        results[5:2 * BLOCK + 3] = True     # one run across two block edges
+        results[2 * BLOCK + 10] = True
+        traj = Trajectory(results=results, seed=None, config={})
+        dist, total = whole_array_runs(results)
+        assert run_length_distribution(traj) == dist
+        assert count_complete_runs(traj) == total == 4
+
+
+class TestTrajectoryMemory:
+    """Streaming keeps about 2 bytes per pair: the parent held ~17 bytes."""
+
+    @staticmethod
+    def peak_bytes(work):
+        tracemalloc.start()
+        try:
+            work()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_ideal_simulation_and_run_lengths(self):
+        def work():
+            run_length_distribution(simulate_alternating(0.628318, 10**6, seed=1))
+        assert self.peak_bytes(work) < 4e6
+
+    def test_poisson_readout_simulation(self):
+        model = DetectionModel.from_counts(5.3, 0.2, 1)
+        assert self.peak_bytes(
+            lambda: simulate_alternating(0.628318, 10**6, seed=1, detection=model)) < 5e6
