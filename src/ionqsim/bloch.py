@@ -17,9 +17,6 @@ from .sphere import rotate
 TWO_PI = 2.0 * math.pi
 
 Z_PLUS = np.array([0.0, 0.0, 1.0])
-Z_MINUS = np.array([0.0, 0.0, -1.0])
-X_PLUS = np.array([1.0, 0.0, 0.0])
-Y_PLUS = np.array([0.0, 1.0, 0.0])
 
 # Random draws over long records are made this many at a time, so their
 # float64/int64 temporaries stay at 512 KB whatever the record length.
@@ -175,10 +172,6 @@ class DetectionModel:
         """Detection bias (eta1 - eta0) / 2."""
         return 0.5 * (self.eta1 - self.eta0)
 
-    @property
-    def mean_eta(self) -> float:
-        return 0.5 * (self.eta1 + self.eta0)
-
 
 def _check_angles(theta: float, phi: float) -> None:
     if not (0.0 <= theta <= math.pi):
@@ -279,14 +272,15 @@ def detect(true_on, model: DetectionModel, rng) -> np.ndarray:
     true_on is a bool array, True for |1>; returns the "on" observations.
     With a photon-counting model each count is Poisson with the
     state-dependent mean and "on" means count > threshold.  With bare
-    efficiencies each read-out is Bernoulli; an ideal model draws nothing.
+    efficiencies each read-out is Bernoulli.  An ideal model draws
+    nothing and returns the bool array of true_on itself, not a copy.
     Draws follow true_on in C order, BLOCK at a time, so the stream is
     the same as one whole-array draw.
     """
     rng = as_generator(rng)
     true_on = np.asarray(true_on, dtype=bool)
     if model.eta0 == 1.0 and model.eta1 == 1.0 and model.on_mean is None:
-        return true_on.copy()
+        return true_on
     observed = np.empty(true_on.shape, dtype=bool)
     flat_in, flat_out = true_on.reshape(-1), observed.reshape(-1)
     for start in range(0, flat_in.size, BLOCK):

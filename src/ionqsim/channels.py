@@ -10,7 +10,6 @@ eigenstate through the box:
     v_i  = P_iz + P_i(-z) - 1
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,12 +17,9 @@ import numpy as np
 from .bloch import as_generator, state_from_angles
 from .sphere import _frame_to, rotation_matrix
 
-_AXES = {
-    "x": np.array([1.0, 0.0, 0.0]),
-    "y": np.array([0.0, 1.0, 0.0]),
-    "z": np.array([0.0, 0.0, 1.0]),
-}
-_PREPARATIONS = ("x", "y", "z", "-z")
+# The inputs +x, +y, +z, -z sent through a box: the rows j of its
+# probability table P[j, i], whose columns are the read-out axes x, y, z.
+_INPUTS = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
 _PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
@@ -115,20 +111,17 @@ def apply(channel: AffineChannel, s: np.ndarray, tol: float = 1e-9) -> np.ndarra
     return out
 
 
-def _prepared_state(label: str) -> np.ndarray:
-    if label == "-z":
-        return -_AXES["z"]
-    return _AXES[label]
-
-
-def _born(s_out: np.ndarray, axis_label: str) -> float:
-    return 0.5 * (1.0 + float(s_out @ _AXES[axis_label]))
-
-
-def _as_map(black_box):
+def _probabilities(black_box) -> np.ndarray:
+    """P[j, i] = (1 + s'_i)/2, the Born probability of reading +i after
+    sending input j of _INPUTS through the box."""
     if not callable(black_box):
         raise TypeError("black box must be an AffineChannel or a state -> state callable")
-    return black_box
+    return 0.5 * (1.0 + np.array([black_box(s) for s in _INPUTS], dtype=float))
+
+
+def _assemble(p: np.ndarray) -> AffineChannel:
+    """(M, v) from a probability table P[j, i] (see module notes)."""
+    return AffineChannel(2.0 * p[:3].T - p[2][:, None] - p[3][:, None], p[2] + p[3] - 1.0)
 
 
 def tomography_exact(black_box) -> AffineChannel:
@@ -138,23 +131,7 @@ def tomography_exact(black_box) -> AffineChannel:
     each output along x, y, z.  black_box may be an AffineChannel or any
     state -> state callable that is affine on the ball.
     """
-    box = _as_map(black_box)
-    probs = {
-        (i, j): _born(box(_prepared_state(j)), i)
-        for j in _PREPARATIONS for i in "xyz"
-    }
-    return _assemble(probs)
-
-
-def _assemble(probs: dict) -> AffineChannel:
-    m = np.empty((3, 3))
-    v = np.empty(3)
-    for row, i in enumerate("xyz"):
-        p_z, p_mz = probs[(i, "z")], probs[(i, "-z")]
-        v[row] = p_z + p_mz - 1.0
-        for col, j in enumerate("xyz"):
-            m[row, col] = 2.0 * probs[(i, j)] - p_z - p_mz
-    return AffineChannel(m, v)
+    return _assemble(_probabilities(black_box))
 
 
 @dataclass(frozen=True)
@@ -168,38 +145,24 @@ class TomographyErrors:
 def tomography_sampled(black_box, shots_per_setting: int, seed) -> tuple[AffineChannel, TomographyErrors]:
     """Tomography from finite counts.
 
-    Each of the 12 (preparation, analysis axis) settings is sampled
-    shots_per_setting times; probabilities become relative frequencies
-    and the per-entry standard errors follow from binomial propagation
-    through the linear reconstruction formulas.
+    Each of the 12 (input, read-out axis) settings is sampled
+    shots_per_setting times, in the row-major order of P[j, i];
+    probabilities become relative frequencies and the per-entry
+    standard errors follow from binomial propagation through the linear
+    reconstruction formulas.
     """
     if shots_per_setting < 1:
         raise ValueError(f"shots_per_setting must be >= 1, got {shots_per_setting}")
     rng = as_generator(seed)
-    box = _as_map(black_box)
-    freqs, variances = {}, {}
-    for j in _PREPARATIONS:
-        out = box(_prepared_state(j))
-        for i in "xyz":
-            p = _born(out, i)
-            k = rng.binomial(shots_per_setting, p)
-            f = k / shots_per_setting
-            freqs[(i, j)] = f
-            variances[(i, j)] = f * (1.0 - f) / shots_per_setting
-    channel = _assemble(freqs)
-    m_err = np.empty((3, 3))
-    v_err = np.empty(3)
-    for row, i in enumerate("xyz"):
-        var_z = variances[(i, "z")] + variances[(i, "-z")]
-        v_err[row] = math.sqrt(var_z)
-        for col, j in enumerate("xyz"):
-            if j == "z":
-                # M_iz = P_iz - P_i(-z): the 2P_ij and -P_iz terms share
-                # one frequency, so only two independent samples enter
-                m_err[row, col] = math.sqrt(var_z)
-            else:
-                m_err[row, col] = math.sqrt(4.0 * variances[(i, j)] + var_z)
-    return channel, TomographyErrors(m_err=m_err, v_err=v_err)
+    p = _probabilities(black_box)
+    freqs = rng.binomial(shots_per_setting, p) / shots_per_setting
+    var = freqs * (1.0 - freqs) / shots_per_setting
+    pole_var = var[2] + var[3]
+    m_var = 4.0 * var[:3].T + pole_var[:, None]
+    # M_iz = P_iz - P_i(-z): the 2P_ij and -P_iz terms share one
+    # frequency, so only two independent samples enter
+    m_var[:, 2] = pole_var
+    return _assemble(freqs), TomographyErrors(m_err=np.sqrt(m_var), v_err=np.sqrt(pole_var))
 
 
 # variant -> (required keys, optional keys), besides "variant" itself

@@ -24,9 +24,8 @@ from .estimation import (DegenerateUpdateError, ImperfectionParams,
                          mean_fidelity_experiment)
 from .ionchain import (ConvergenceError, NotAMinimumError, TrapConfig,
                        length_scale, required_gradient, spin_spin_couplings)
-from .zeno import (ZenoConfig, corrected_survival, count_complete_runs,
-                   run_length_distribution, run_length_ratio, simulate_alternating,
-                   simulate_fractionated_pi, survival_probability)
+from .zeno import (ZenoConfig, corrected_survival, run_length_distribution, run_length_ratio,
+                   simulate_alternating, simulate_fractionated_pi, survival_probability)
 
 CONSTANTS_ENV = "IONQSIM_CONSTANTS"
 
@@ -143,6 +142,8 @@ def _merge_params(command: str, args: argparse.Namespace) -> dict:
                 raise ConfigError(f"bad config value for {name!r}: {exc}")
         else:
             params[name] = default
+        if typ is float and params[name] is not None and not math.isfinite(params[name]):
+            raise ConfigError(f"{name!r} must be a finite number, got {params[name]!r}")
     return params
 
 
@@ -234,8 +235,7 @@ def _cmd_zeno(params: dict, out) -> int:
     elif params["mode"] == "runlength":
         traj = simulate_alternating(params["theta"], params["pairs"], seed=params["seed"],
                                     detection=detection)
-        dist = run_length_distribution(traj)
-        total_runs = count_complete_runs(traj)
+        dist, total_runs = run_length_distribution(traj)
         for q in range(1, params["qmax"] + 1):
             ratio = run_length_ratio(dist, q)
             theory = survival_probability(params["theta"], q - 1)

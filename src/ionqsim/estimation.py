@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import PureState, Z_PLUS, as_generator
-from .sphere import (SWEEP_POINTS, SphereGrid, _row_dot, _row_norm, default_grid,
-                     maximize_on_sphere, moment_grid)
+from .sphere import (SWEEP_POINTS, SphereGrid, _row_dot, _row_norm, maximize_on_sphere,
+                     moment_grid)
 
 FOUR_PI = 4.0 * math.pi
 # mean_fidelity_experiment estimates at most this many states x max(grid
@@ -101,14 +101,8 @@ class SphereDistribution:
         return q / np.asarray(self.integral)[..., None, None]
 
 
-def uniform_prior(grid_spec=None) -> SphereDistribution:
-    """The ignorance prior w = 1/(4 pi)."""
-    if grid_spec is None:
-        grid = default_grid()
-    elif isinstance(grid_spec, SphereGrid):
-        grid = grid_spec
-    else:
-        grid = SphereGrid.build(*grid_spec)
+def uniform_prior(grid: SphereGrid) -> SphereDistribution:
+    """The ignorance prior w = 1/(4 pi) on the given grid."""
     return SphereDistribution(grid, np.full(grid.size, 1.0 / FOUR_PI))
 
 

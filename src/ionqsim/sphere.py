@@ -10,9 +10,7 @@ integrates exactly with n_phi >= N + 3 nodes; what is left is a
 polynomial of degree <= N + 2 in cos(theta), which n_theta-point
 Gauss-Legendre integrates exactly when 2 n_theta - 1 >= N + 2, i.e.
 n_theta >= (N + 3)/2.  `moment_grid(N)` is the smallest such grid with
-n_phi = 2 n_theta (8x16 at N = 12).  `default_grid()` stays 64x128:
-it is the general-purpose rule for densities that are not polynomials
-(a von Mises density, say), which no finite grid integrates exactly.
+n_phi = 2 n_theta (8x16 at N = 12).
 
 Functions here take a leading batch axis where noted, so that many
 densities can be searched at once; each batch row is rounded exactly
@@ -42,7 +40,7 @@ class SphereGrid:
     units: np.ndarray = field(repr=False)  # (K, 3) node unit vectors
 
     @classmethod
-    def build(cls, n_theta: int = 64, n_phi: int = 128) -> "SphereGrid":
+    def build(cls, n_theta: int, n_phi: int) -> "SphereGrid":
         if n_theta * n_phi < 8:
             raise ValueError(f"grid too coarse: {n_theta}x{n_phi} nodes (need >= 8)")
         x, w = np.polynomial.legendre.leggauss(n_theta)
@@ -86,17 +84,6 @@ def _row_dot(a, b) -> np.ndarray:
 def _row_norm(a) -> np.ndarray:
     """Euclidean norm along the last axis, rounded like np.linalg.norm of one row."""
     return np.sqrt(_row_dot(a, a))
-
-
-_DEFAULT_GRID = None
-
-
-def default_grid() -> SphereGrid:
-    """Shared 64x128 grid; cached since builds are not free."""
-    global _DEFAULT_GRID
-    if _DEFAULT_GRID is None:
-        _DEFAULT_GRID = SphereGrid.build()
-    return _DEFAULT_GRID
 
 
 def moment_grid(n_updates: int) -> SphereGrid:

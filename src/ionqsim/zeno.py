@@ -141,8 +141,9 @@ def simulate_alternating(theta_per_step: float, n_pairs: int, seed,
     All flip uniforms are drawn first, then every read-out, each in
     blocks of BLOCK draws from the one stream, so a seed gives the same
     record as whole-array draws would.  Apart from the two 1-byte
-    arrays of true states and results (about 2 bytes per pair), the
-    working memory is one block.
+    arrays of true states and results (about 2 bytes per pair; one
+    array with an ideal read-out, whose results are the true states),
+    the working memory is one block.
     """
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
@@ -159,38 +160,24 @@ def simulate_alternating(theta_per_step: float, n_pairs: int, seed,
                       config=config)
 
 
-def _change_blocks(trajectory: Trajectory):
-    """(start, changed) per block of the record, where changed[i] is
-    results[start + i] != results[start + i + 1].
-
-    Each change ends a complete run; the trailing run has none.
-    """
-    results = np.asarray(trajectory.results)
-    if results.size == 0:
-        raise ValueError("trajectory is empty")
-    for start in range(0, results.size - 1, BLOCK):
-        stop = min(start + BLOCK, results.size - 1)
-        yield start, results[start + 1:stop + 1] != results[start:stop]
-
-
-def count_complete_runs(trajectory: Trajectory) -> int:
-    """Number of maximal runs of equal results that end inside the
-    record, i.e. the number of changes between neighbouring results."""
-    return sum(int(np.count_nonzero(changed)) for _, changed in _change_blocks(trajectory))
-
-
-def run_length_distribution(trajectory: Trajectory) -> dict[int, float]:
-    """Normalized distribution U(q) of maximal runs of q equal results.
+def run_length_distribution(trajectory: Trajectory) -> tuple[dict[int, float], int]:
+    """Normalized distribution U(q) of maximal runs of q equal results,
+    and the number of complete runs it was normalized by.
 
     The trailing run is truncated by the end of the record and is
     excluded from the counts.  U(q)/U(1) estimates P_00(q-1).  The
     record is scanned in blocks, so the working memory is one block
     plus the histogram.
     """
+    results = np.asarray(trajectory.results)
+    if results.size == 0:
+        raise ValueError("trajectory is empty")
     counts = np.zeros(1, dtype=np.int64)
     last_end = -1
-    for start, changed in _change_blocks(trajectory):
-        ends = np.flatnonzero(changed)
+    for start in range(0, results.size - 1, BLOCK):
+        stop = min(start + BLOCK, results.size - 1)
+        # each change between neighbouring results ends a complete run
+        ends = np.flatnonzero(results[start + 1:stop + 1] != results[start:stop])
         if ends.size == 0:
             continue
         # the block's first run may have begun in an earlier block
@@ -202,7 +189,7 @@ def run_length_distribution(trajectory: Trajectory) -> dict[int, float]:
             counts, block = block, counts
         counts[:block.size] += block
     total = int(counts.sum())
-    return {int(q): counts[q] / total for q in range(1, counts.size) if counts[q] > 0}
+    return {int(q): counts[q] / total for q in range(1, counts.size) if counts[q] > 0}, total
 
 
 def run_length_ratio(dist: dict[int, float], q: int) -> float:

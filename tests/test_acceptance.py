@@ -23,6 +23,7 @@ from ionqsim.estimation import (ImperfectionParams, bayes_update, estimate_state
 from ionqsim.ionchain import (TrapConfig, field_for_chi, ground_state_width,
                               length_scale, required_gradient, spacing_estimate,
                               spin_spin_couplings)
+from ionqsim.sphere import SphereGrid
 from ionqsim.zeno import (ZenoConfig, run_length_distribution, run_length_ratio,
                           simulate_alternating, simulate_fractionated_pi,
                           survival_probability)
@@ -31,6 +32,7 @@ from test_cli import read_artifact
 from ionqsim.cli import run as cli_run
 
 NU1 = 2 * math.pi * 100e3
+GRID = SphereGrid.build(64, 128)
 
 TABLE_1_HZ = {
     (2, 1): 54.61,
@@ -102,7 +104,7 @@ def test_criterion_3_zeno_analytic_suite():
 
     for theta in (math.pi, math.pi / 2, math.pi / 5):
         traj = simulate_alternating(theta, 10**6, seed=int(theta * 1000))
-        dist = run_length_distribution(traj)
+        dist, _ = run_length_distribution(traj)
         total_runs = len(np.flatnonzero(np.diff(traj.results)))
         p = math.cos(theta / 2) ** 2
         for q in range(2, 11):
@@ -123,7 +125,7 @@ def test_criterion_3_zeno_analytic_suite():
 
 
 def test_criterion_4_estimation_analytics():
-    prior = uniform_prior()
+    prior = uniform_prior(GRID)
     fbar1 = expected_mean_fidelity(prior, Z_PLUS)
     assert fbar1 == pytest.approx(2.0 / 3.0, abs=2e-3)
 
@@ -257,7 +259,7 @@ def test_criterion_8_property_suites(tmp_path):
     # estimator: normalization, argmax invariance, rotational covariance
     from ionqsim.estimation import SphereDistribution, random_direction
     from ionqsim.sphere import rotation_matrix
-    dist = uniform_prior()
+    dist = uniform_prior(GRID)
     updates = [(random_direction(rng), int(rng.choice([-1, 1]))) for _ in range(6)]
     for m, o in updates:
         dist = bayes_update(dist, m, o)
@@ -266,7 +268,7 @@ def test_criterion_8_property_suites(tmp_path):
     np.testing.assert_allclose(estimate_state(dist)[0], estimate_state(scaled)[0],
                                atol=1e-14)
     rot = rotation_matrix(random_direction(rng), rng.uniform(0, 2 * math.pi))
-    dist_r = uniform_prior()
+    dist_r = uniform_prior(GRID)
     for m, o in updates:
         dist_r = bayes_update(dist_r, rot @ m, o)
     np.testing.assert_allclose(estimate_state(dist_r)[0], rot @ estimate_state(dist)[0],

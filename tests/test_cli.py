@@ -163,6 +163,24 @@ class TestConfigMerging:
         cfg.write_text("not json")
         assert run(["zeno", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("argv, key", [
+        (["rabi", "--rabi-khz", "nan"], "'rabi_khz'"),
+        (["zeno", "--theta-total", "nan"], "'theta_total'"),
+        (["rabi", "--ramsey", "--rabi-khz", "50", "--detuning-hz", "nan"], "'detuning_hz'"),
+        (["zeno", "--mode", "runlength", "--theta", "inf"], "'theta'"),
+    ])
+    def test_non_finite_flag_rejected(self, tmp_path, capsys, argv, key):
+        out = tmp_path / "out.csv"
+        assert run(argv + ["--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_config_value_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"rabi_khz": NaN}')
+        assert run(["rabi", "--config", str(cfg)]) == 2
+        assert "'rabi_khz'" in capsys.readouterr().err
+
 
 class TestChannelCommand:
     def test_exact_tomography_payload(self, tmp_path):
@@ -329,6 +347,14 @@ _EFFICIENCIES = ["--eta0", "0.97", "--eta1", "0.95"]
 _COUNTS = ["--on-mean", "5.3", "--off-mean", "0.2", "--threshold", "1"]
 
 
+# a phase damping about a tilted axis, then depolarization and a rotation
+_TILTED_SPEC = {"variant": "composition", "parts": [
+    {"variant": "phase_damping", "lambda": 0.2, "axis": [0.7, 1.3]},
+    {"variant": "depolarizing", "lambda": 0.1},
+    {"variant": "rotation", "axis": [1.1, 0.4], "angle": 0.9},
+]}
+
+
 class TestGoldenArtifacts:
     @pytest.mark.parametrize("argv, digest", [
         (_ZENO_SURVIVAL,
@@ -348,3 +374,18 @@ class TestGoldenArtifacts:
         out = tmp_path / "zeno.csv"
         assert run(argv + ["--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    # sha256 of channel artifacts; a change here means they drifted and
+    # must be explained.  The spec path enters the config hash, so it is
+    # given relative to the working directory.
+    @pytest.mark.parametrize("argv, digest", [
+        (["--shots", "0"],
+         "a54018328435b3b9d4116c1128401a6234bb752d2a833d1481c44d97b5c8d74a"),
+        (["--shots", "10000", "--seed", "3"],
+         "d7aa1cfe6267f11c244a61794fade558b27d6117af4ed3e609f03d6ccb67ec81"),
+    ])
+    def test_channel_artifact_digest(self, tmp_path, monkeypatch, argv, digest):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "channel.json").write_text(json.dumps(_TILTED_SPEC))
+        assert run(["channel", "--spec", "channel.json"] + argv + ["--out", "out.json"]) == 0
+        assert hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest() == digest

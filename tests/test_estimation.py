@@ -15,6 +15,9 @@ from ionqsim.estimation import (DegenerateUpdateError, EstimationTrajectory,
 from ionqsim.sphere import SphereGrid, fibonacci_sphere, moment_grid, rotate, rotation_matrix
 from oracles import imperfection_oracle
 
+# reference quadrature for densities not tied to one measurement count
+GRID = SphereGrid.build(64, 128)
+
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
@@ -28,17 +31,17 @@ def _grid_cos_half_sq(grid):
 
 class TestPriorAndGrid:
     def test_uniform_prior_normalized(self):
-        prior = uniform_prior()
+        prior = uniform_prior(GRID)
         assert prior.integral == pytest.approx(1.0, abs=1e-9)
         assert np.all(prior.values >= 0)
 
     def test_degenerate_grid_rejected(self):
         with pytest.raises(ValueError):
-            uniform_prior((2, 2))
-        uniform_prior((2, 4))   # 8 nodes is the smallest legal grid
+            uniform_prior(SphereGrid.build(2, 2))
+        uniform_prior(SphereGrid.build(2, 4))   # 8 nodes is the smallest legal grid
 
     def test_values_are_immutable_snapshots(self):
-        prior = uniform_prior()
+        prior = uniform_prior(GRID)
         with pytest.raises(ValueError):
             prior.values[0] = 9.0
 
@@ -62,7 +65,7 @@ class TestPriorAndGrid:
         # sized grid must reproduce a much finer rule to rounding
         rng = np.random.default_rng(12)
         for n in (1, 4, 12):
-            small, fine = uniform_prior(moment_grid(n)), uniform_prior(SphereGrid.build(64, 128))
+            small, fine = uniform_prior(moment_grid(n)), uniform_prior(GRID)
             for _ in range(n):
                 m, o = random_direction(rng), int(rng.choice([-1, 1]))
                 small, fine = bayes_update(small, m, o), bayes_update(fine, m, o)
@@ -73,14 +76,14 @@ class TestPriorAndGrid:
 
 class TestOutcomeProbability:
     def test_uniform_gives_half_everywhere(self):
-        prior = uniform_prior()
+        prior = uniform_prior(GRID)
         rng = np.random.default_rng(0)
         for _ in range(20):
             m = random_direction(rng)
             assert outcome_probability(prior, m) == pytest.approx(0.5, abs=1e-12)
 
     def test_concentrated_density(self):
-        grid = uniform_prior().grid
+        grid = uniform_prior(GRID).grid
         kappa = 400.0
         values = np.exp(kappa * (grid.units @ Z - 1.0))
         dist = SphereDistribution(grid, values / grid.integrate(values))
@@ -88,12 +91,12 @@ class TestOutcomeProbability:
 
     def test_posterior_after_one_z_result(self):
         # integral of cos^4(t/2) / (2 pi) over the sphere = 2/3
-        post = bayes_update(uniform_prior(), Z, +1)
+        post = bayes_update(uniform_prior(GRID), Z, +1)
         assert outcome_probability(post, Z) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_completeness(self):
         rng = np.random.default_rng(1)
-        dist = uniform_prior()
+        dist = uniform_prior(GRID)
         for _ in range(5):
             dist = bayes_update(dist, random_direction(rng), rng.choice([-1, 1]))
         for _ in range(20):
@@ -104,25 +107,25 @@ class TestOutcomeProbability:
 
 class TestBayesUpdate:
     def test_single_z_update_analytic(self):
-        post = bayes_update(uniform_prior(), Z, +1)
+        post = bayes_update(uniform_prior(GRID), Z, +1)
         want = _grid_cos_half_sq(post.grid) / (2.0 * math.pi)
         np.testing.assert_allclose(post.values, want, atol=1e-12)
 
     def test_two_z_updates_analytic(self):
-        post = bayes_update(bayes_update(uniform_prior(), Z, +1), Z, +1)
+        post = bayes_update(bayes_update(uniform_prior(GRID), Z, +1), Z, +1)
         # w2 = 3 cos^4(t/2) / (4 pi)
         want = 3.0 * _grid_cos_half_sq(post.grid) ** 2 / (4.0 * math.pi)
         np.testing.assert_allclose(post.values, want, atol=1e-12)
 
     def test_opposite_outcomes_symmetric_density(self):
-        post = bayes_update(bayes_update(uniform_prior(), Z, +1), Z, -1)
+        post = bayes_update(bayes_update(uniform_prior(GRID), Z, +1), Z, -1)
         n_phi = post.grid.phis.size
         grid_values = post.values.reshape(-1, n_phi)
         np.testing.assert_allclose(grid_values, grid_values[::-1], atol=1e-12)
 
     def test_antipode_equivalence(self):
         rng = np.random.default_rng(2)
-        prior = uniform_prior()
+        prior = uniform_prior(GRID)
         for _ in range(10):
             m = random_direction(rng)
             a = bayes_update(prior, m, +1)
@@ -131,20 +134,20 @@ class TestBayesUpdate:
 
     def test_normalization_preserved(self):
         rng = np.random.default_rng(3)
-        dist = uniform_prior()
+        dist = uniform_prior(GRID)
         for _ in range(25):
             dist = bayes_update(dist, random_direction(rng), rng.choice([-1, 1]))
             assert dist.integral == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_probability_outcome_raises(self):
-        grid = uniform_prior().grid
+        grid = uniform_prior(GRID).grid
         dead = SphereDistribution(grid, np.zeros(grid.size))
         with pytest.raises(DegenerateUpdateError):
             bayes_update(dead, Z, +1)
 
     def test_bad_outcome_rejected(self):
         with pytest.raises(ValueError):
-            bayes_update(uniform_prior(), Z, 0)
+            bayes_update(uniform_prior(GRID), Z, 0)
 
     def test_zero_probability_row_fails_the_batch(self):
         grid = SphereGrid.build(8, 16)
@@ -172,25 +175,25 @@ class TestBayesUpdate:
 
 class TestFidelityAndEstimate:
     def test_uniform_map_constant_half(self):
-        fmap = fidelity_map(uniform_prior())
+        fmap = fidelity_map(uniform_prior(GRID))
         thetas = np.linspace(0, math.pi, 7)
         phis = np.linspace(0, 2 * math.pi, 7, endpoint=False)
         np.testing.assert_allclose(fmap(thetas, phis), 0.5, atol=1e-12)
 
     def test_uniform_estimate_tie_broken_to_first_node(self):
-        prior = uniform_prior()
+        prior = uniform_prior(GRID)
         direction, f_opt = estimate_state(prior)
         np.testing.assert_allclose(direction, prior.grid.units[0], atol=1e-15)
         assert f_opt == pytest.approx(0.5, abs=1e-12)
 
     def test_estimate_after_one_z_result(self):
-        post = bayes_update(uniform_prior(), Z, +1)
+        post = bayes_update(uniform_prior(GRID), Z, +1)
         direction, f_opt = estimate_state(post)
         np.testing.assert_allclose(direction, Z, atol=1e-9)
         assert f_opt == pytest.approx(2.0 / 3.0, abs=2e-3)
 
     def test_concentrated_density_estimate(self):
-        grid = uniform_prior().grid
+        grid = uniform_prior(GRID).grid
         rng = np.random.default_rng(4)
         m = random_direction(rng)
         values = np.exp(500.0 * (grid.units @ m - 1.0))
@@ -201,7 +204,7 @@ class TestFidelityAndEstimate:
 
     def test_argmax_invariant_under_scaling(self):
         rng = np.random.default_rng(5)
-        dist = uniform_prior()
+        dist = uniform_prior(GRID)
         for _ in range(4):
             dist = bayes_update(dist, random_direction(rng), rng.choice([-1, 1]))
         scaled = SphereDistribution(dist.grid, dist.values * 7.3)
@@ -212,26 +215,26 @@ class TestFidelityAndEstimate:
 
 class TestExpectedMeanFidelity:
     def test_uniform_prior_gives_two_thirds(self):
-        prior = uniform_prior()
+        prior = uniform_prior(GRID)
         rng = np.random.default_rng(6)
         for _ in range(10):
             m = random_direction(rng)
             assert expected_mean_fidelity(prior, m) == pytest.approx(2.0 / 3.0, abs=2e-3)
 
     def test_second_measurement_closed_form(self):
-        post = bayes_update(uniform_prior(), Z, +1)
+        post = bayes_update(uniform_prior(GRID), Z, +1)
         for alpha in np.linspace(0.0, math.pi, 10):
             m = np.array([math.sin(alpha), 0.0, math.cos(alpha)])
             want = 0.5 + math.cos(alpha / 2 - math.pi / 4) / math.sqrt(18.0)
             assert expected_mean_fidelity(post, m) == pytest.approx(want, abs=5e-3)
 
     def test_repeating_the_axis_gains_nothing(self):
-        post = bayes_update(uniform_prior(), Z, +1)
+        post = bayes_update(uniform_prior(GRID), Z, +1)
         assert expected_mean_fidelity(post, Z) == pytest.approx(2.0 / 3.0, abs=5e-3)
 
     def test_antipode_swap_invariance(self):
         rng = np.random.default_rng(7)
-        dist = bayes_update(uniform_prior(), random_direction(rng), +1)
+        dist = bayes_update(uniform_prior(GRID), random_direction(rng), +1)
         for _ in range(10):
             m = random_direction(rng)
             assert expected_mean_fidelity(dist, m) == pytest.approx(
@@ -240,7 +243,7 @@ class TestExpectedMeanFidelity:
 
 class TestOptimalNextDirection:
     def test_flat_objective_returns_canonical_z(self):
-        prior = uniform_prior()
+        prior = uniform_prior(GRID)
         direction = optimal_next_direction(prior)
         np.testing.assert_allclose(direction, Z, atol=1e-15)
         # flatness: the objective really is constant over the sphere
@@ -248,12 +251,12 @@ class TestOptimalNextDirection:
         assert max(values) - min(values) < 1e-6
 
     def test_second_direction_orthogonal_to_first(self):
-        post = bayes_update(uniform_prior(), Z, +1)
+        post = bayes_update(uniform_prior(GRID), Z, +1)
         m2 = optimal_next_direction(post)
         assert abs(m2 @ Z) < 0.05
 
     def test_third_direction_orthogonal_to_both(self):
-        post = bayes_update(bayes_update(uniform_prior(), Z, +1), X, +1)
+        post = bayes_update(bayes_update(uniform_prior(GRID), Z, +1), X, +1)
         m3 = optimal_next_direction(post)
         assert abs(m3 @ Z) < 0.05
         assert abs(m3 @ X) < 0.05
@@ -305,7 +308,7 @@ class TestOptimalNextDirection:
         # the objective is antipode-even, so the returned representative
         # always sits in (or on the edge of) the upper hemisphere
         rng = np.random.default_rng(8)
-        dist = uniform_prior()
+        dist = uniform_prior(GRID)
         for _ in range(6):
             dist = bayes_update(dist, random_direction(rng), int(rng.choice([-1, 1])))
             assert optimal_next_direction(dist)[2] >= -1e-12
@@ -408,7 +411,7 @@ class TestEnsembleProperties:
             axis = random_direction(rng)
             angle = rng.uniform(0, 2 * math.pi)
             rot = rotation_matrix(axis, angle)
-            dist, dist_r = uniform_prior(), uniform_prior()
+            dist, dist_r = uniform_prior(GRID), uniform_prior(GRID)
             for m, o in zip(base_dirs, outcomes):
                 dist = bayes_update(dist, m, o)
                 dist_r = bayes_update(dist_r, rot @ m, o)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ionqsim.bloch import BLOCK, DetectionModel, detect
-from ionqsim.zeno import (Trajectory, ZenoConfig, corrected_survival, count_complete_runs,
+from ionqsim.zeno import (Trajectory, ZenoConfig, corrected_survival,
                           net_transition_probability, run_length_distribution,
                           run_length_ratio, simulate_alternating,
                           simulate_fractionated_pi, survival_probability)
@@ -143,17 +143,16 @@ class TestAlternating:
 class TestRunLengths:
     def test_alternating_trajectory(self):
         traj = simulate_alternating(math.pi, 500, seed=6)
-        dist = run_length_distribution(traj)
-        assert dist == {1: 1.0}
+        assert run_length_distribution(traj) == ({1: 1.0}, 499)
 
     def test_theta_half_pi_ratio(self):
         traj = simulate_alternating(math.pi / 2, 200_000, seed=8)
-        dist = run_length_distribution(traj)
+        dist, _ = run_length_distribution(traj)
         assert run_length_ratio(dist, 2) == pytest.approx(0.5, abs=0.01)
 
     def test_theta_pi_fifth_matches_survival_law(self):
         traj = simulate_alternating(math.pi / 5, 10**6, seed=9)
-        dist = run_length_distribution(traj)
+        dist, _ = run_length_distribution(traj)
         total_runs = len(np.flatnonzero(np.diff(traj.results)))
         p = math.cos(math.pi / 10) ** 2
         for q in range(2, 11):
@@ -171,11 +170,11 @@ class TestRunLengths:
 
     def test_constant_trajectory_has_no_complete_runs(self):
         traj = simulate_alternating(2 * math.pi, 100, seed=10)
-        assert run_length_distribution(traj) == {}
+        assert run_length_distribution(traj) == ({}, 0)
 
     def test_distribution_normalized(self):
         traj = simulate_alternating(1.0, 50_000, seed=12)
-        dist = run_length_distribution(traj)
+        dist, _ = run_length_distribution(traj)
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -216,8 +215,7 @@ class TestStreamedDraws:
         traj = simulate_alternating(0.628318, length, seed=length, detection=model)
         assert np.array_equal(traj.results, expected)
         dist, total = whole_array_runs(expected)
-        assert run_length_distribution(traj) == dist
-        assert count_complete_runs(traj) == total
+        assert run_length_distribution(traj) == (dist, total)
 
     @pytest.mark.parametrize("model", READOUTS)
     @pytest.mark.parametrize("length", LENGTHS)
@@ -246,8 +244,8 @@ class TestStreamedDraws:
         results[2 * BLOCK + 10] = True
         traj = Trajectory(results=results, seed=None, config={})
         dist, total = whole_array_runs(results)
-        assert run_length_distribution(traj) == dist
-        assert count_complete_runs(traj) == total == 4
+        assert run_length_distribution(traj) == (dist, total)
+        assert total == 4
 
 
 class TestTrajectoryMemory:
@@ -266,6 +264,12 @@ class TestTrajectoryMemory:
         def work():
             run_length_distribution(simulate_alternating(0.628318, 10**6, seed=1))
         assert self.peak_bytes(work) < 4e6
+
+    def test_ideal_simulation_keeps_one_record(self):
+        # an ideal read-out hands back the true states, not a second copy;
+        # a short run first, so one-time set-up costs are not counted
+        simulate_alternating(0.628318, 10, seed=1)
+        assert self.peak_bytes(lambda: simulate_alternating(0.628318, 10**6, seed=1)) < 1.8e6
 
     def test_poisson_readout_simulation(self):
         model = DetectionModel.from_counts(5.3, 0.2, 1)
