@@ -160,10 +160,6 @@ class DetectionModel:
         return cls(eta0=None, eta1=None, on_mean=on_mean, off_mean=off_mean, threshold=threshold)
 
     @classmethod
-    def from_efficiencies(cls, eta0: float, eta1: float) -> "DetectionModel":
-        return cls(eta0=eta0, eta1=eta1)
-
-    @classmethod
     def ideal(cls) -> "DetectionModel":
         return cls(eta0=1.0, eta1=1.0)
 

@@ -188,7 +188,13 @@ def _write_json(path, payload: dict) -> None:
             fh.write(text)
 
 
+def _require_at_least(params: dict, name: str, low: int) -> None:
+    if params[name] < low:
+        raise ConfigError(f"{name!r} must be >= {low}, got {params[name]}")
+
+
 def _cmd_rabi(params: dict, out) -> int:
+    _require_at_least(params, "points", 1)
     times = np.linspace(0.0, params["tmax_ms"] * 1e-3, params["points"])
     omega = 2.0 * math.pi * params["rabi_khz"] * 1e3
     delta = 2.0 * math.pi * params["detuning_hz"]
@@ -209,7 +215,7 @@ def _detection_from(params: dict) -> DetectionModel:
     counting = [params["on_mean"], params["off_mean"], params["threshold"]]
     if any(v is not None for v in counting):
         return DetectionModel.from_counts(*counting)
-    return DetectionModel.from_efficiencies(params["eta0"], params["eta1"])
+    return DetectionModel(params["eta0"], params["eta1"])
 
 
 def _cmd_zeno(params: dict, out) -> int:
@@ -233,9 +239,10 @@ def _cmd_zeno(params: dict, out) -> int:
             theory = survival_probability(params["theta_total"] / n, n)
             rows.append((n, theory, corrected, stderr))
     elif params["mode"] == "runlength":
-        traj = simulate_alternating(params["theta"], params["pairs"], seed=params["seed"],
-                                    detection=detection)
-        dist, total_runs = run_length_distribution(traj)
+        _require_at_least(params, "qmax", 1)
+        results = simulate_alternating(params["theta"], params["pairs"], seed=params["seed"],
+                                       detection=detection)
+        dist, total_runs = run_length_distribution(results)
         for q in range(1, params["qmax"] + 1):
             ratio = run_length_ratio(dist, q)
             theory = survival_probability(params["theta"], q - 1)
@@ -274,6 +281,7 @@ def _cmd_estimate(params: dict, out) -> int:
 def _cmd_channel(params: dict, out) -> int:
     if params["spec"] is None:
         raise ConfigError("channel requires --spec pointing to a JSON file")
+    _require_at_least(params, "shots", 0)
     try:
         with open(params["spec"]) as fh:
             spec = json.load(fh)

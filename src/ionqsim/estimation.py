@@ -81,12 +81,6 @@ class SphereDistribution:
     def integral(self):
         return self.grid.integrate(self.values)
 
-    def normalized(self) -> "SphereDistribution":
-        total = np.asarray(self.integral)
-        if np.any(total <= 0.0):
-            raise DegenerateUpdateError("density integrates to zero")
-        return SphereDistribution(self.grid, self.values / total[..., None])
-
     def mean_vector(self) -> np.ndarray:
         """First moment S = <u> of the normalized density, (..., 3)."""
         wv = self.grid.weights * self.values
@@ -242,10 +236,6 @@ class ImperfectionParams:
         if abs(1.0 - 2.0 * self.lam) + 2.0 * abs(self.delta_eta) > 1.0 + 1e-12:
             raise ValueError("imperfection parameters push pure states outside the unit ball")
 
-    @classmethod
-    def ideal(cls) -> "ImperfectionParams":
-        return cls(0.0, 0.0)
-
 
 def apply_imperfections(s: np.ndarray, params: ImperfectionParams) -> np.ndarray:
     """Bloch image of rho -> (1-2 lam) rho + lam I + delta_eta sigma_z,
@@ -257,35 +247,7 @@ def apply_imperfections(s: np.ndarray, params: ImperfectionParams) -> np.ndarray
     return out
 
 
-@dataclass(frozen=True)
-class StrategyConfig:
-    """Which measurement directions to use, and how many."""
-
-    kind: str                     # self_learning | random | fixed_axes
-    n_measurements: int = 1
-
-    KINDS = ("self_learning", "random", "fixed_axes")
-
-    def __post_init__(self):
-        if self.kind not in self.KINDS:
-            raise ValueError(f"unknown strategy kind {self.kind!r}; choose from {self.KINDS}")
-        if self.n_measurements < 1:
-            raise ValueError(f"n_measurements must be >= 1, got {self.n_measurements}")
-
-
-@dataclass(frozen=True)
-class EstimationTrajectory:
-    """Record of one estimation run: axes chosen, raw outcomes, seed.
-
-    A batch run of B states adds a leading B axis to the arrays.
-    """
-
-    true_state: np.ndarray     # (3,)
-    directions: np.ndarray     # (n, 3)
-    outcomes: np.ndarray       # (n,) of +/-1
-    seed: int | None
-    strategy: str
-
+STRATEGIES = ("self_learning", "random", "fixed_axes")
 
 _FIXED_AXES = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
@@ -298,25 +260,25 @@ def random_direction(rng) -> np.ndarray:
     return np.array([r * math.cos(phi), r * math.sin(phi), z])
 
 
-def _resolve_strategy(strategy, n) -> StrategyConfig:
-    if isinstance(strategy, StrategyConfig):
-        if n is None:
-            return strategy
-        return StrategyConfig(strategy.kind, n)
-    return StrategyConfig(str(strategy), n if n is not None else 1)
+def _check_strategy(n: int, strategy: str) -> None:
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
 
 
-def run_estimation(true_state, n=None, strategy="self_learning",
+def run_estimation(true_state, n: int, strategy: str = "self_learning",
                    imperfections: ImperfectionParams | None = None,
                    seed=None, grid: SphereGrid | None = None):
     """Estimate one qubit state, or a batch of them, from n single-copy
-    measurements each.
+    measurements each, with a strategy from STRATEGIES.
 
     Each measurement consumes a fresh copy of the intended pure state
     passed through the imperfection channel; the Bayesian update itself
     assumes ideal conditions (as the experiment's algorithm did).
-    Returns (estimate, fidelity, trajectory) with fidelity
-    cos^2(gamma/2) against the intended pure state.
+    Returns (estimate, fidelity, directions, outcomes): the estimated
+    Bloch vector, its fidelity cos^2(gamma/2) against the intended pure
+    state, the (n, 3) measurement axes and the (n,) outcomes of +/-1.
 
     A (B, 3) array of true states is estimated as one batch; `seed` is
     then a sequence of B seeds or generators, one stream per state, and
@@ -324,8 +286,8 @@ def run_estimation(true_state, n=None, strategy="self_learning",
     same order as a lone run of its state.  The default grid is
     `moment_grid(n)`, on which the moments are exact.
     """
-    cfg = _resolve_strategy(strategy, n)
-    imperfections = imperfections or ImperfectionParams.ideal()
+    _check_strategy(n, strategy)
+    imperfections = imperfections or ImperfectionParams()
     single = np.ndim(true_state) < 2
     rngs = [as_generator(s) for s in ([seed] if single else seed)]
     target = as_direction(true_state).reshape(-1, 3)
@@ -333,16 +295,16 @@ def run_estimation(true_state, n=None, strategy="self_learning",
         raise ValueError(f"got {len(rngs)} seeds for {len(target)} states")
     transmitted = apply_imperfections(target, imperfections)
 
-    prior = uniform_prior(grid if grid is not None else moment_grid(cfg.n_measurements))
+    prior = uniform_prior(grid if grid is not None else moment_grid(n))
     dist = SphereDistribution(prior.grid,
                               np.broadcast_to(prior.values, (len(target), prior.grid.size)))
-    directions = np.empty((len(target), cfg.n_measurements, 3))
-    outcomes = np.empty((len(target), cfg.n_measurements), dtype=int)
+    directions = np.empty((len(target), n, 3))
+    outcomes = np.empty((len(target), n), dtype=int)
     scratch = {}
-    for k in range(cfg.n_measurements):
-        if cfg.kind == "self_learning":
+    for k in range(n):
+        if strategy == "self_learning":
             m = optimal_next_direction(dist, scratch)
-        elif cfg.kind == "random":
+        elif strategy == "random":
             m = np.array([random_direction(rng) for rng in rngs])
         else:
             m = np.broadcast_to(_FIXED_AXES[k % 3], target.shape)
@@ -355,16 +317,11 @@ def run_estimation(true_state, n=None, strategy="self_learning",
     estimate, _ = estimate_state(dist)
     fidelity = 0.5 * (1.0 + _row_dot(estimate, target))
     if single:
-        traj = EstimationTrajectory(
-            true_state=target[0], directions=directions[0], outcomes=outcomes[0],
-            seed=seed if np.isscalar(seed) else None, strategy=cfg.kind)
-        return estimate[0], float(fidelity[0]), traj
-    traj = EstimationTrajectory(true_state=target, directions=directions,
-                                outcomes=outcomes, seed=None, strategy=cfg.kind)
-    return estimate, fidelity, traj
+        return estimate[0], float(fidelity[0]), directions[0], outcomes[0]
+    return estimate, fidelity, directions, outcomes
 
 
-def mean_fidelity_experiment(num_states: int, n: int, strategy="self_learning",
+def mean_fidelity_experiment(num_states: int, n: int, strategy: str = "self_learning",
                              imperfections: ImperfectionParams | None = None,
                              seed=None, grid: SphereGrid | None = None):
     """Mean estimation fidelity over an ensemble of random pure states.
@@ -375,20 +332,20 @@ def mean_fidelity_experiment(num_states: int, n: int, strategy="self_learning",
     """
     if num_states < 1:
         raise ValueError(f"num_states must be >= 1, got {num_states}")
+    _check_strategy(n, strategy)
     master = as_generator(seed)
     state_seeds = master.integers(0, 2**63, size=num_states, dtype=np.uint64)
     rngs = [np.random.default_rng(int(s)) for s in state_seeds]
     targets = np.array([random_direction(rng) for rng in rngs])
-    cfg = _resolve_strategy(strategy, n)
     if grid is None:
-        grid = moment_grid(cfg.n_measurements)
+        grid = moment_grid(n)
     chunk = max(1, _CHUNK_SIZE // max(grid.size, SWEEP_POINTS))
 
     fidelities = np.empty(num_states)
     for start in range(0, num_states, chunk):
         part = slice(start, start + chunk)
-        _, fidelities[part], _ = run_estimation(
-            targets[part], strategy=cfg, imperfections=imperfections, seed=rngs[part], grid=grid)
+        fidelities[part] = run_estimation(targets[part], n, strategy, imperfections,
+                                          seed=rngs[part], grid=grid)[1]
     mean = float(np.mean(fidelities))
     stderr = float(np.std(fidelities, ddof=1) / math.sqrt(num_states)) if num_states > 1 else 0.0
     return mean, stderr, fidelities

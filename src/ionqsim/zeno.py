@@ -43,18 +43,6 @@ class ZenoConfig:
             raise ValueError(f"prep_efficiency must lie in (0, 1], got {self.prep_efficiency}")
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Ordered record of on/off observations plus its provenance."""
-
-    results: np.ndarray        # bool array, True = "on"
-    seed: int | None
-    config: dict
-
-    def __len__(self):
-        return int(self.results.size)
-
-
 def survival_probability(theta_per_step: float, q) -> float:
     """P_00 = cos^(2q)(theta/2): probability of q consecutive equal
     outcomes under drive steps of area theta between probes."""
@@ -131,12 +119,13 @@ def corrected_survival(raw_frequency: float, config: ZenoConfig) -> float:
 
 
 def simulate_alternating(theta_per_step: float, n_pairs: int, seed,
-                         detection: DetectionModel | None = None) -> Trajectory:
+                         detection: DetectionModel | None = None) -> np.ndarray:
     """Simulate n_pairs of (drive pulse of area theta, projective probe).
 
     The ion starts in |0>; each probe collapses the state, so the true
     outcome sequence is a two-state Markov chain with flip probability
-    sin^2(theta/2) per pair.  Results are "on"/"off" observations.
+    sin^2(theta/2) per pair.  Returns the (n_pairs,) bool record of
+    observations, True = "on".
 
     All flip uniforms are drawn first, then every read-out, each in
     blocks of BLOCK draws from the one stream, so a seed gives the same
@@ -150,17 +139,10 @@ def simulate_alternating(theta_per_step: float, n_pairs: int, seed,
     rng = as_generator(seed)
     detection = detection or DetectionModel.ideal()
     true_on = _true_states(rng, n_pairs, _flip_probability(theta_per_step))
-    results = detect(true_on, detection, rng)
-    config = {
-        "theta_per_step": theta_per_step,
-        "n_pairs": n_pairs,
-        "detection": (detection.eta0, detection.eta1),
-    }
-    return Trajectory(results=results, seed=seed if np.isscalar(seed) else None,
-                      config=config)
+    return detect(true_on, detection, rng)
 
 
-def run_length_distribution(trajectory: Trajectory) -> tuple[dict[int, float], int]:
+def run_length_distribution(results: np.ndarray) -> tuple[dict[int, float], int]:
     """Normalized distribution U(q) of maximal runs of q equal results,
     and the number of complete runs it was normalized by.
 
@@ -169,9 +151,9 @@ def run_length_distribution(trajectory: Trajectory) -> tuple[dict[int, float], i
     record is scanned in blocks, so the working memory is one block
     plus the histogram.
     """
-    results = np.asarray(trajectory.results)
+    results = np.asarray(results)
     if results.size == 0:
-        raise ValueError("trajectory is empty")
+        raise ValueError("record is empty")
     counts = np.zeros(1, dtype=np.int64)
     last_end = -1
     for start in range(0, results.size - 1, BLOCK):
@@ -193,7 +175,13 @@ def run_length_distribution(trajectory: Trajectory) -> tuple[dict[int, float], i
 
 
 def run_length_ratio(dist: dict[int, float], q: int) -> float:
-    """U(q)/U(1), the empirical estimator of P_00(q-1)."""
+    """U(q)/U(1), the empirical estimator of P_00(q-1).
+
+    Raises FloatingPointError when the record held no complete run of
+    length 1 (as with no drive, or a record of one result): U(1) is then
+    0 and the ratio is undefined.
+    """
     if 1 not in dist:
-        raise ValueError("distribution has no runs of length 1")
+        raise FloatingPointError("U(q)/U(1) is undefined: the record has no complete run "
+                                 "of length 1")
     return dist.get(q, 0.0) / dist[1]

@@ -103,9 +103,9 @@ def test_criterion_3_zeno_analytic_suite():
             assert abs(p - 0.77) < 2 * paper_sigma
 
     for theta in (math.pi, math.pi / 2, math.pi / 5):
-        traj = simulate_alternating(theta, 10**6, seed=int(theta * 1000))
-        dist, _ = run_length_distribution(traj)
-        total_runs = len(np.flatnonzero(np.diff(traj.results)))
+        results = simulate_alternating(theta, 10**6, seed=int(theta * 1000))
+        dist, _ = run_length_distribution(results)
+        total_runs = len(np.flatnonzero(np.diff(results)))
         p = math.cos(theta / 2) ** 2
         for q in range(2, 11):
             theory = p ** (q - 1)

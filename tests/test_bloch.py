@@ -236,7 +236,7 @@ class TestDetectionModel:
 
     def test_efficiency_only_model(self):
         rng = np.random.default_rng(23)
-        model = DetectionModel.from_efficiencies(0.9, 0.95)
+        model = DetectionModel(0.9, 0.95)
         n = 50_000
         off_ok = np.mean(~detect(np.zeros(n, dtype=bool), model, rng))
         assert abs(off_ok - 0.9) < 4 * math.sqrt(0.9 * 0.1 / n)

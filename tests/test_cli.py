@@ -268,6 +268,43 @@ class TestZenoModes:
     def test_incomplete_poisson_flags_rejected(self):
         assert run(["zeno", "--on-mean", "5.3"]) == 2
 
+    @pytest.mark.parametrize("argv", [["--theta", "0", "--pairs", "1000"], ["--pairs", "1"]])
+    def test_runlength_without_runs_of_length_one_is_numerical(self, tmp_path, capsys, argv):
+        # a valid input whose record ends no run of length 1: U(q)/U(1) is undefined
+        out = tmp_path / "rl.csv"
+        assert run(["zeno", "--mode", "runlength"] + argv + ["--out", str(out)]) == 1
+        assert "no complete run of length 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestLowerBounds:
+    @pytest.mark.parametrize("argv, key", [
+        (["rabi", "--points", "0"], "'points'"),
+        (["zeno", "--mode", "runlength", "--qmax", "0"], "'qmax'"),
+    ])
+    def test_empty_table_rejected(self, tmp_path, capsys, argv, key):
+        out = tmp_path / "out.csv"
+        assert run(argv + ["--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_shots_rejected(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"variant": "depolarizing", "lambda": 0.2}))
+        out = tmp_path / "chan.json"
+        assert run(["channel", "--spec", str(spec), "--shots", "-5", "--out", str(out)]) == 2
+        assert "'shots'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--n", "0"], ["--strategy", "bogus"]])
+    def test_bad_estimate_rejected_before_drawing(self, tmp_path, monkeypatch, argv):
+        def draw(rng):
+            raise AssertionError("a state was drawn")
+        monkeypatch.setattr("ionqsim.estimation.random_direction", draw)
+        out = tmp_path / "fid.csv"
+        assert run(["estimate", "--states", "10"] + argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+
 
 class TestChainFieldModes:
     def test_local_field_factor_close_to_weak_limit(self, tmp_path):
@@ -389,3 +426,25 @@ class TestGoldenArtifacts:
         (tmp_path / "channel.json").write_text(json.dumps(_TILTED_SPEC))
         assert run(["channel", "--spec", "channel.json"] + argv + ["--out", "out.json"]) == 0
         assert hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest() == digest
+
+    # sha256 of the per-state CSV and the summary JSON of 200-state N = 12
+    # runs, recorded before run_estimation returned plain arrays; a change
+    # here means the artifacts drifted and must be explained.
+    @pytest.mark.parametrize("argv, csv_digest, json_digest", [
+        (["--strategy", "self"],
+         "4e5343afea5d7a5c2750b3af85018fc29537ed4ab1f6227207d0bd53aa1ee91a",
+         "571a778edb6041179e271c200eb68084d2e29ae0b0b79c841c55ac3817aeb15b"),
+        (["--strategy", "random", "--lambda", "0.1", "--delta-eta", "0.02"],
+         "3a42703cd0058e9e4874c6c2f4103161f7d816e13f33406857697740b30811da",
+         "6b9dcd475bc4f708c3dc74ecea2ca39845e40849a98b77ed622e2627ffad85b3"),
+        (["--strategy", "fixed"],
+         "7c49b25f9c1b35bfb95a3f97114cf362a41e03770e93f8b256c344aec71aef8a",
+         "fccbd3685943ab0cbae135003e01b8399bb66760e9a2bb4d7e6f825e7889a18f"),
+    ])
+    def test_estimate_artifact_digest(self, tmp_path, capsys, argv, csv_digest, json_digest):
+        out = tmp_path / "fid.csv"
+        assert run(["estimate", "--n", "12", "--states", "200", "--seed", "1"] + argv
+                   + ["--out", str(out)]) == 0
+        capsys.readouterr()   # swallow the stdout copy of the summary
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_digest
+        assert hashlib.sha256((tmp_path / "fid.json").read_bytes()).hexdigest() == json_digest

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from ionqsim.bloch import PureState
-from ionqsim.estimation import (DegenerateUpdateError, EstimationTrajectory,
+from ionqsim.estimation import (STRATEGIES, DegenerateUpdateError,
                                 ImperfectionParams, SphereDistribution,
-                                StrategyConfig, apply_imperfections,
+                                apply_imperfections,
                                 bayes_update, estimate_state,
                                 expected_mean_fidelity, fidelity_map,
                                 mean_fidelity_experiment, optimal_fidelity_bound,
@@ -317,7 +317,7 @@ class TestOptimalNextDirection:
 class TestImperfections:
     def test_identity_when_ideal(self):
         s = np.array([0.3, -0.2, 0.5])
-        np.testing.assert_allclose(apply_imperfections(s, ImperfectionParams.ideal()),
+        np.testing.assert_allclose(apply_imperfections(s, ImperfectionParams()),
                                    s, atol=1e-15)
 
     def test_depolarization_shrinks_z(self):
@@ -358,25 +358,24 @@ class TestImperfections:
 
 class TestRunEstimation:
     def test_returns_consistent_record(self):
-        estimate, fidelity, traj = run_estimation((3 * math.pi / 4, math.pi / 4),
-                                                  n=12, strategy="self_learning", seed=42)
-        assert isinstance(traj, EstimationTrajectory)
-        assert traj.directions.shape == (12, 3)
-        assert set(np.unique(traj.outcomes)) <= {-1, 1}
+        estimate, fidelity, directions, outcomes = run_estimation(
+            (3 * math.pi / 4, math.pi / 4), n=12, strategy="self_learning", seed=42)
+        assert directions.shape == (12, 3)
+        assert set(np.unique(outcomes)) <= {-1, 1}
         assert 0.0 <= fidelity <= 1.0
         assert abs(np.linalg.norm(estimate) - 1.0) < 1e-9
-        assert traj.seed == 42
 
     def test_reproducible(self):
         a = run_estimation(PureState(1.0, 2.0), n=6, strategy="self_learning", seed=5)
         b = run_estimation(PureState(1.0, 2.0), n=6, strategy="self_learning", seed=5)
-        np.testing.assert_array_equal(a[2].outcomes, b[2].outcomes)
+        np.testing.assert_array_equal(a[3], b[3])
         np.testing.assert_allclose(a[0], b[0], atol=0)
 
     def test_fixed_axes_cycle(self):
-        _, _, traj = run_estimation(PureState(0.3, 0.0), n=6, strategy="fixed_axes", seed=1)
-        np.testing.assert_allclose(traj.directions[:3], np.eye(3), atol=1e-15)
-        np.testing.assert_allclose(traj.directions[3:], np.eye(3), atol=1e-15)
+        _, _, directions, _ = run_estimation(PureState(0.3, 0.0), n=6, strategy="fixed_axes",
+                                             seed=1)
+        np.testing.assert_allclose(directions[:3], np.eye(3), atol=1e-15)
+        np.testing.assert_allclose(directions[3:], np.eye(3), atol=1e-15)
 
     def test_single_measurement_mean_is_two_thirds(self):
         n_states = 4000
@@ -385,11 +384,11 @@ class TestRunEstimation:
 
     def test_batch_returns_one_row_per_state(self):
         targets = np.array([random_direction(np.random.default_rng(i)) for i in range(3)])
-        estimates, fidelities, traj = run_estimation(targets, n=4, seed=[1, 2, 3])
+        estimates, fidelities, directions, outcomes = run_estimation(targets, n=4, seed=[1, 2, 3])
         assert estimates.shape == (3, 3) and fidelities.shape == (3,)
-        assert traj.directions.shape == (3, 4, 3) and traj.outcomes.shape == (3, 4)
+        assert directions.shape == (3, 4, 3) and outcomes.shape == (3, 4)
         for row in range(3):
-            estimate, fidelity, _ = run_estimation(targets[row], n=4, seed=row + 1)
+            estimate, fidelity, _, _ = run_estimation(targets[row], n=4, seed=row + 1)
             np.testing.assert_array_equal(estimates[row], estimate)
             assert fidelities[row] == fidelity
         with pytest.raises(ValueError):
@@ -399,7 +398,18 @@ class TestRunEstimation:
         with pytest.raises(ValueError):
             run_estimation(PureState(0.2, 0.1), n=2, strategy="bogus", seed=0)
         with pytest.raises(ValueError):
-            StrategyConfig(kind="self_learning", n_measurements=0)
+            run_estimation(PureState(0.2, 0.1), n=0, strategy="self_learning", seed=0)
+
+    @pytest.mark.parametrize("n, strategy", [(0, "self_learning"), (12, "bogus")])
+    def test_ensemble_rejects_bad_run_before_drawing(self, monkeypatch, n, strategy):
+        def draw(rng):
+            raise AssertionError("a state was drawn")
+        monkeypatch.setattr("ionqsim.estimation.random_direction", draw)
+        master = np.random.default_rng(3)
+        before = master.bit_generator.state
+        with pytest.raises(ValueError):
+            mean_fidelity_experiment(10, n, strategy, seed=master)
+        assert master.bit_generator.state == before
 
 
 class TestEnsembleProperties:
@@ -459,7 +469,7 @@ class TestBatchedEnsemble:
 
     @pytest.mark.parametrize("kind,n,imperfections", CASES)
     def test_matches_per_state_reference(self, kind, n, imperfections):
-        seed = 700 + 10 * n + StrategyConfig.KINDS.index(kind)
+        seed = 700 + 10 * n + STRATEGIES.index(kind)
         _, _, batched = mean_fidelity_experiment(30, n, kind, imperfections, seed=seed)
         reference = _per_state_reference(30, n, kind, imperfections, seed)
         np.testing.assert_allclose(batched, reference, rtol=0, atol=1e-12)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ionqsim.bloch import BLOCK, DetectionModel, detect
-from ionqsim.zeno import (Trajectory, ZenoConfig, corrected_survival,
+from ionqsim.zeno import (ZenoConfig, corrected_survival,
                           net_transition_probability, run_length_distribution,
                           run_length_ratio, simulate_alternating,
                           simulate_fractionated_pi, survival_probability)
@@ -101,7 +101,7 @@ class TestFractionatedPi:
         assert np.array_equal(r1, r2)
 
     def test_correction_recovers_ideal(self):
-        detection = DetectionModel.from_efficiencies(0.98, 0.995)
+        detection = DetectionModel(0.98, 0.995)
         cfg = ZenoConfig(n_fractions=4, sequences=20000, detection=detection,
                          prep_efficiency=0.9)
         raw, _ = simulate_fractionated_pi(cfg, seed=11)
@@ -121,39 +121,38 @@ class TestFractionatedPi:
 
 class TestAlternating:
     def test_full_rotation_gives_constant_off(self):
-        traj = simulate_alternating(2 * math.pi, 2000, seed=4)
-        assert not traj.results.any()
+        results = simulate_alternating(2 * math.pi, 2000, seed=4)
+        assert not results.any()
 
     def test_pi_pulse_gives_strict_alternation(self):
-        traj = simulate_alternating(math.pi, 2000, seed=5)
-        assert traj.results[0]           # first probe sees the flipped state
-        assert (traj.results[1:] != traj.results[:-1]).all()
+        results = simulate_alternating(math.pi, 2000, seed=5)
+        assert results[0]           # first probe sees the flipped state
+        assert (results[1:] != results[:-1]).all()
 
     def test_bit_reproducible(self):
         a = simulate_alternating(0.7, 1000, seed=42)
         b = simulate_alternating(0.7, 1000, seed=42)
-        assert np.array_equal(a.results, b.results)
-        assert a.seed == 42
+        assert np.array_equal(a, b)
 
     def test_trajectory_length(self):
-        traj = simulate_alternating(0.3, 123, seed=0)
-        assert len(traj) == 123
+        results = simulate_alternating(0.3, 123, seed=0)
+        assert results.shape == (123,) and results.dtype == bool
 
 
 class TestRunLengths:
     def test_alternating_trajectory(self):
-        traj = simulate_alternating(math.pi, 500, seed=6)
-        assert run_length_distribution(traj) == ({1: 1.0}, 499)
+        results = simulate_alternating(math.pi, 500, seed=6)
+        assert run_length_distribution(results) == ({1: 1.0}, 499)
 
     def test_theta_half_pi_ratio(self):
-        traj = simulate_alternating(math.pi / 2, 200_000, seed=8)
-        dist, _ = run_length_distribution(traj)
+        results = simulate_alternating(math.pi / 2, 200_000, seed=8)
+        dist, _ = run_length_distribution(results)
         assert run_length_ratio(dist, 2) == pytest.approx(0.5, abs=0.01)
 
     def test_theta_pi_fifth_matches_survival_law(self):
-        traj = simulate_alternating(math.pi / 5, 10**6, seed=9)
-        dist, _ = run_length_distribution(traj)
-        total_runs = len(np.flatnonzero(np.diff(traj.results)))
+        results = simulate_alternating(math.pi / 5, 10**6, seed=9)
+        dist, _ = run_length_distribution(results)
+        total_runs = len(np.flatnonzero(np.diff(results)))
         p = math.cos(math.pi / 10) ** 2
         for q in range(2, 11):
             ratio = run_length_ratio(dist, q)
@@ -165,16 +164,23 @@ class TestRunLengths:
 
     def test_empty_trajectory_rejected(self):
         with pytest.raises(ValueError):
-            run_length_distribution(Trajectory(results=np.array([], dtype=bool),
-                                               seed=0, config={}))
+            run_length_distribution(np.array([], dtype=bool))
 
     def test_constant_trajectory_has_no_complete_runs(self):
-        traj = simulate_alternating(2 * math.pi, 100, seed=10)
-        assert run_length_distribution(traj) == ({}, 0)
+        results = simulate_alternating(2 * math.pi, 100, seed=10)
+        assert run_length_distribution(results) == ({}, 0)
+
+    @pytest.mark.parametrize("theta, pairs", [(0.0, 1000), (0.628318, 1)])
+    def test_ratio_without_runs_of_length_one_is_numerical(self, theta, pairs):
+        # no drive never leaves |0>, and one result ends no run: U(1) = 0
+        dist, total = run_length_distribution(simulate_alternating(theta, pairs, seed=1))
+        assert (dist, total) == ({}, 0)
+        with pytest.raises(FloatingPointError, match="no complete run of length 1"):
+            run_length_ratio(dist, 1)
 
     def test_distribution_normalized(self):
-        traj = simulate_alternating(1.0, 50_000, seed=12)
-        dist, _ = run_length_distribution(traj)
+        results = simulate_alternating(1.0, 50_000, seed=12)
+        dist, _ = run_length_distribution(results)
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -198,7 +204,7 @@ def whole_array_runs(results):
     return {int(q): counts[q] / total for q in range(1, counts.size) if counts[q] > 0}, total
 
 
-READOUTS = [DetectionModel.ideal(), DetectionModel.from_efficiencies(0.97, 0.95),
+READOUTS = [DetectionModel.ideal(), DetectionModel(0.97, 0.95),
             DetectionModel.from_counts(5.3, 0.2, 1)]
 LENGTHS = [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7]
 
@@ -212,10 +218,10 @@ class TestStreamedDraws:
         rng = np.random.default_rng(length)
         flips = rng.random(length) < math.sin(0.5 * 0.628318) ** 2
         expected = whole_array_detect(np.cumsum(flips) % 2 == 1, model, rng)
-        traj = simulate_alternating(0.628318, length, seed=length, detection=model)
-        assert np.array_equal(traj.results, expected)
+        results = simulate_alternating(0.628318, length, seed=length, detection=model)
+        assert np.array_equal(results, expected)
         dist, total = whole_array_runs(expected)
-        assert run_length_distribution(traj) == (dist, total)
+        assert run_length_distribution(results) == (dist, total)
 
     @pytest.mark.parametrize("model", READOUTS)
     @pytest.mark.parametrize("length", LENGTHS)
@@ -242,9 +248,8 @@ class TestStreamedDraws:
         results = np.zeros(3 * BLOCK + 7, dtype=bool)
         results[5:2 * BLOCK + 3] = True     # one run across two block edges
         results[2 * BLOCK + 10] = True
-        traj = Trajectory(results=results, seed=None, config={})
         dist, total = whole_array_runs(results)
-        assert run_length_distribution(traj) == (dist, total)
+        assert run_length_distribution(results) == (dist, total)
         assert total == 4
 
 
