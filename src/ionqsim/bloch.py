@@ -12,14 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sphere import rotate
+from .sphere import _row_norm, rotate
 
 TWO_PI = 2.0 * math.pi
 
 Z_PLUS = np.array([0.0, 0.0, 1.0])
 
 # Random draws over long records are made this many at a time, so their
-# float64/int64 temporaries stay at 512 KB whatever the record length.
+# float64 temporaries stay at 512 KB whatever the record length.
 BLOCK = 1 << 16
 
 
@@ -28,27 +28,6 @@ def as_generator(seed_or_rng) -> "np.random.Generator":
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
     return np.random.default_rng(seed_or_rng)
-
-
-@dataclass(frozen=True)
-class PureState:
-    """A pure qubit state given by colatitude theta and azimuth phi.
-
-    The state cos(theta/2)|0> + sin(theta/2) e^{i phi} |1> maps to the
-    unit Bloch vector (sin t cos p, sin t sin p, cos t).
-    """
-
-    theta: float
-    phi: float = 0.0
-
-    def __post_init__(self):
-        _check_angles(self.theta, self.phi)
-
-    def bloch(self) -> np.ndarray:
-        return state_from_angles(self.theta, self.phi)
-
-    def antipode(self) -> "PureState":
-        return PureState(math.pi - self.theta, (self.phi + math.pi) % TWO_PI)
 
 
 @dataclass(frozen=True)
@@ -75,11 +54,6 @@ class DrivePulse:
     def effective_rabi(self) -> float:
         """Omega_R = sqrt(Omega^2 + delta^2)."""
         return math.hypot(self.rabi, self.detuning)
-
-    @property
-    def area(self) -> float:
-        """Rotation angle Omega_R * t accumulated over the pulse."""
-        return self.effective_rabi * self.duration
 
 
 def _poisson_cdf(mean: float, k: int) -> float:
@@ -113,42 +87,16 @@ def _poisson_cdf(mean: float, k: int) -> float:
 
 @dataclass(frozen=True)
 class DetectionModel:
-    """State read-out with finite efficiencies.
+    """State read-out with finite efficiencies; the default is ideal.
 
     eta0 is the probability of correctly reading |0> as "off", eta1 the
-    probability of correctly reading |1> as "on".  When built from the
-    photon-counting mechanism (Poisson counts against a fixed threshold,
-    "on" means count > threshold), the efficiencies are the Poisson tail
-    masses and both views must agree.  A counting model given with
-    eta0 = eta1 = None (as from_counts does) takes them from the tails.
+    probability of correctly reading |1> as "on".
     """
 
-    eta0: float | None
-    eta1: float | None
-    on_mean: float | None = None
-    off_mean: float | None = None
-    threshold: int | None = None
+    eta0: float = 1.0
+    eta1: float = 1.0
 
     def __post_init__(self):
-        counting = [self.on_mean, self.off_mean, self.threshold]
-        if any(v is not None for v in counting):
-            if any(v is None for v in counting):
-                raise ValueError("on_mean, off_mean and threshold must be supplied together")
-            if not isinstance(self.threshold, (int, np.integer)) or self.threshold < 0:
-                raise ValueError(f"threshold must be an integer >= 0, got {self.threshold!r}")
-            if not all(math.isfinite(m) and m >= 0 for m in (self.on_mean, self.off_mean)):
-                raise ValueError("photon count means must be finite and >= 0, got "
-                                 f"on_mean={self.on_mean!r}, off_mean={self.off_mean!r}")
-            eta0 = _poisson_cdf(self.off_mean, self.threshold)
-            eta1 = 1.0 - _poisson_cdf(self.on_mean, self.threshold)
-            if self.eta0 is None and self.eta1 is None:
-                object.__setattr__(self, "eta0", eta0)
-                object.__setattr__(self, "eta1", eta1)
-            elif abs(eta0 - self.eta0) > 1e-9 or abs(eta1 - self.eta1) > 1e-9:
-                raise ValueError(
-                    "stored efficiencies disagree with the Poisson tail masses: "
-                    f"expected eta0={eta0!r}, eta1={eta1!r}"
-                )
         if not (0.5 <= self.eta0 <= 1.0 and 0.5 <= self.eta1 <= 1.0):
             raise ValueError(
                 f"efficiencies must lie in [1/2, 1], got eta0={self.eta0}, eta1={self.eta1}"
@@ -156,24 +104,16 @@ class DetectionModel:
 
     @classmethod
     def from_counts(cls, on_mean: float, off_mean: float, threshold: int) -> "DetectionModel":
-        """Derive (eta0, eta1) from Poisson photon statistics and a count cutoff."""
-        return cls(eta0=None, eta1=None, on_mean=on_mean, off_mean=off_mean, threshold=threshold)
-
-    @classmethod
-    def ideal(cls) -> "DetectionModel":
-        return cls(eta0=1.0, eta1=1.0)
-
-    @property
-    def delta_eta(self) -> float:
-        """Detection bias (eta1 - eta0) / 2."""
-        return 0.5 * (self.eta1 - self.eta0)
-
-
-def _check_angles(theta: float, phi: float) -> None:
-    if not (0.0 <= theta <= math.pi):
-        raise ValueError(f"theta must lie in [0, pi], got {theta}")
-    if not (0.0 <= phi < TWO_PI):
-        raise ValueError(f"phi must lie in [0, 2*pi), got {phi}")
+        """Efficiencies of a photon-counting read-out: Poisson counts of
+        the given means against a cutoff, "on" meaning count > threshold.
+        Only the on/off result is kept, so the two tail masses are the
+        whole read-out."""
+        if not isinstance(threshold, (int, np.integer)) or threshold < 0:
+            raise ValueError(f"threshold must be an integer >= 0, got {threshold!r}")
+        if not all(math.isfinite(m) and m >= 0 for m in (on_mean, off_mean)):
+            raise ValueError("photon count means must be finite and >= 0, got "
+                             f"on_mean={on_mean!r}, off_mean={off_mean!r}")
+        return cls(_poisson_cdf(off_mean, threshold), 1.0 - _poisson_cdf(on_mean, threshold))
 
 
 def state_from_angles(theta: float, phi: float = 0.0) -> np.ndarray:
@@ -181,9 +121,23 @@ def state_from_angles(theta: float, phi: float = 0.0) -> np.ndarray:
 
     Raises ValueError if theta is outside [0, pi] or phi outside [0, 2*pi).
     """
-    _check_angles(theta, phi)
+    if not (0.0 <= theta <= math.pi):
+        raise ValueError(f"theta must lie in [0, pi], got {theta}")
+    if not (0.0 <= phi < TWO_PI):
+        raise ValueError(f"phi must lie in [0, 2*pi), got {phi}")
     st = math.sin(theta)
     return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
+
+
+def as_direction(direction) -> np.ndarray:
+    """Coerce a 3-vector or a (B, 3) array of vectors to unit vector(s)."""
+    arr = np.asarray(direction, dtype=float)
+    if arr.ndim not in (1, 2) or arr.shape[-1] != 3:
+        raise ValueError(f"direction must be a 3-vector or (B, 3) array, got shape {arr.shape}")
+    norm = _row_norm(arr)[..., None]
+    if not np.all((0.99 < norm) & (norm < 1.01)):
+        raise ValueError(f"direction vector must be unit length, got |m|={norm.ravel()}")
+    return arr / norm
 
 
 def evolve(state: np.ndarray, pulse: DrivePulse) -> np.ndarray:
@@ -234,30 +188,30 @@ def ramsey_probability(pulse: DrivePulse, precession_time: float) -> float:
     s = evolve(Z_PLUS, pulse)
     s = evolve(s, free)
     s = evolve(s, pulse)
-    return born_probability(s, PureState(math.pi))  # overlap with |1> at -z
+    return born_probability(s, state_from_angles(math.pi))  # overlap with |1> at -z
 
 
-def born_probability(state: np.ndarray, direction: PureState) -> float:
-    """p(+1) = (1 + s . m)/2 for measurement direction m.
+def born_probability(state: np.ndarray, direction) -> float:
+    """p(+1) = (1 + s . m)/2 for the unit measurement direction m.
 
     Equals |<theta_m, phi_m | theta, phi>|^2 when the state is pure.
     """
-    m = direction.bloch()
+    m = as_direction(direction)
     p = 0.5 * (1.0 + float(np.dot(state, m)))
     # clamp float noise at the endpoints
     return min(1.0, max(0.0, p))
 
 
-def measure(state: np.ndarray, direction: PureState, rng) -> tuple[int, np.ndarray]:
-    """Projective measurement along direction; collapses onto +/- m.
+def measure(state: np.ndarray, direction, rng) -> tuple[int, np.ndarray]:
+    """Projective measurement along the unit direction m; collapses onto
+    +/- m.
 
     Returns (outcome, collapsed) with outcome +1 for projection onto m
     and -1 for the antipode.
     """
     rng = as_generator(rng)
-    m = direction.bloch()
-    p_plus = born_probability(state, direction)
-    if rng.random() < p_plus:
+    m = as_direction(direction)
+    if rng.random() < born_probability(state, m):
         return 1, m
     return -1, -m
 
@@ -266,25 +220,20 @@ def detect(true_on, model: DetectionModel, rng) -> np.ndarray:
     """Simulate the fluorescence read-out of z-eigenstates.
 
     true_on is a bool array, True for |1>; returns the "on" observations.
-    With a photon-counting model each count is Poisson with the
-    state-dependent mean and "on" means count > threshold.  With bare
-    efficiencies each read-out is Bernoulli.  An ideal model draws
-    nothing and returns the bool array of true_on itself, not a copy.
+    Each read-out is Bernoulli: "on" with probability eta1 from |1> and
+    1 - eta0 from |0>.  An ideal model draws nothing and returns the
+    bool array of true_on itself, not a copy.
     Draws follow true_on in C order, BLOCK at a time, so the stream is
     the same as one whole-array draw.
     """
     rng = as_generator(rng)
     true_on = np.asarray(true_on, dtype=bool)
-    if model.eta0 == 1.0 and model.eta1 == 1.0 and model.on_mean is None:
+    if model.eta0 == 1.0 and model.eta1 == 1.0:
         return true_on
     observed = np.empty(true_on.shape, dtype=bool)
     flat_in, flat_out = true_on.reshape(-1), observed.reshape(-1)
     for start in range(0, flat_in.size, BLOCK):
-        state, out = flat_in[start:start + BLOCK], flat_out[start:start + BLOCK]
-        if model.on_mean is not None:
-            counts = rng.poisson(np.where(state, model.on_mean, model.off_mean))
-            np.greater(counts, model.threshold, out=out)
-        else:
-            np.less(rng.random(state.size), np.where(state, model.eta1, 1.0 - model.eta0),
-                    out=out)
+        state = flat_in[start:start + BLOCK]
+        np.less(rng.random(state.size), np.where(state, model.eta1, 1.0 - model.eta0),
+                out=flat_out[start:start + BLOCK])
     return observed

@@ -134,22 +134,15 @@ def tomography_exact(black_box) -> AffineChannel:
     return _assemble(_probabilities(black_box))
 
 
-@dataclass(frozen=True)
-class TomographyErrors:
-    """1-sigma binomial error propagated to each reconstructed entry."""
-
-    m_err: np.ndarray
-    v_err: np.ndarray
-
-
-def tomography_sampled(black_box, shots_per_setting: int, seed) -> tuple[AffineChannel, TomographyErrors]:
-    """Tomography from finite counts.
+def tomography_sampled(black_box, shots_per_setting: int,
+                       seed) -> tuple[AffineChannel, np.ndarray, np.ndarray]:
+    """Tomography from finite counts: (estimate, m_err, v_err).
 
     Each of the 12 (input, read-out axis) settings is sampled
     shots_per_setting times, in the row-major order of P[j, i];
-    probabilities become relative frequencies and the per-entry
-    standard errors follow from binomial propagation through the linear
-    reconstruction formulas.
+    probabilities become relative frequencies, and the 1-sigma errors
+    m_err (3, 3) and v_err (3,) of each reconstructed entry follow from
+    binomial propagation through the linear reconstruction formulas.
     """
     if shots_per_setting < 1:
         raise ValueError(f"shots_per_setting must be >= 1, got {shots_per_setting}")
@@ -162,7 +155,7 @@ def tomography_sampled(black_box, shots_per_setting: int, seed) -> tuple[AffineC
     # M_iz = P_iz - P_i(-z): the 2P_ij and -P_iz terms share one
     # frequency, so only two independent samples enter
     m_var[:, 2] = pole_var
-    return _assemble(freqs), TomographyErrors(m_err=np.sqrt(m_var), v_err=np.sqrt(pole_var))
+    return _assemble(freqs), np.sqrt(m_var), np.sqrt(pole_var)
 
 
 # variant -> (required keys, optional keys), besides "variant" itself

@@ -24,7 +24,7 @@ from .estimation import (DegenerateUpdateError, ImperfectionParams,
                          mean_fidelity_experiment)
 from .ionchain import (ConvergenceError, NotAMinimumError, TrapConfig,
                        length_scale, required_gradient, spin_spin_couplings)
-from .zeno import (ZenoConfig, corrected_survival, run_length_distribution, run_length_ratio,
+from .zeno import (corrected_survival, run_length_distribution, run_length_ratio,
                    simulate_alternating, simulate_fractionated_pi, survival_probability)
 
 CONSTANTS_ENV = "IONQSIM_CONSTANTS"
@@ -213,9 +213,11 @@ def _cmd_rabi(params: dict, out) -> int:
 
 def _detection_from(params: dict) -> DetectionModel:
     counting = [params["on_mean"], params["off_mean"], params["threshold"]]
-    if any(v is not None for v in counting):
-        return DetectionModel.from_counts(*counting)
-    return DetectionModel(params["eta0"], params["eta1"])
+    if all(v is None for v in counting):
+        return DetectionModel(params["eta0"], params["eta1"])
+    if any(v is None for v in counting):
+        raise ConfigError("--on-mean, --off-mean and --threshold must be given together")
+    return DetectionModel.from_counts(*counting)
 
 
 def _cmd_zeno(params: dict, out) -> int:
@@ -228,14 +230,13 @@ def _cmd_zeno(params: dict, out) -> int:
             raise ConfigError(f"bad fractions list: {exc}")
         if not fractions:
             raise ConfigError("fractions list is empty")
+        losses = {"detection": detection, "prep_efficiency": params["prep_efficiency"]}
         for k, n in enumerate(fractions):
-            cfg = ZenoConfig(n_fractions=n, sequences=params["sequences"],
-                             total_area=params["theta_total"], detection=detection,
-                             prep_efficiency=params["prep_efficiency"])
-            raw, _records = simulate_fractionated_pi(cfg, seed=params["seed"] + k)
-            corrected = corrected_survival(raw, cfg)
-            raw_stderr = math.sqrt(max(raw * (1.0 - raw), 0.0) / cfg.sequences)
-            stderr = corrected_survival(raw_stderr, cfg)
+            raw, _records = simulate_fractionated_pi(n, params["sequences"], params["seed"] + k,
+                                                     params["theta_total"], **losses)
+            corrected = corrected_survival(raw, n, **losses)
+            raw_stderr = math.sqrt(max(raw * (1.0 - raw), 0.0) / params["sequences"])
+            stderr = corrected_survival(raw_stderr, n, **losses)
             theory = survival_probability(params["theta_total"] / n, n)
             rows.append((n, theory, corrected, stderr))
     elif params["mode"] == "runlength":
@@ -257,7 +258,10 @@ def _cmd_zeno(params: dict, out) -> int:
 
 
 def _cmd_estimate(params: dict, out) -> int:
-    kind = _STRATEGY_ALIASES.get(params["strategy"], params["strategy"])
+    if params["strategy"] not in _STRATEGY_ALIASES:
+        raise ConfigError(f"unknown strategy {params['strategy']!r}; "
+                          f"choose from {' | '.join(_STRATEGY_ALIASES)}")
+    kind = _STRATEGY_ALIASES[params["strategy"]]
     imperfections = ImperfectionParams(lam=params["lambda"], delta_eta=params["delta_eta"])
     mean, stderr, fidelities = mean_fidelity_experiment(
         params["states"], params["n"], kind, imperfections, seed=params["seed"])
@@ -292,8 +296,7 @@ def _cmd_channel(params: dict, out) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc))
     if params["shots"] > 0:
-        estimate, errors = tomography_sampled(channel, params["shots"], seed=params["seed"])
-        m_err, v_err = errors.m_err, errors.v_err
+        estimate, m_err, v_err = tomography_sampled(channel, params["shots"], seed=params["seed"])
     else:
         estimate = tomography_exact(channel)
         m_err, v_err = np.zeros((3, 3)), np.zeros(3)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import PureState, Z_PLUS, as_generator
+from .bloch import Z_PLUS, as_direction, as_generator
 from .sphere import (SWEEP_POINTS, SphereGrid, _row_dot, _row_norm, maximize_on_sphere,
                      moment_grid)
 
@@ -39,22 +39,6 @@ _CHUNK_SIZE = 1 << 14
 
 class DegenerateUpdateError(ArithmeticError):
     """Raised when conditioning on an outcome of (numerically) zero probability."""
-
-
-def as_direction(direction) -> np.ndarray:
-    """Coerce a PureState, (theta, phi) pair, 3-vector or (B, 3) array of
-    vectors to unit vector(s)."""
-    if isinstance(direction, PureState):
-        return direction.bloch()
-    arr = np.asarray(direction, dtype=float)
-    if arr.shape == (2,):
-        return PureState(*arr).bloch()
-    if arr.ndim not in (1, 2) or arr.shape[-1] != 3:
-        raise ValueError(f"direction must be a PureState, (theta, phi), or 3-vector, got shape {arr.shape}")
-    norm = _row_norm(arr)[..., None]
-    if not np.all((0.99 < norm) & (norm < 1.01)):
-        raise ValueError(f"direction vector must be unit length, got |m|={norm.ravel()}")
-    return arr / norm
 
 
 @dataclass(frozen=True)

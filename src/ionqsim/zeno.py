@@ -13,34 +13,10 @@ one uniform draw per probe.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bloch import BLOCK, DetectionModel, as_generator, detect
-
-
-@dataclass(frozen=True)
-class ZenoConfig:
-    """Fractionated pi-pulse protocol parameters.
-
-    n_fractions pulses of equal area total_area/n_fractions alternate
-    with projective probes of the z basis.
-    """
-
-    n_fractions: int
-    sequences: int
-    total_area: float = math.pi
-    detection: DetectionModel = field(default_factory=DetectionModel.ideal)
-    prep_efficiency: float = 1.0
-
-    def __post_init__(self):
-        if self.n_fractions < 1:
-            raise ValueError(f"n_fractions must be >= 1, got {self.n_fractions}")
-        if self.sequences < 1:
-            raise ValueError(f"sequences must be >= 1, got {self.sequences}")
-        if not (0.0 < self.prep_efficiency <= 1.0):
-            raise ValueError(f"prep_efficiency must lie in (0, 1], got {self.prep_efficiency}")
 
 
 def survival_probability(theta_per_step: float, q) -> float:
@@ -81,30 +57,44 @@ def _true_states(rng, shape, p_flip: float) -> np.ndarray:
     return np.logical_xor.accumulate(states, axis=-1, out=states)
 
 
-def simulate_fractionated_pi(config: ZenoConfig, seed) -> tuple[float, np.ndarray]:
+def _check_protocol(n_fractions: int, prep_efficiency: float) -> None:
+    if n_fractions < 1:
+        raise ValueError(f"n_fractions must be >= 1, got {n_fractions}")
+    if not (0.0 < prep_efficiency <= 1.0):
+        raise ValueError(f"prep_efficiency must lie in (0, 1], got {prep_efficiency}")
+
+
+def simulate_fractionated_pi(n_fractions: int, sequences: int, seed,
+                             total_area: float = math.pi,
+                             detection: DetectionModel | None = None,
+                             prep_efficiency: float = 1.0) -> tuple[float, np.ndarray]:
     """Run the fractionated pi-pulse protocol.
 
     Each sequence prepares |0> (with prep_efficiency), then alternates
     n_fractions resonant pulses of area total_area/n_fractions with
-    projective z probes read out through the detection model.  Returns
-    (survival_frequency, records) where records is a (sequences,
-    n_fractions) bool array of observations and survival_frequency is
-    the fraction of all-"off" sequences.
+    projective z probes read out through the detection model (ideal by
+    default).  Returns (survival_frequency, records) where records is a
+    (sequences, n_fractions) bool array of observations and
+    survival_frequency is the fraction of all-"off" sequences.
     """
+    _check_protocol(n_fractions, prep_efficiency)
+    if sequences < 1:
+        raise ValueError(f"sequences must be >= 1, got {sequences}")
     rng = as_generator(seed)
-    n, seq = config.n_fractions, config.sequences
-    p_flip = _flip_probability(config.total_area / n)
+    p_flip = _flip_probability(total_area / n_fractions)
 
     # draw order: preparation, drive flips, detection
-    prepared_wrong = rng.random(seq) >= config.prep_efficiency
-    true_on = _true_states(rng, (seq, n), p_flip)
+    prepared_wrong = rng.random(sequences) >= prep_efficiency
+    true_on = _true_states(rng, (sequences, n_fractions), p_flip)
     np.logical_xor(true_on, prepared_wrong[:, None], out=true_on)
-    records = detect(true_on, config.detection, rng)
+    records = detect(true_on, detection or DetectionModel(), rng)
     survival = float(np.mean(~records.any(axis=1)))
     return survival, records
 
 
-def corrected_survival(raw_frequency: float, config: ZenoConfig) -> float:
+def corrected_survival(raw_frequency: float, n_fractions: int,
+                       detection: DetectionModel | None = None,
+                       prep_efficiency: float = 1.0) -> float:
     """Undo preparation and read-out losses in an all-"off" frequency.
 
     A surviving sequence is observed all-"off" only if it was prepared
@@ -113,9 +103,9 @@ def corrected_survival(raw_frequency: float, config: ZenoConfig) -> float:
     1 / (prep_efficiency * eta0^n).  False-"off" read-outs of escaped
     sequences are neglected (they enter at order 1 - eta1).
     """
-    n = config.n_fractions
-    scale = config.prep_efficiency * config.detection.eta0**n
-    return raw_frequency / scale
+    _check_protocol(n_fractions, prep_efficiency)
+    eta0 = (detection or DetectionModel()).eta0
+    return raw_frequency / (prep_efficiency * eta0**n_fractions)
 
 
 def simulate_alternating(theta_per_step: float, n_pairs: int, seed,
@@ -137,9 +127,8 @@ def simulate_alternating(theta_per_step: float, n_pairs: int, seed,
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
     rng = as_generator(seed)
-    detection = detection or DetectionModel.ideal()
     true_on = _true_states(rng, n_pairs, _flip_probability(theta_per_step))
-    return detect(true_on, detection, rng)
+    return detect(true_on, detection or DetectionModel(), rng)
 
 
 def run_length_distribution(results: np.ndarray) -> tuple[dict[int, float], int]:

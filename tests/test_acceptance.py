@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from ionqsim.bloch import (DrivePulse, PureState, Z_PLUS, born_probability, evolve,
+from ionqsim.bloch import (DrivePulse, Z_PLUS, born_probability, evolve,
                            state_from_angles)
 from ionqsim.channels import (identity_channel, phase_damping, tomography_exact,
                               tomography_sampled)
@@ -24,7 +24,7 @@ from ionqsim.ionchain import (TrapConfig, field_for_chi, ground_state_width,
                               length_scale, required_gradient, spacing_estimate,
                               spin_spin_couplings)
 from ionqsim.sphere import SphereGrid
-from ionqsim.zeno import (ZenoConfig, run_length_distribution, run_length_ratio,
+from ionqsim.zeno import (run_length_distribution, run_length_ratio,
                           simulate_alternating, simulate_fractionated_pi,
                           survival_probability)
 from test_channels import random_physical_channel
@@ -90,8 +90,7 @@ def test_criterion_3_zeno_analytic_suite():
     start = time.perf_counter()
     sequences = 10_000
     for k, n in enumerate((1, 2, 3, 4, 10)):
-        cfg = ZenoConfig(n_fractions=n, sequences=sequences)
-        freq, _ = simulate_fractionated_pi(cfg, seed=300 + k)
+        freq, _ = simulate_fractionated_pi(n, sequences, seed=300 + k)
         p = survival_probability(math.pi / n, n)
         sigma = math.sqrt(p * (1 - p) / sequences)
         assert abs(freq - p) <= 4 * sigma + 1e-12, f"N={n}: {freq} vs {p}"
@@ -185,7 +184,7 @@ def test_criterion_6_channel_tomography():
     shots = 10_000
     for target in (identity_channel(), phase_damping(0.2, state_from_angles(1.0)),
                    random_physical_channel(rng)):
-        estimate, _ = tomography_sampled(target, shots, seed=62)
+        estimate, _, _ = tomography_sampled(target, shots, seed=62)
         for row, i in enumerate("xyz"):
             probs = {j: 0.5 * (1.0 + float(target(_prep(j))
                                            @ np.eye(3)[row])) for j in ("x", "y", "z", "-z")}
@@ -252,8 +251,8 @@ def test_criterion_8_property_suites(tmp_path):
         half_a = DrivePulse(pulse.rabi, pulse.detuning, 0.4 * pulse.duration, pulse.phase)
         half_b = DrivePulse(pulse.rabi, pulse.detuning, 0.6 * pulse.duration, pulse.phase)
         np.testing.assert_allclose(evolve(evolve(s, half_a), half_b), out, atol=1e-10)
-        m = PureState(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
-        total = born_probability(out, m) + born_probability(out, m.antipode())
+        m = state_from_angles(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
+        total = born_probability(out, m) + born_probability(out, -m)
         assert abs(total - 1.0) < 1e-12
 
     # estimator: normalization, argmax invariance, rotational covariance

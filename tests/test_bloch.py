@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from ionqsim import bloch
-from ionqsim.bloch import (DetectionModel, DrivePulse, PureState, Z_PLUS,
+from ionqsim.bloch import (DetectionModel, DrivePulse, Z_PLUS,
                            born_probability, detect, evolve, measure,
                            rabi_excitation_probability, ramsey_probability,
                            state_from_angles)
@@ -28,8 +28,6 @@ class TestStateFromAngles:
     def test_out_of_range_rejected(self, theta, phi):
         with pytest.raises(ValueError):
             state_from_angles(theta, phi)
-        with pytest.raises(ValueError):
-            PureState(theta, phi)
 
 
 class TestEvolve:
@@ -107,7 +105,7 @@ class TestRabiProbability:
             rabi, det, t = rng.uniform(0, 5), rng.uniform(-5, 5), rng.uniform(0, 5)
             direct = rabi_excitation_probability(rabi, det, t)
             s = evolve(Z_PLUS, DrivePulse(rabi, det, t))
-            composed = born_probability(s, PureState(math.pi))
+            composed = born_probability(s, state_from_angles(math.pi))
             assert abs(direct - composed) < 1e-10
 
 
@@ -138,51 +136,51 @@ class TestRamsey:
 
 class TestBornProbability:
     def test_aligned_and_orthogonal(self):
-        m = PureState(0.7, 1.1)
-        assert born_probability(m.bloch(), m) == pytest.approx(1.0, abs=1e-12)
+        m = state_from_angles(0.7, 1.1)
+        assert born_probability(m, m) == pytest.approx(1.0, abs=1e-12)
         orth = state_from_angles(0.7 + math.pi / 2, 1.1)
         assert born_probability(orth, m) == pytest.approx(0.5, abs=1e-12)
 
     def test_overlap_with_z(self):
         s = state_from_angles(3 * math.pi / 4, math.pi / 4)
         # cos^2(3 pi / 8)
-        assert born_probability(s, PureState(0.0)) == pytest.approx(0.14644660940672627,
-                                                                    abs=1e-14)
+        assert born_probability(s, Z_PLUS) == pytest.approx(0.14644660940672627,
+                                                           abs=1e-14)
 
     def test_equals_amplitude_overlap(self):
         rng = np.random.default_rng(15)
         for _ in range(300):
             ts, ps = math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi)
             tm, pm = math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi)
-            got = born_probability(state_from_angles(ts, ps), PureState(tm, pm))
+            got = born_probability(state_from_angles(ts, ps), state_from_angles(tm, pm))
             assert abs(got - overlap_probability(tm, pm, ts, ps)) < 1e-12
 
     def test_antipode_completeness(self):
         rng = np.random.default_rng(16)
         for _ in range(300):
             s = state_from_angles(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
-            m = PureState(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
-            total = born_probability(s, m) + born_probability(s, m.antipode())
+            m = state_from_angles(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
+            total = born_probability(s, m) + born_probability(s, -m)
             assert abs(total - 1.0) < 1e-12
 
 
 class TestMeasure:
     def test_deterministic_at_poles(self):
         rng = np.random.default_rng(17)
-        m = PureState(1.0, 2.0)
+        m = state_from_angles(1.0, 2.0)
         for _ in range(50):
-            outcome, collapsed = measure(m.bloch(), m, rng)
+            outcome, collapsed = measure(m, m, rng)
             assert outcome == 1
-            np.testing.assert_allclose(collapsed, m.bloch(), atol=1e-15)
-            outcome, collapsed = measure(-m.bloch(), m, rng)
+            np.testing.assert_allclose(collapsed, m, atol=1e-15)
+            outcome, collapsed = measure(-m, m, rng)
             assert outcome == -1
-            np.testing.assert_allclose(collapsed, -m.bloch(), atol=1e-15)
+            np.testing.assert_allclose(collapsed, -m, atol=1e-15)
 
     def test_projection_idempotent(self):
         rng = np.random.default_rng(18)
         for _ in range(100):
             s = state_from_angles(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
-            m = PureState(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
+            m = state_from_angles(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
             outcome, collapsed = measure(s, m, rng)
             for _ in range(3):
                 again, collapsed = measure(collapsed, m, rng)
@@ -192,14 +190,14 @@ class TestMeasure:
         rng = np.random.default_rng(19)
         s = state_from_angles(math.pi / 2, 0.0)   # orthogonal to z
         n = 100_000
-        hits = sum(measure(s, PureState(0.0), rng)[0] == 1 for _ in range(n))
+        hits = sum(measure(s, Z_PLUS, rng)[0] == 1 for _ in range(n))
         sigma = math.sqrt(0.25 / n)
         assert abs(hits / n - 0.5) < 4 * sigma
 
     def test_generic_direction_frequency(self):
         rng = np.random.default_rng(20)
         s = state_from_angles(0.4, 0.3)
-        m = PureState(1.2, 2.0)
+        m = state_from_angles(1.2, 2.0)
         p = born_probability(s, m)
         n = 100_000
         hits = sum(measure(s, m, rng)[0] == 1 for _ in range(n))
@@ -245,11 +243,6 @@ class TestDetectionModel:
         with pytest.raises(ValueError):
             DetectionModel(eta0=0.4, eta1=0.9)
         with pytest.raises(ValueError):
-            DetectionModel(eta0=0.9, eta1=0.9, on_mean=5.0, off_mean=0.2, threshold=None)
-        with pytest.raises(ValueError):
-            # stored efficiencies inconsistent with the Poisson tails
-            DetectionModel(eta0=0.99, eta1=0.99, on_mean=5.0, off_mean=0.2, threshold=0)
-        with pytest.raises(ValueError):
             DetectionModel.from_counts(on_mean=5.0, off_mean=0.2, threshold=-1)
         # a threshold starving eta1 below 1/2 is not a valid model
         with pytest.raises(ValueError):
@@ -267,6 +260,14 @@ class TestDetectionModel:
             expected = stats.poisson.cdf(thresholds, mean)
             got = [bloch._poisson_cdf(float(mean), int(k)) for k in thresholds]
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-14)
+
+    def test_counting_efficiencies_are_poisson_tails(self):
+        # eta0 = P(count <= k | off), eta1 = P(count > k | on)
+        for on_mean, off_mean, threshold in ((5.3, 0.2, 0), (5.3, 0.2, 1), (12.0, 2.5, 5),
+                                             (40.0, 0.0, 20)):
+            model = DetectionModel.from_counts(on_mean, off_mean, threshold)
+            assert abs(model.eta0 - stats.poisson.cdf(threshold, off_mean)) <= 1e-14
+            assert abs(model.eta1 - stats.poisson.sf(threshold, on_mean)) <= 1e-14
 
     def test_poisson_cdf_matches_scipy_at_large_means(self):
         # the log-form exponent cancels terms of size mean*log(mean), which

@@ -191,13 +191,13 @@ class TestTomographySampled:
     def test_matches_exact_at_large_shots(self):
         rng = np.random.default_rng(9)
         original = random_physical_channel(rng)
-        estimate, _ = tomography_sampled(original, 2_000_000, seed=1)
+        estimate, _, _ = tomography_sampled(original, 2_000_000, seed=1)
         np.testing.assert_allclose(estimate.m, original.m, atol=5e-3)
         np.testing.assert_allclose(estimate.v, original.v, atol=5e-3)
 
     def test_identity_within_binomial_propagation(self):
         shots = 10_000
-        estimate, errors = tomography_sampled(identity_channel(), shots, seed=2)
+        estimate, _, _ = tomography_sampled(identity_channel(), shots, seed=2)
         # true-probability propagation: diagonal entries combine vars
         # 0, 1/4, 1/4; off-diagonals 1/4, 1/4, 1/4
         sig_diag = math.sqrt(0.5 / shots)
@@ -211,14 +211,14 @@ class TestTomographySampled:
         assert np.max(np.abs(estimate.m - np.eye(3))) < 5 * 0.015
 
     def test_error_estimates_scale_with_shots(self):
-        _, e1 = tomography_sampled(depolarizing(0.1), 10_000, seed=3)
-        _, e2 = tomography_sampled(depolarizing(0.1), 40_000, seed=4)
-        ratio = np.median(e1.m_err) / np.median(e2.m_err)
+        _, m_err1, _ = tomography_sampled(depolarizing(0.1), 10_000, seed=3)
+        _, m_err2, _ = tomography_sampled(depolarizing(0.1), 40_000, seed=4)
+        ratio = np.median(m_err1) / np.median(m_err2)
         assert ratio == pytest.approx(2.0, rel=0.15)
 
     def test_reproducible(self):
-        a, _ = tomography_sampled(phase_damping(0.2, [0, 1, 0]), 1000, seed=5)
-        b, _ = tomography_sampled(phase_damping(0.2, [0, 1, 0]), 1000, seed=5)
+        a, _, _ = tomography_sampled(phase_damping(0.2, [0, 1, 0]), 1000, seed=5)
+        b, _, _ = tomography_sampled(phase_damping(0.2, [0, 1, 0]), 1000, seed=5)
         np.testing.assert_array_equal(a.m, b.m)
 
     def test_shots_validated(self):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from ionqsim import cli
-from ionqsim.bloch import rabi_excitation_probability
+from ionqsim.bloch import DetectionModel, rabi_excitation_probability
 from ionqsim.cli import run
 
 
@@ -268,6 +268,22 @@ class TestZenoModes:
     def test_incomplete_poisson_flags_rejected(self):
         assert run(["zeno", "--on-mean", "5.3"]) == 2
 
+    @pytest.mark.parametrize("mode", [["--sequences", "2000"],
+                                      ["--mode", "runlength", "--pairs", "100000"]])
+    def test_counting_readout_is_its_two_efficiencies(self, tmp_path, mode):
+        # only the on/off result is kept, so a threshold read-out and its
+        # two tail masses given as efficiencies write the same rows
+        model = DetectionModel.from_counts(5.3, 0.2, 1)
+        readouts = {"counts": ["--on-mean", "5.3", "--off-mean", "0.2", "--threshold", "1"],
+                    "tails": ["--eta0", repr(model.eta0), "--eta1", repr(model.eta1)]}
+        tables = {}
+        for name, flags in readouts.items():
+            out = tmp_path / f"{name}.csv"
+            assert run(["zeno", "--seed", "4"] + mode + flags + ["--out", str(out)]) == 0
+            meta, columns, rows = read_artifact(out)
+            tables[name] = (meta["seed"], meta["version"], columns, rows)
+        assert tables["counts"] == tables["tails"]
+
     @pytest.mark.parametrize("argv", [["--theta", "0", "--pairs", "1000"], ["--pairs", "1"]])
     def test_runlength_without_runs_of_length_one_is_numerical(self, tmp_path, capsys, argv):
         # a valid input whose record ends no run of length 1: U(q)/U(1) is undefined
@@ -303,6 +319,16 @@ class TestLowerBounds:
         monkeypatch.setattr("ionqsim.estimation.random_direction", draw)
         out = tmp_path / "fid.csv"
         assert run(["estimate", "--states", "10"] + argv + ["--out", str(out)]) == 2
+        assert not out.exists()
+
+
+class TestStrategyNames:
+    @pytest.mark.parametrize("strategy", ["bogus", "self_learning", "fixed_axes"])
+    def test_only_cli_names_accepted(self, tmp_path, capsys, strategy):
+        out = tmp_path / "fid.csv"
+        assert run(["estimate", "--strategy", strategy, "--n", "2", "--states", "3",
+                    "--out", str(out)]) == 2
+        assert "self | random | fixed" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -377,6 +403,9 @@ class TestExitCodes:
 
 # sha256 of zeno artifacts, recorded before trajectories were drawn in
 # blocks; a change here means the artifacts drifted and must be explained.
+# The two count-based digests were recorded again when a counting read-out
+# became its two efficiencies: it now draws one uniform per probe, not a
+# Poisson count, so its rows moved within their printed stderr.
 _ZENO_SURVIVAL = ["zeno", "--fractions", "1,2,3,4,10", "--sequences", "2000", "--seed", "7"]
 _ZENO_RUNLENGTH = ["zeno", "--mode", "runlength", "--theta", "0.628318",
                    "--pairs", "1000000", "--qmax", "10"]
@@ -399,13 +428,13 @@ class TestGoldenArtifacts:
         (_ZENO_SURVIVAL + _EFFICIENCIES,
          "36f1d436f32a1ee158611139e6fa5ce8b77997611bd68909f51260e9c1505658"),
         (_ZENO_SURVIVAL + _COUNTS,
-         "27712b7beb80bce58e76b64f506a78439bb38ae61807d1f8ab32157709393a36"),
+         "c1d32892f62aff855ddc1c7bcf6af6095cc57f966d738d7130f6ac8f4e2cbe56"),
         (_ZENO_RUNLENGTH,
          "96626f9939f1d96da6daa12c04d7738f26d409b34cea7da89b33ae453fd5f230"),
         (_ZENO_RUNLENGTH + _EFFICIENCIES,
          "ea638520236340120335c68b185f4682695fb13d1b13b70bf9934ca5e77235d0"),
         (_ZENO_RUNLENGTH + _COUNTS,
-         "2387329d10aca1943f42d42d3d103ae696620f7ee5215ae842789e81dadb8ef3"),
+         "cb4bda372c42b9b7b52fa75664cdb3766d2846ff98338927d49fa4df477e647f"),
     ])
     def test_zeno_artifact_digest(self, tmp_path, argv, digest):
         out = tmp_path / "zeno.csv"

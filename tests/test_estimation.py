@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ionqsim.bloch import PureState
+from ionqsim.bloch import state_from_angles
 from ionqsim.estimation import (STRATEGIES, DegenerateUpdateError,
                                 ImperfectionParams, SphereDistribution,
                                 apply_imperfections,
@@ -359,21 +359,22 @@ class TestImperfections:
 class TestRunEstimation:
     def test_returns_consistent_record(self):
         estimate, fidelity, directions, outcomes = run_estimation(
-            (3 * math.pi / 4, math.pi / 4), n=12, strategy="self_learning", seed=42)
+            state_from_angles(3 * math.pi / 4, math.pi / 4), n=12, strategy="self_learning",
+            seed=42)
         assert directions.shape == (12, 3)
         assert set(np.unique(outcomes)) <= {-1, 1}
         assert 0.0 <= fidelity <= 1.0
         assert abs(np.linalg.norm(estimate) - 1.0) < 1e-9
 
     def test_reproducible(self):
-        a = run_estimation(PureState(1.0, 2.0), n=6, strategy="self_learning", seed=5)
-        b = run_estimation(PureState(1.0, 2.0), n=6, strategy="self_learning", seed=5)
+        a = run_estimation(state_from_angles(1.0, 2.0), n=6, strategy="self_learning", seed=5)
+        b = run_estimation(state_from_angles(1.0, 2.0), n=6, strategy="self_learning", seed=5)
         np.testing.assert_array_equal(a[3], b[3])
         np.testing.assert_allclose(a[0], b[0], atol=0)
 
     def test_fixed_axes_cycle(self):
-        _, _, directions, _ = run_estimation(PureState(0.3, 0.0), n=6, strategy="fixed_axes",
-                                             seed=1)
+        _, _, directions, _ = run_estimation(state_from_angles(0.3, 0.0), n=6,
+                                             strategy="fixed_axes", seed=1)
         np.testing.assert_allclose(directions[:3], np.eye(3), atol=1e-15)
         np.testing.assert_allclose(directions[3:], np.eye(3), atol=1e-15)
 
@@ -396,9 +397,9 @@ class TestRunEstimation:
 
     def test_strategy_validation(self):
         with pytest.raises(ValueError):
-            run_estimation(PureState(0.2, 0.1), n=2, strategy="bogus", seed=0)
+            run_estimation(state_from_angles(0.2, 0.1), n=2, strategy="bogus", seed=0)
         with pytest.raises(ValueError):
-            run_estimation(PureState(0.2, 0.1), n=0, strategy="self_learning", seed=0)
+            run_estimation(state_from_angles(0.2, 0.1), n=0, strategy="self_learning", seed=0)
 
     @pytest.mark.parametrize("n, strategy", [(0, "self_learning"), (12, "bogus")])
     def test_ensemble_rejects_bad_run_before_drawing(self, monkeypatch, n, strategy):

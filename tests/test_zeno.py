@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ionqsim.bloch import BLOCK, DetectionModel, detect
-from ionqsim.zeno import (ZenoConfig, corrected_survival,
+from ionqsim.zeno import (corrected_survival,
                           net_transition_probability, run_length_distribution,
                           run_length_ratio, simulate_alternating,
                           simulate_fractionated_pi, survival_probability)
@@ -63,60 +63,57 @@ class TestNetTransitionProbability:
 
 class TestFractionatedPi:
     def test_single_fraction_never_survives(self):
-        cfg = ZenoConfig(n_fractions=1, sequences=500)
-        freq, records = simulate_fractionated_pi(cfg, seed=1)
+        freq, records = simulate_fractionated_pi(1, 500, seed=1)
         assert freq == 0.0
         assert records.shape == (500, 1)
         assert records.all()   # every probe sees "on"
 
     @pytest.mark.parametrize("n,sequences", [(2, 5000), (3, 5000), (4, 5000), (10, 2000)])
     def test_matches_analytic_survival(self, n, sequences):
-        cfg = ZenoConfig(n_fractions=n, sequences=sequences)
-        freq, _ = simulate_fractionated_pi(cfg, seed=100 + n)
+        freq, _ = simulate_fractionated_pi(n, sequences, seed=100 + n)
         p = survival_probability(math.pi / n, n)
         sigma = math.sqrt(p * (1 - p) / sequences)
         assert abs(freq - p) < 4 * sigma
 
     def test_small_run_against_theory(self):
         # 2000/N sequences as in the lab protocol
-        cfg = ZenoConfig(n_fractions=10, sequences=200)
-        freq, _ = simulate_fractionated_pi(cfg, seed=7)
+        freq, _ = simulate_fractionated_pi(10, 200, seed=7)
         p = 0.7805460697811405
         assert abs(freq - p) < 4 * math.sqrt(p * (1 - p) / 200)
 
     def test_n4_value(self):
         # cos^8(pi/8) = 0.53079... by direct evaluation
-        cfg = ZenoConfig(n_fractions=4, sequences=20000)
-        freq, _ = simulate_fractionated_pi(cfg, seed=3)
+        freq, _ = simulate_fractionated_pi(4, 20000, seed=3)
         p = math.cos(math.pi / 8) ** 8
         assert p == pytest.approx(0.5307900429449552, abs=1e-12)
         assert abs(freq - p) < 4 * math.sqrt(p * (1 - p) / 20000)
 
     def test_bit_reproducible(self):
-        cfg = ZenoConfig(n_fractions=5, sequences=300, prep_efficiency=0.82,
-                         detection=DetectionModel.from_counts(5.3, 0.2, 0))
-        f1, r1 = simulate_fractionated_pi(cfg, seed=99)
-        f2, r2 = simulate_fractionated_pi(cfg, seed=99)
+        losses = {"detection": DetectionModel.from_counts(5.3, 0.2, 0), "prep_efficiency": 0.82}
+        f1, r1 = simulate_fractionated_pi(5, 300, 99, **losses)
+        f2, r2 = simulate_fractionated_pi(5, 300, 99, **losses)
         assert f1 == f2
         assert np.array_equal(r1, r2)
 
     def test_correction_recovers_ideal(self):
-        detection = DetectionModel(0.98, 0.995)
-        cfg = ZenoConfig(n_fractions=4, sequences=20000, detection=detection,
-                         prep_efficiency=0.9)
-        raw, _ = simulate_fractionated_pi(cfg, seed=11)
+        losses = {"detection": DetectionModel(0.98, 0.995), "prep_efficiency": 0.9}
+        raw, _ = simulate_fractionated_pi(4, 20000, 11, **losses)
         ideal = survival_probability(math.pi / 4, 4)
         # residual bias from neglected false-"off" reads stays below 0.03
-        assert abs(corrected_survival(raw, cfg) - ideal) < 0.03
+        assert abs(corrected_survival(raw, 4, **losses) - ideal) < 0.03
         assert abs(raw - ideal) > 0.05   # the correction actually does something
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            ZenoConfig(n_fractions=0, sequences=10)
+            simulate_fractionated_pi(0, 10, seed=0)
         with pytest.raises(ValueError):
-            ZenoConfig(n_fractions=2, sequences=0)
+            simulate_fractionated_pi(2, 0, seed=0)
         with pytest.raises(ValueError):
-            ZenoConfig(n_fractions=2, sequences=10, prep_efficiency=0.0)
+            simulate_fractionated_pi(2, 10, seed=0, prep_efficiency=0.0)
+        with pytest.raises(ValueError):
+            corrected_survival(0.5, 0)
+        with pytest.raises(ValueError):
+            corrected_survival(0.5, 2, prep_efficiency=0.0)
 
 
 class TestAlternating:
@@ -186,8 +183,6 @@ class TestRunLengths:
 
 def whole_array_detect(true_on, model, rng):
     """Reference read-out: every draw made in one whole-array call."""
-    if model.on_mean is not None:
-        return rng.poisson(np.where(true_on, model.on_mean, model.off_mean)) > model.threshold
     if model.eta0 == 1.0 and model.eta1 == 1.0:
         return true_on.copy()
     return rng.random(true_on.shape) < np.where(true_on, model.eta1, 1.0 - model.eta0)
@@ -204,7 +199,7 @@ def whole_array_runs(results):
     return {int(q): counts[q] / total for q in range(1, counts.size) if counts[q] > 0}, total
 
 
-READOUTS = [DetectionModel.ideal(), DetectionModel(0.97, 0.95),
+READOUTS = [DetectionModel(), DetectionModel(0.97, 0.95),
             DetectionModel.from_counts(5.3, 0.2, 1)]
 LENGTHS = [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7]
 
@@ -227,13 +222,13 @@ class TestStreamedDraws:
     @pytest.mark.parametrize("length", LENGTHS)
     def test_fractionated(self, length, model):
         n, seq = 3, length // 3 + 1
-        cfg = ZenoConfig(n_fractions=n, sequences=seq, detection=model, prep_efficiency=0.9)
         rng = np.random.default_rng(length)
         prepared_wrong = rng.random(seq) >= 0.9
         flips = rng.random((seq, n)) < math.sin(0.5 * math.pi / n) ** 2
         true_on = (prepared_wrong[:, None].astype(np.int64) + np.cumsum(flips, axis=1)) % 2 == 1
         expected = whole_array_detect(true_on, model, rng)
-        survival, records = simulate_fractionated_pi(cfg, seed=length)
+        survival, records = simulate_fractionated_pi(n, seq, length, detection=model,
+                                                     prep_efficiency=0.9)
         assert np.array_equal(records, expected)
         assert survival == float(np.mean(~expected.any(axis=1)))
 
