@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import as_generator, state_from_angles
-from .sphere import _frame_to, rotation_matrix
+from .sphere import _frame_to, _row_norm, rotation_matrix
 
 # The inputs +x, +y, +z, -z sent through a box: the rows j of its
 # probability table P[j, i], whose columns are the read-out axes x, y, z.
@@ -46,7 +46,10 @@ class AffineChannel:
         v.flags.writeable = False
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
-        return self.m @ np.asarray(s, dtype=float) + self.v
+        """M s + v for one (3,) or many (..., 3) Bloch vectors; each row
+        of a stack rounds exactly as it would on its own."""
+        s = np.asarray(s, dtype=float)
+        return (self.m @ s[..., None])[..., 0] + self.v
 
     def is_physical(self, tol: float = 1e-9) -> bool:
         """Exact complete-positivity test: the Choi matrix
@@ -103,11 +106,11 @@ def compose(first: AffineChannel, second: AffineChannel) -> AffineChannel:
 
 
 def apply(channel: AffineChannel, s: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """M s + v, guarding the Bloch ball."""
+    """M s + v, guarding the Bloch ball row by row."""
     out = channel(s)
-    if np.linalg.norm(out) > 1.0 + tol:
-        raise ChannelInvalidError(
-            f"channel output left the Bloch ball: |s'| = {np.linalg.norm(out)}")
+    norm = _row_norm(out)
+    if np.any(norm > 1.0 + tol):
+        raise ChannelInvalidError(f"channel output left the Bloch ball: |s'| = {np.max(norm)}")
     return out
 
 

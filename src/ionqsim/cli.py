@@ -18,16 +18,13 @@ import numpy as np
 
 from . import __version__, constants
 from .bloch import DetectionModel, DrivePulse, rabi_excitation_probability, ramsey_probability
-from .channels import (ChannelInvalidError, channel_from_spec, tomography_exact,
-                       tomography_sampled)
-from .estimation import (DegenerateUpdateError, ImperfectionParams,
-                         mean_fidelity_experiment)
+from .channels import (ChannelInvalidError, affine_shift, channel_from_spec, compose,
+                       depolarizing, tomography_exact, tomography_sampled)
+from .estimation import DegenerateUpdateError, mean_fidelity_experiment
 from .ionchain import (ConvergenceError, NotAMinimumError, TrapConfig,
                        length_scale, required_gradient, spin_spin_couplings)
 from .zeno import (corrected_survival, run_length_distribution, run_length_ratio,
                    simulate_alternating, simulate_fractionated_pi, survival_probability)
-
-CONSTANTS_ENV = "IONQSIM_CONSTANTS"
 
 NUMERICAL_ERRORS = (ConvergenceError, NotAMinimumError, ChannelInvalidError,
                     DegenerateUpdateError, FloatingPointError, np.linalg.LinAlgError)
@@ -166,26 +163,25 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _emit(path, text: str) -> None:
+    """Write text to the file at path, or to stdout when path is None."""
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text)
+
+
 def _write_csv(path, meta: dict, columns: list, rows: list) -> None:
     lines = [f"# {key}={meta[key]}" for key in ("seed", "config_hash", "version")]
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    _emit(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path, payload: dict) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    _emit(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _require_at_least(params: dict, name: str, low: int) -> None:
@@ -249,7 +245,9 @@ def _cmd_zeno(params: dict, out) -> int:
             theory = survival_probability(params["theta"], q - 1)
             n_q = dist.get(q, 0.0) * total_runs
             n_1 = dist.get(1, 0.0) * total_runs
-            stderr = ratio * math.sqrt(1.0 / n_q + 1.0 / n_1) if n_q and n_1 else 0.0
+            # U(1)/U(1) is exactly 1; for q > 1 the multinomial covariance terms
+            # of the delta method cancel, leaving exactly 1/n_q + 1/n_1
+            stderr = ratio * math.sqrt(1.0 / n_q + 1.0 / n_1) if q > 1 and n_q and n_1 else 0.0
             rows.append((q, theory, ratio, stderr))
     else:
         raise ConfigError(f"unknown zeno mode {params['mode']!r}")
@@ -262,9 +260,18 @@ def _cmd_estimate(params: dict, out) -> int:
         raise ConfigError(f"unknown strategy {params['strategy']!r}; "
                           f"choose from {' | '.join(_STRATEGY_ALIASES)}")
     kind = _STRATEGY_ALIASES[params["strategy"]]
-    imperfections = ImperfectionParams(lam=params["lambda"], delta_eta=params["delta_eta"])
+    channel = compose(depolarizing(params["lambda"]),
+                      affine_shift([0.0, 0.0, 2.0 * params["delta_eta"]]))
+    if abs(params["delta_eta"]) > 0.25:
+        raise ConfigError(f"'delta_eta' must lie in [-1/4, 1/4], got {params['delta_eta']}")
+    # the smallest Choi eigenvalue is lambda - |delta_eta|: this tolerance is
+    # the ball rule |1 - 2 lambda| + 2 |delta_eta| <= 1 + 1e-12, and it keeps
+    # every accepted channel inside apply's guard
+    if not channel.is_physical(5e-13):
+        raise ConfigError(f"lambda = {params['lambda']} and delta_eta = {params['delta_eta']} "
+                          "push pure states outside the Bloch ball (need |delta_eta| <= lambda)")
     mean, stderr, fidelities = mean_fidelity_experiment(
-        params["states"], params["n"], kind, imperfections, seed=params["seed"])
+        params["states"], params["n"], kind, channel, seed=params["seed"])
     meta = _meta("estimate", params)
     summary = {
         "meta": meta,
@@ -361,14 +368,6 @@ _DISPATCH = {
 
 def run(argv) -> int:
     """Parse argv, execute one subcommand, write artifacts; returns exit code."""
-    override_path = os.environ.get(CONSTANTS_ENV)
-    if override_path:
-        try:
-            with open(override_path) as fh:
-                constants.apply_overrides(json.load(fh))
-        except (OSError, json.JSONDecodeError, ValueError) as exc:
-            print(f"error: bad constants table {override_path}: {exc}", file=sys.stderr)
-            return 2
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -65,42 +65,13 @@ class Species:
 # 171Yb+ ground-state qubit: |S_1/2, F=0> <-> |S_1/2, F=1, m_F=0>,
 # hyperfine splitting 12.6428 GHz.  g_j is taken as the free-electron
 # value 2 (pure S state); the nuclear term only enters at the 5e-4 level.
-def _build_species():
-    yb171 = Species.from_amu(
-        170.936,
-        g_j=2.0,
-        g_i=0.98734,
-        e_hfs=PLANCK_H * 12.6428121e9,
-        i_nuc=0.5,
-        name="171Yb+",
-    )
-    return yb171, {"yb171": yb171}
+YB171 = Species.from_amu(
+    170.936,
+    g_j=2.0,
+    g_i=0.98734,
+    e_hfs=PLANCK_H * 12.6428121e9,
+    i_nuc=0.5,
+    name="171Yb+",
+)
 
-
-YB171, SPECIES_REGISTRY = _build_species()
-
-_OVERRIDABLE = {
-    "E_CHARGE", "EPSILON_0", "HBAR", "PLANCK_H", "MU_B", "MU_N",
-    "M_ELECTRON", "M_PROTON", "AMU", "COULOMB_E2",
-}
-
-
-def apply_overrides(table: dict) -> None:
-    """Replace constants from a mapping (testing hook).
-
-    Recognized keys are the module-level constant names plus
-    "provenance"; COULOMB_E2 is rederived unless overridden explicitly.
-    The species registry is rebuilt against the new values.
-    """
-    global CONSTANTS_PROVENANCE, COULOMB_E2, YB171, SPECIES_REGISTRY
-    unknown = set(table) - _OVERRIDABLE - {"provenance"}
-    if unknown:
-        raise ValueError(f"unknown constant names: {sorted(unknown)}")
-    for name, value in table.items():
-        if name == "provenance":
-            CONSTANTS_PROVENANCE = str(value)
-        else:
-            globals()[name] = float(value)
-    if "COULOMB_E2" not in table:
-        COULOMB_E2 = E_CHARGE**2 / (4.0 * 3.141592653589793 * EPSILON_0)
-    YB171, SPECIES_REGISTRY = _build_species()
+SPECIES_REGISTRY = {"yb171": YB171}

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import Z_PLUS, as_direction, as_generator
+from .channels import AffineChannel, apply
 from .sphere import (SWEEP_POINTS, SphereGrid, _row_dot, _row_norm, maximize_on_sphere,
                      moment_grid)
 
@@ -82,14 +83,6 @@ class SphereDistribution:
 def uniform_prior(grid: SphereGrid) -> SphereDistribution:
     """The ignorance prior w = 1/(4 pi) on the given grid."""
     return SphereDistribution(grid, np.full(grid.size, 1.0 / FOUR_PI))
-
-
-def outcome_probability(dist: SphereDistribution, direction) -> float:
-    """Probability of finding the qubit along `direction`, integrated
-    over the current state of knowledge."""
-    m = as_direction(direction)
-    s_bar = dist.mean_vector()
-    return 0.5 * (1.0 + float(s_bar @ m))
 
 
 def bayes_update(dist: SphereDistribution, direction, outcome) -> SphereDistribution:
@@ -200,37 +193,6 @@ def optimal_next_direction(dist: SphereDistribution, scratch: dict | None = None
     return np.where(flat[..., None], Z_PLUS, best)
 
 
-@dataclass(frozen=True)
-class ImperfectionParams:
-    """Depolarization plus detection bias, in Bloch form.
-
-    lam is the depolarizing probability (shrinks s by 1 - 2*lam) and
-    delta_eta = (eta1 - eta0)/2 shifts s_z by 2*delta_eta.  The
-    combination must keep the image inside the unit ball.
-    """
-
-    lam: float = 0.0
-    delta_eta: float = 0.0
-
-    def __post_init__(self):
-        if not (0.0 <= self.lam <= 0.5):
-            raise ValueError(f"lam must lie in [0, 1/2], got {self.lam}")
-        if not (-0.25 <= self.delta_eta <= 0.25):
-            raise ValueError(f"delta_eta must lie in [-1/4, 1/4], got {self.delta_eta}")
-        if abs(1.0 - 2.0 * self.lam) + 2.0 * abs(self.delta_eta) > 1.0 + 1e-12:
-            raise ValueError("imperfection parameters push pure states outside the unit ball")
-
-
-def apply_imperfections(s: np.ndarray, params: ImperfectionParams) -> np.ndarray:
-    """Bloch image of rho -> (1-2 lam) rho + lam I + delta_eta sigma_z,
-    for one (3,) or many (..., 3) Bloch vectors."""
-    out = (1.0 - 2.0 * params.lam) * np.asarray(s, dtype=float)
-    out[..., 2] += 2.0 * params.delta_eta
-    if np.any(_row_norm(out) > 1.0 + 1e-9):
-        raise ValueError("imperfection map produced a Bloch vector outside the unit ball")
-    return out
-
-
 STRATEGIES = ("self_learning", "random", "fixed_axes")
 
 _FIXED_AXES = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
@@ -252,14 +214,17 @@ def _check_strategy(n: int, strategy: str) -> None:
 
 
 def run_estimation(true_state, n: int, strategy: str = "self_learning",
-                   imperfections: ImperfectionParams | None = None,
+                   channel: AffineChannel | None = None,
                    seed=None, grid: SphereGrid | None = None):
     """Estimate one qubit state, or a batch of them, from n single-copy
     measurements each, with a strategy from STRATEGIES.
 
     Each measurement consumes a fresh copy of the intended pure state
-    passed through the imperfection channel; the Bayesian update itself
-    assumes ideal conditions (as the experiment's algorithm did).
+    passed through `channel` (ideal if None; the experiment's
+    depolarization lam and detection bias delta_eta are
+    compose(depolarizing(lam), affine_shift((0, 0, 2 delta_eta)))); the
+    Bayesian update itself assumes ideal conditions (as the experiment's
+    algorithm did).
     Returns (estimate, fidelity, directions, outcomes): the estimated
     Bloch vector, its fidelity cos^2(gamma/2) against the intended pure
     state, the (n, 3) measurement axes and the (n,) outcomes of +/-1.
@@ -271,13 +236,12 @@ def run_estimation(true_state, n: int, strategy: str = "self_learning",
     `moment_grid(n)`, on which the moments are exact.
     """
     _check_strategy(n, strategy)
-    imperfections = imperfections or ImperfectionParams()
     single = np.ndim(true_state) < 2
     rngs = [as_generator(s) for s in ([seed] if single else seed)]
     target = as_direction(true_state).reshape(-1, 3)
     if len(rngs) != len(target):
         raise ValueError(f"got {len(rngs)} seeds for {len(target)} states")
-    transmitted = apply_imperfections(target, imperfections)
+    transmitted = target if channel is None else apply(channel, target)
 
     prior = uniform_prior(grid if grid is not None else moment_grid(n))
     dist = SphereDistribution(prior.grid,
@@ -306,7 +270,7 @@ def run_estimation(true_state, n: int, strategy: str = "self_learning",
 
 
 def mean_fidelity_experiment(num_states: int, n: int, strategy: str = "self_learning",
-                             imperfections: ImperfectionParams | None = None,
+                             channel: AffineChannel | None = None,
                              seed=None, grid: SphereGrid | None = None):
     """Mean estimation fidelity over an ensemble of random pure states.
 
@@ -328,7 +292,7 @@ def mean_fidelity_experiment(num_states: int, n: int, strategy: str = "self_lear
     fidelities = np.empty(num_states)
     for start in range(0, num_states, chunk):
         part = slice(start, start + chunk)
-        fidelities[part] = run_estimation(targets[part], n, strategy, imperfections,
+        fidelities[part] = run_estimation(targets[part], n, strategy, channel,
                                           seed=rngs[part], grid=grid)[1]
     mean = float(np.mean(fidelities))
     stderr = float(np.std(fidelities, ddof=1) / math.sqrt(num_states)) if num_states > 1 else 0.0

@@ -13,10 +13,10 @@ import pytest
 
 from ionqsim.bloch import (DrivePulse, Z_PLUS, born_probability, evolve,
                            state_from_angles)
-from ionqsim.channels import (identity_channel, phase_damping, tomography_exact,
-                              tomography_sampled)
+from ionqsim.channels import (depolarizing, identity_channel, phase_damping,
+                              tomography_exact, tomography_sampled)
 from ionqsim.constants import YB171
-from ionqsim.estimation import (ImperfectionParams, bayes_update, estimate_state,
+from ionqsim.estimation import (bayes_update, estimate_state,
                                 expected_mean_fidelity, mean_fidelity_experiment,
                                 optimal_fidelity_bound, optimal_next_direction,
                                 uniform_prior)
@@ -221,7 +221,7 @@ def test_criterion_7_trend_anchors():
     means = []
     for lam in (0.0, 0.1, 0.2):
         mean, _, _ = mean_fidelity_experiment(
-            300, 12, "self_learning", ImperfectionParams(lam=lam), seed=701)
+            300, 12, "self_learning", depolarizing(lam), seed=701)
         means.append(mean)
     assert means[0] > means[1] > means[2], means
 

@@ -153,6 +153,25 @@ class TestComposeApply:
         with pytest.raises(ChannelInvalidError):
             apply(bad, [1.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("rows", [3, 5])
+    def test_stack_maps_row_by_row(self, rows):
+        rng = np.random.default_rng(17 + rows)
+        for _ in range(20):
+            channel = random_physical_channel(rng)
+            stack = fibonacci_sphere(rows) * rng.uniform(0, 1, (rows, 1))
+            expected = np.array([channel(s) for s in stack])
+            np.testing.assert_array_equal(channel(stack), expected)
+            np.testing.assert_array_equal(apply(channel, stack), expected)
+            np.testing.assert_array_equal(channel(stack.reshape(1, rows, 3))[0], expected)
+
+    def test_apply_flags_one_bad_row_of_a_stack(self):
+        shift = affine_shift([0.2, 0.0, 0.0])
+        stack = np.array([[0.0, 0.0, 0.5], [0.0, 0.3, 0.0], [0.9, 0.0, 0.0],
+                          [-0.5, 0.5, 0.0], [0.0, 0.0, -0.9]])
+        apply(shift, np.delete(stack, 2, axis=0))
+        with pytest.raises(ChannelInvalidError):
+            apply(shift, stack)
+
 
 class TestTomographyExact:
     def test_identity_box(self):

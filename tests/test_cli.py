@@ -284,6 +284,16 @@ class TestZenoModes:
             tables[name] = (meta["seed"], meta["version"], columns, rows)
         assert tables["counts"] == tables["tails"]
 
+    @pytest.mark.parametrize("argv", [["--theta", "0.628318", "--pairs", "100000"],
+                                      ["--theta", "-0.5", "--pairs", "100", "--qmax", "2"]])
+    def test_runlength_ratio_at_one_has_no_stderr(self, tmp_path, argv):
+        # U(1)/U(1) is exactly 1 whatever the counts; q > 1 keeps its stderr
+        out = tmp_path / "rl.csv"
+        assert run(["zeno", "--mode", "runlength"] + argv + ["--out", str(out)]) == 0
+        _, _, rows = read_artifact(out)
+        assert rows[0][2:] == ["1", "0"]
+        assert all(float(row[3]) > 0.0 for row in rows[1:])
+
     @pytest.mark.parametrize("argv", [["--theta", "0", "--pairs", "1000"], ["--pairs", "1"]])
     def test_runlength_without_runs_of_length_one_is_numerical(self, tmp_path, capsys, argv):
         # a valid input whose record ends no run of length 1: U(q)/U(1) is undefined
@@ -332,6 +342,24 @@ class TestStrategyNames:
         assert not out.exists()
 
 
+class TestEstimateNoise:
+    # exit 2 where the depolarization lambda and detection bias delta_eta
+    # push a pure state outside the Bloch ball (|delta_eta| > lambda, beyond
+    # the ball rule's 1e-12 slack in 1 - 2 lambda + 2 |delta_eta|), or lie
+    # outside their ranges; never exit 1 from the channel's own ball guard
+    @pytest.mark.parametrize("lam, delta_eta, code", [
+        ("0", "0.05", 2), ("0.1", "0.3", 2), ("0.6", "0", 2), ("0.1", "0.100000001", 2),
+        ("0.1", "0.1000000000008", 2), ("0.05", "0.05", 0), ("0.5", "0.25", 0),
+        ("0.1", "0.1000000000004", 0), ("0.5", "-0.25", 0),
+    ])
+    def test_exit_code(self, tmp_path, capsys, lam, delta_eta, code):
+        out = tmp_path / "fid.csv"
+        assert run(["estimate", "--strategy", "random", "--n", "2", "--states", "3",
+                    "--lambda", lam, f"--delta-eta={delta_eta}", "--out", str(out)]) == code
+        assert out.exists() == (code == 0)
+        capsys.readouterr()
+
+
 class TestChainFieldModes:
     def test_local_field_factor_close_to_weak_limit(self, tmp_path):
         out = tmp_path / "c.json"
@@ -349,26 +377,6 @@ class TestConstantsHook:
         assert run(["--version"]) == 0
         out = capsys.readouterr().out
         assert "ionqsim" in out and "CODATA-2018" in out
-
-    def test_env_override_in_subprocess(self, tmp_path):
-        table = tmp_path / "constants.json"
-        table.write_text(json.dumps({"provenance": "TEST-TABLE", "MU_B": 2 * 9.2740100783e-24}))
-        env = dict(os.environ, IONQSIM_CONSTANTS=str(table),
-                   PYTHONPATH=os.pathsep.join(sys.path))
-        version = subprocess.run([sys.executable, "-m", "ionqsim.cli", "--version"],
-                                 capture_output=True, text=True, env=env)
-        assert "TEST-TABLE" in version.stdout
-
-        out = tmp_path / "chain.json"
-        subprocess.run([sys.executable, "-m", "ionqsim.cli", "chain", "--n", "2",
-                        "--out", str(out)], check=True, env=env)
-        doubled = json.loads(out.read_text())["J_hz"][1][0]
-        subprocess.run([sys.executable, "-m", "ionqsim.cli", "chain", "--n", "2",
-                        "--out", str(out)], check=True,
-                       env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
-        normal = json.loads(out.read_text())["J_hz"][1][0]
-        # J scales with the squared frequency gradient, i.e. mu_B^2
-        assert doubled / normal == pytest.approx(4.0, rel=1e-9)
 
 
 class TestStartup:
@@ -405,7 +413,9 @@ class TestExitCodes:
 # blocks; a change here means the artifacts drifted and must be explained.
 # The two count-based digests were recorded again when a counting read-out
 # became its two efficiencies: it now draws one uniform per probe, not a
-# Poisson count, so its rows moved within their printed stderr.
+# Poisson count, so its rows moved within their printed stderr.  The three
+# runlength digests were recorded again when the q = 1 row's stderr became
+# 0, as U(1)/U(1) is exactly 1; no other field changed.
 _ZENO_SURVIVAL = ["zeno", "--fractions", "1,2,3,4,10", "--sequences", "2000", "--seed", "7"]
 _ZENO_RUNLENGTH = ["zeno", "--mode", "runlength", "--theta", "0.628318",
                    "--pairs", "1000000", "--qmax", "10"]
@@ -430,11 +440,11 @@ class TestGoldenArtifacts:
         (_ZENO_SURVIVAL + _COUNTS,
          "c1d32892f62aff855ddc1c7bcf6af6095cc57f966d738d7130f6ac8f4e2cbe56"),
         (_ZENO_RUNLENGTH,
-         "96626f9939f1d96da6daa12c04d7738f26d409b34cea7da89b33ae453fd5f230"),
+         "e2a90f0ca80a07c536b66f270ef138384e0a9d3c44be566326d54eb01b294878"),
         (_ZENO_RUNLENGTH + _EFFICIENCIES,
-         "ea638520236340120335c68b185f4682695fb13d1b13b70bf9934ca5e77235d0"),
+         "5586d5eeb3090a8b04ee8acdb61824e57721bec7a23cb1ff5386be12d0ceae9f"),
         (_ZENO_RUNLENGTH + _COUNTS,
-         "cb4bda372c42b9b7b52fa75664cdb3766d2846ff98338927d49fa4df477e647f"),
+         "6212e6d3fce003cf6a1476d59d01e6d1104f620949bace8add3c457edf2c0674"),
     ])
     def test_zeno_artifact_digest(self, tmp_path, argv, digest):
         out = tmp_path / "zeno.csv"

@@ -3,15 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from ionqsim.bloch import state_from_angles
-from ionqsim.estimation import (STRATEGIES, DegenerateUpdateError,
-                                ImperfectionParams, SphereDistribution,
-                                apply_imperfections,
+from ionqsim.bloch import born_probability, state_from_angles
+from ionqsim.channels import affine_shift, apply, compose, depolarizing
+from ionqsim.estimation import (STRATEGIES, DegenerateUpdateError, SphereDistribution,
                                 bayes_update, estimate_state,
                                 expected_mean_fidelity, fidelity_map,
                                 mean_fidelity_experiment, optimal_fidelity_bound,
-                                optimal_next_direction, outcome_probability,
-                                random_direction, run_estimation, uniform_prior)
+                                optimal_next_direction, random_direction,
+                                run_estimation, uniform_prior)
 from ionqsim.sphere import SphereGrid, fibonacci_sphere, moment_grid, rotate, rotation_matrix
 from oracles import imperfection_oracle
 
@@ -21,6 +20,11 @@ GRID = SphereGrid.build(64, 128)
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
 Y = np.array([0.0, 1.0, 0.0])
+
+
+def _imperfect(lam, delta_eta=0.0):
+    """The experiment's depolarization plus detection bias, as a channel."""
+    return compose(depolarizing(lam), affine_shift([0.0, 0.0, 2.0 * delta_eta]))
 
 
 def _grid_cos_half_sq(grid):
@@ -80,19 +84,19 @@ class TestOutcomeProbability:
         rng = np.random.default_rng(0)
         for _ in range(20):
             m = random_direction(rng)
-            assert outcome_probability(prior, m) == pytest.approx(0.5, abs=1e-12)
+            assert born_probability(prior.mean_vector(), m) == pytest.approx(0.5, abs=1e-12)
 
     def test_concentrated_density(self):
         grid = uniform_prior(GRID).grid
         kappa = 400.0
         values = np.exp(kappa * (grid.units @ Z - 1.0))
         dist = SphereDistribution(grid, values / grid.integrate(values))
-        assert outcome_probability(dist, Z) > 0.99
+        assert born_probability(dist.mean_vector(), Z) > 0.99
 
     def test_posterior_after_one_z_result(self):
         # integral of cos^4(t/2) / (2 pi) over the sphere = 2/3
         post = bayes_update(uniform_prior(GRID), Z, +1)
-        assert outcome_probability(post, Z) == pytest.approx(2.0 / 3.0, abs=1e-12)
+        assert born_probability(post.mean_vector(), Z) == pytest.approx(2.0 / 3.0, abs=1e-12)
 
     def test_completeness(self):
         rng = np.random.default_rng(1)
@@ -101,7 +105,8 @@ class TestOutcomeProbability:
             dist = bayes_update(dist, random_direction(rng), rng.choice([-1, 1]))
         for _ in range(20):
             m = random_direction(rng)
-            total = outcome_probability(dist, m) + outcome_probability(dist, -m)
+            s_bar = dist.mean_vector()
+            total = born_probability(s_bar, m) + born_probability(s_bar, -m)
             assert total == pytest.approx(1.0, abs=1e-10)
 
 
@@ -317,17 +322,16 @@ class TestOptimalNextDirection:
 class TestImperfections:
     def test_identity_when_ideal(self):
         s = np.array([0.3, -0.2, 0.5])
-        np.testing.assert_allclose(apply_imperfections(s, ImperfectionParams()),
-                                   s, atol=1e-15)
+        np.testing.assert_allclose(apply(_imperfect(0.0), s), s, atol=1e-15)
 
     def test_depolarization_shrinks_z(self):
-        out = apply_imperfections(Z, ImperfectionParams(lam=0.1))
+        out = apply(_imperfect(0.1), Z)
         np.testing.assert_allclose(out, [0, 0, 0.8], atol=1e-15)
 
     def test_bias_shifts_center(self):
         # lam = delta_eta = 0.05 keeps the map physical; the center moves
         # to 2*delta_eta as in the density-matrix picture
-        out = apply_imperfections(np.zeros(3), ImperfectionParams(lam=0.05, delta_eta=0.05))
+        out = apply(_imperfect(0.05, 0.05), np.zeros(3))
         np.testing.assert_allclose(out, [0, 0, 0.1], atol=1e-15)
 
     def test_matches_density_matrix_oracle(self):
@@ -336,24 +340,21 @@ class TestImperfections:
             s = random_direction(rng) * rng.uniform(0, 1)
             lam = rng.uniform(0, 0.5)
             delta_eta = rng.uniform(-1, 1) * min(0.25, lam)
-            params = ImperfectionParams(lam=lam, delta_eta=delta_eta)
-            got = apply_imperfections(s, params)
+            got = apply(_imperfect(lam, delta_eta), s)
             np.testing.assert_allclose(got, imperfection_oracle(s, lam, delta_eta),
                                        atol=1e-12)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            ImperfectionParams(lam=0.6)
-        with pytest.raises(ValueError):
-            ImperfectionParams(lam=0.1, delta_eta=0.3)
-        with pytest.raises(ValueError):
-            # image of a pure state would leave the unit ball
-            ImperfectionParams(lam=0.0, delta_eta=0.05)
+            _imperfect(0.6)
+        assert not _imperfect(0.1, 0.3).is_physical()
+        # image of a pure state would leave the unit ball
+        assert not _imperfect(0.0, 0.05).is_physical()
+        assert _imperfect(0.05, 0.05).is_physical()
 
     def test_output_ball_check(self):
-        params = ImperfectionParams(lam=0.05, delta_eta=0.05)
         with pytest.raises(ValueError):
-            apply_imperfections(np.array([0.0, 0.0, 1.4]), params)
+            apply(_imperfect(0.05, 0.05), np.array([0.0, 0.0, 1.4]))
 
 
 class TestRunEstimation:
@@ -444,11 +445,11 @@ class TestEnsembleProperties:
     def test_imperfections_lower_fidelity(self):
         ideal, _, _ = mean_fidelity_experiment(200, 6, "self_learning", seed=44)
         noisy, _, _ = mean_fidelity_experiment(
-            200, 6, "self_learning", ImperfectionParams(lam=0.2), seed=44)
+            200, 6, "self_learning", _imperfect(0.2), seed=44)
         assert noisy < ideal
 
 
-def _per_state_reference(num_states, n, strategy, imperfections, seed):
+def _per_state_reference(num_states, n, strategy, channel, seed):
     """mean_fidelity_experiment's seeding, one run_estimation per state, on 64x128."""
     grid = SphereGrid.build(64, 128)
     fidelities = []
@@ -456,7 +457,7 @@ def _per_state_reference(num_states, n, strategy, imperfections, seed):
                                                            dtype=np.uint64):
         rng = np.random.default_rng(int(state_seed))
         target = random_direction(rng)
-        fidelities.append(run_estimation(target, n, strategy, imperfections, seed=rng,
+        fidelities.append(run_estimation(target, n, strategy, channel, seed=rng,
                                          grid=grid)[1])
     return np.array(fidelities)
 
@@ -466,7 +467,7 @@ class TestBatchedEnsemble:
 
     CASES = [(kind, n, None) for kind in ("self_learning", "random", "fixed_axes")
              for n in (1, 4, 12)] + [
-        ("self_learning", 12, ImperfectionParams(lam=0.1, delta_eta=0.05))]
+        ("self_learning", 12, _imperfect(0.1, 0.05))]
 
     @pytest.mark.parametrize("kind,n,imperfections", CASES)
     def test_matches_per_state_reference(self, kind, n, imperfections):
