@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import as_generator, state_from_angles
-from .sphere import _frame_to, _row_norm, rotation_matrix
+from .sphere import _row_norm, rotation_matrix
 
 # The inputs +x, +y, +z, -z sent through a box: the rows j of its
 # probability table P[j, i], whose columns are the read-out axes x, y, z.
@@ -75,12 +75,11 @@ def _unit_axis(axis) -> np.ndarray:
 
 def phase_damping(lam: float, axis=(0.0, 0.0, 1.0)) -> AffineChannel:
     """Shrink the plane normal to `axis` by 1 - 2*lam; the axis itself
-    is untouched.  For axis = z this is diag(1-2lam, 1-2lam, 1)."""
+    is untouched: M = (1 - 2 lam) I + 2 lam a a^T for the unit axis a."""
     if not (0.0 <= lam <= 0.5):
         raise ValueError(f"lam must lie in [0, 1/2], got {lam}")
-    r = _frame_to(_unit_axis(axis))
-    m = r @ np.diag([1.0 - 2.0 * lam, 1.0 - 2.0 * lam, 1.0]) @ r.T
-    return AffineChannel(m, np.zeros(3))
+    a = _unit_axis(axis)
+    return AffineChannel((1.0 - 2.0 * lam) * np.eye(3) + 2.0 * lam * np.outer(a, a), np.zeros(3))
 
 
 def depolarizing(lam: float) -> AffineChannel:

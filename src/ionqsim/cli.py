@@ -87,6 +87,22 @@ _SPECS = {
 
 _STRATEGY_ALIASES = {"self": "self_learning", "random": "random", "fixed": "fixed_axes"}
 
+# the zeno keys each mode does not read, and rejects when given
+_ZENO_IGNORED = {"survival": {"theta", "pairs", "qmax"},
+                 "runlength": {"fractions", "sequences", "theta_total", "prep_efficiency"}}
+
+
+def _config_value(name: str, typ, value):
+    """A config file value of its flag's type: JSON integers for int,
+    numbers for float, true/false for bool, strings for str."""
+    if isinstance(value, bool) != (typ is bool) or not isinstance(
+            value, (int, float) if typ is float else typ):
+        raise ConfigError(f"config value {name!r} must be of type {typ.__name__}, got {value!r}")
+    try:
+        return typ(value)
+    except OverflowError as exc:
+        raise ConfigError(f"bad config value for {name!r}: {exc}")
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -127,20 +143,22 @@ def _merge_params(command: str, args: argparse.Namespace) -> dict:
         unknown = set(from_file) - set(spec)
         if unknown:
             raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
-    params = {}
+    params, given = {}, set()
     for name, (typ, default, _help) in spec.items():
         cli_value = getattr(args, name)
         if cli_value is not None:
             params[name] = cli_value
         elif name in from_file:
-            try:
-                params[name] = typ(from_file[name])
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad config value for {name!r}: {exc}")
+            params[name] = _config_value(name, typ, from_file[name])
         else:
             params[name] = default
-        if typ is float and params[name] is not None and not math.isfinite(params[name]):
+            continue
+        given.add(name)
+        if typ is float and not math.isfinite(params[name]):
             raise ConfigError(f"{name!r} must be a finite number, got {params[name]!r}")
+    ignored = given & _ZENO_IGNORED.get(params["mode"], set()) if command == "zeno" else None
+    if ignored:
+        raise ConfigError(f"zeno --mode {params['mode']} does not use {sorted(ignored)}")
     return params
 
 
@@ -221,7 +239,7 @@ def _cmd_zeno(params: dict, out) -> int:
     rows = []
     if params["mode"] == "survival":
         try:
-            fractions = [int(tok) for tok in str(params["fractions"]).split(",") if tok.strip()]
+            fractions = [int(tok) for tok in params["fractions"].split(",") if tok.strip()]
         except ValueError as exc:
             raise ConfigError(f"bad fractions list: {exc}")
         if not fractions:
@@ -273,14 +291,8 @@ def _cmd_estimate(params: dict, out) -> int:
     mean, stderr, fidelities = mean_fidelity_experiment(
         params["states"], params["n"], kind, channel, seed=params["seed"])
     meta = _meta("estimate", params)
-    summary = {
-        "meta": meta,
-        "mean": mean,
-        "stderr": stderr,
-        "strategy": kind,
-        "N": params["n"],
-        "states": params["states"],
-    }
+    summary = {"meta": meta, "mean": mean, "stderr": stderr, "strategy": kind,
+               "N": params["n"], "states": params["states"]}
     if out is not None:
         rows = [(i, f) for i, f in enumerate(fidelities)]
         _write_csv(out, meta, ["state_index", "fidelity"], rows)

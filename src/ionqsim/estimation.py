@@ -150,25 +150,34 @@ def expected_mean_fidelity(dist: SphereDistribution, candidate_direction) -> flo
     return 0.5 + 0.25 * (np.linalg.norm(s_bar + qm) + np.linalg.norm(s_bar - qm))
 
 
+# the sweep's best axis takes at most _NEWTON_STEPS steps of at most _TRUST_RADIUS
+# rad along curvatures below _CURVATURE; a row stops after one below _STOP_STEP rad
+_NEWTON_STEPS, _TRUST_RADIUS, _CURVATURE, _STOP_STEP = 8, 0.3, -1e-9, 1e-5
+
+
 def optimal_next_direction(dist: SphereDistribution, scratch: dict | None = None) -> np.ndarray:
-    """Measurement axis maximizing the expected mean fidelity.
+    """Measurement axis maximizing the expected mean fidelity, exact to roundoff.
 
-    Coarse Fibonacci sweep plus local refinement; a flat objective
-    (fresh uniform prior, where any axis is equally good) returns the
-    canonical +z.  Antipodal ties are broken to the upper hemisphere.
-    A batch of densities gets one (B, 3) row of axes per density.
+    The best axis m of a coarse sweep starts projected Newton steps.  With
+    a = S + Q m, b = S - Q m and ^ for unit vectors, Fbar has gradient
+    g = Q^T (a^ - b^)/4 and Hessian Q^T [(I - a^ a^T)/|a| + (I - b^ b^T)/|b|]
+    Q/4 = H, on the sphere P H P - (m.g) P with P = I - m m^T.  Steps follow
+    only its eigendirections of negative curvature, so a ring of optima (as
+    after one z result) is not travelled on roundoff.  A flat objective
+    (fresh uniform prior) returns +z.  Antipodal ties go to the upper
+    hemisphere, components within 1e-9 of zero counting as zero.  A batch
+    gets one (B, 3) row of axes per density, each equal to its lone
+    search: a row that has stopped is not touched again.
 
-    `scratch` is a dict in which the search keeps its (..., n, 3) work
-    arrays between calls; run_estimation passes one dict to every step
-    of a run.  Arrays allocated afresh at each step are freed at its end,
-    and glibc then returns the heap top to the system and faults it back
-    in at the next step.  Where nothing else has raised glibc's trim
-    threshold, that cost ~1300 page faults and ~15% of the time of a
-    25-state, N = 12 run on a 2-vCPU x86-64 host.
+    `scratch` is a dict in which the sweep keeps its work arrays between
+    calls; run_estimation passes one dict to every step of a run.  Arrays
+    freed at each step make glibc trim the heap top and fault it back in:
+    ~1300 page faults and ~15% of a 25-state, N = 12 run (2-vCPU x86-64).
     """
     scratch = {} if scratch is None else scratch
-    s_bar = dist.mean_vector()[..., None, :]
-    q_t = np.swapaxes(dist.second_moment(), -1, -2)
+    batch = dist.values.shape[:-1]
+    s_bar, q = dist.mean_vector().reshape(-1, 3), dist.second_moment().reshape(-1, 3, 3)
+    q_t, eye = np.swapaxes(q, -1, -2), np.eye(3)
 
     def norm(v):
         # np.linalg.norm(v, axis=-1) term for term, without its slow reduce;
@@ -177,20 +186,44 @@ def optimal_next_direction(dist: SphereDistribution, scratch: dict | None = None
         return np.sqrt(v[..., 0] + v[..., 1] + v[..., 2])
 
     def objective(dirs):
-        shape = np.broadcast_shapes(dirs.shape[:-2], q_t.shape[:-2]) + dirs.shape[-2:]
+        shape = (len(q_t),) + dirs.shape
         if shape not in scratch:
             scratch[shape] = (np.empty(shape), np.empty(shape))
         qm, plus = scratch[shape]
         np.matmul(dirs, q_t, out=qm)
-        np.add(s_bar, qm, out=plus)
-        np.subtract(s_bar, qm, out=qm)
+        np.add(s_bar[:, None, :], qm, out=plus)
+        np.subtract(s_bar[:, None, :], qm, out=qm)
         return 0.5 + 0.25 * (norm(plus) + norm(qm))
 
-    best, _, flat = maximize_on_sphere(objective)
-    x, y, z = np.moveaxis(best, -1, 0)
+    def outer(u):
+        return u[:, :, None] * u[:, None, :]
+
+    best, flat = maximize_on_sphere(objective)
+    active = np.arange(len(best))
+    for _ in range(_NEWTON_STEPS):
+        if not active.size:
+            break
+        m = best[active]
+        qm = (q[active] @ m[:, :, None])[..., 0]
+        a, b = s_bar[active] + qm, s_bar[active] - qm
+        len_a, len_b = _row_norm(a)[:, None, None], _row_norm(b)[:, None, None]
+        a, b = a / len_a[..., 0], b / len_b[..., 0]
+        grad = 0.25 * q_t[active] @ (a - b)[:, :, None]
+        hess = q_t[active] @ ((eye - outer(a)) / len_a + (eye - outer(b)) / len_b) @ q[active]
+        proj = eye - outer(m)
+        curv, vecs = np.linalg.eigh(proj @ (0.25 * hess) @ proj - (m[:, None, :] @ grad) * proj)
+        along = (np.swapaxes(vecs, -1, -2) @ grad)[..., 0]
+        along = np.divide(-along, curv, out=np.zeros_like(along), where=curv < _CURVATURE)
+        step = (vecs @ along[:, :, None])[..., 0]
+        length = _row_norm(step)
+        m = m + step * (_TRUST_RADIUS / np.maximum(length, _TRUST_RADIUS))[:, None]
+        best[active] = m / _row_norm(m)[:, None]
+        active = active[length >= _STOP_STEP]
+
+    x, y, z = np.where(np.abs(best) <= 1e-9, 0.0, best).T
     lower = (z < 0) | ((z == 0) & ((y < 0) | ((y == 0) & (x < 0))))
-    best = np.where(lower[..., None], -best, best)
-    return np.where(flat[..., None], Z_PLUS, best)
+    best = np.where(lower[:, None], -best, best)
+    return np.where(flat[:, None], Z_PLUS, best).reshape(batch + (3,))
 
 
 STRATEGIES = ("self_learning", "random", "fixed_axes")

@@ -1,4 +1,5 @@
-"""Sphere discretization and search utilities.
+"""Sphere quadrature grids, rotations and the coarse sweep that starts
+the measurement-axis search.
 
 The quadrature grid is a product rule: Gauss-Legendre nodes in
 cos(theta) times a uniform trapezoid rule in phi.  After N Bayes
@@ -13,8 +14,8 @@ n_theta >= (N + 3)/2.  `moment_grid(N)` is the smallest such grid with
 n_phi = 2 n_theta (8x16 at N = 12).
 
 Functions here take a leading batch axis where noted, so that many
-densities can be searched at once; each batch row is rounded exactly
-as the same row would be on its own.
+densities can be swept at once; each batch row is rounded exactly as
+the same row would be on its own.
 """
 
 import math
@@ -102,34 +103,6 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
 
 
-def fibonacci_cap(center: np.ndarray, radius: float, n: int) -> np.ndarray:
-    """n unit vectors covering the spherical cap of angular radius
-    `radius` around `center` (golden-angle spiral in the cap).
-
-    `center` may be (..., 3); the result is then (..., n, 3), one cap
-    per center, all rotated from the same spiral around +z.
-    """
-    i = np.arange(n)
-    cos_r = math.cos(min(radius, math.pi))
-    z = 1.0 - (1.0 - cos_r) * (2.0 * i + 1.0) / (2.0 * n)
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    phi = i * GOLDEN_ANGLE
-    pts = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
-    return pts @ np.swapaxes(_frame_to(center), -1, -2)
-
-
-def _frame_to(direction: np.ndarray) -> np.ndarray:
-    """Rotation matrices mapping +z to the given unit direction(s), (..., 3, 3)."""
-    d = np.asarray(direction, dtype=float)
-    c = d[..., 2]
-    axis = np.stack([-d[..., 1], d[..., 0], np.zeros_like(c)], axis=-1)   # z x d
-    norm = _row_norm(axis)[..., None]
-    rot = rotation_matrix(axis / np.where(norm > 0.0, norm, 1.0), np.arccos(np.clip(c, -1.0, 1.0)))
-    rot[c > 1.0 - 1e-12] = np.eye(3)
-    rot[c < -1.0 + 1e-12] = np.diag([1.0, -1.0, -1.0])
-    return rot
-
-
 def rotate(v, axis, angle):
     """Right-handed Rodrigues rotation of v about the unit axis by angle.
 
@@ -154,39 +127,17 @@ def rotation_matrix(axis: np.ndarray, angle) -> np.ndarray:
     return np.swapaxes(rotate(np.eye(3), axis, np.asarray(angle)[..., None]), -1, -2)
 
 
-# maximize_on_sphere sweeps SWEEP_POINTS axes, then searches _CAP_ROUNDS caps
-# of _CAP_SIZE axes, each _CAP_SHRINK times the radius of the last.
-SWEEP_POINTS = 400
-_CAP_ROUNDS = 2
-_CAP_SIZE = 96
-_CAP_SHRINK = 0.2
+SWEEP_POINTS = 400          # axes in maximize_on_sphere's sweep
 
 
 def maximize_on_sphere(objective):
-    """Maximize a batch objective over unit directions, for many rows at once.
+    """Best axis of a coarse Fibonacci sweep, for many rows at once.
 
-    objective maps an (n, 3) array of unit vectors shared by every row,
-    or an (..., n, 3) array with one set per row, to (..., n) values.  A
-    coarse Fibonacci sweep locates each row's basin, then local cap
-    grids shrink around the running best.  Returns (direction, value,
-    flat), shaped (..., 3), (...) and (...), where flat reports whether
-    the coarse sweep was constant to within 1e-6 (degenerate objective).
+    objective maps the (n, 3) sweep axes, shared by every row, to (..., n)
+    values.  Returns (direction, flat), shaped (..., 3) and (...): each
+    row's best axis, and whether its sweep was constant to within 1e-6.
     """
     pts = fibonacci_sphere(SWEEP_POINTS)
     vals = objective(pts)
     flat = np.max(vals, axis=-1) - np.min(vals, axis=-1) < 1e-6
-    k = np.argmax(vals, axis=-1)
-    best, best_val = pts[k], np.take_along_axis(vals, k[..., None], axis=-1)[..., 0]
-    radius = 2.0 * math.sqrt(4.0 * math.pi / SWEEP_POINTS)
-    for _ in range(_CAP_ROUNDS):
-        cand = fibonacci_cap(best, radius, _CAP_SIZE)
-        cand /= np.linalg.norm(cand, axis=-1)[..., None]
-        vals = objective(cand)
-        k = np.argmax(vals, axis=-1)[..., None]
-        val = np.take_along_axis(vals, k, axis=-1)[..., 0]
-        better = val > best_val
-        pick = np.take_along_axis(cand, k[..., None], axis=-2)[..., 0, :]
-        best = np.where(better[..., None], pick, best)
-        best_val = np.where(better, val, best_val)
-        radius *= _CAP_SHRINK
-    return best, best_val, flat
+    return pts[np.argmax(vals, axis=-1)], flat

@@ -175,6 +175,35 @@ class TestConfigMerging:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, config, key", [
+        ("chain", {"n": 3.9}, "'n'"),
+        ("chain", {"n": "3"}, "'n'"),
+        ("chain", {"gradient": True}, "'gradient'"),
+        ("chain", {"gradient": "25"}, "'gradient'"),
+        ("chain", {"species": 3}, "'species'"),
+        ("rabi", {"ramsey": "false"}, "'ramsey'"),
+        ("rabi", {"ramsey": 0}, "'ramsey'"),
+        ("rabi", {"points": True}, "'points'"),
+        ("zeno", {"fractions": 2}, "'fractions'"),
+        ("zeno", {"threshold": None}, "'threshold'"),
+    ])
+    def test_config_value_of_wrong_type_rejected(self, tmp_path, capsys, command, config, key):
+        # no coercion: 3.9 is not a count, "false" is not false
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert run([command, "--config", str(cfg), "--out", str(out)]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_values_of_the_flag_type_accepted(self, tmp_path):
+        # an integer is a number, so it may stand for a float
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ramsey": False, "points": 3, "rabi_khz": 3, "seed": 2}))
+        out = tmp_path / "rabi.csv"
+        assert run(["rabi", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(read_artifact(out)[2]) == 3
+
     def test_non_finite_config_value_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"rabi_khz": NaN}')
@@ -264,6 +293,24 @@ class TestZenoModes:
                     "--prep-efficiency", "0.82", "--seed", "1", "--out", str(out)]) == 0
         _, _, rows = read_artifact(out)
         assert len(rows) == 1
+
+    @pytest.mark.parametrize("argv, config, keys", [
+        (["--mode", "runlength", "--prep-efficiency", "0.5", "--fractions", "9",
+          "--pairs", "1000", "--qmax", "2"], {}, ["'fractions'", "'prep_efficiency'"]),
+        (["--mode", "runlength", "--pairs", "1000"], {"sequences": 50, "theta_total": 3.0},
+         ["'sequences'", "'theta_total'"]),
+        (["--theta", "0.5", "--pairs", "1000"], {}, ["'pairs'", "'theta'"]),
+        (["--fractions", "2"], {"qmax": 3}, ["'qmax'"]),
+        ([], {"mode": "runlength", "prep_efficiency": 1.0}, ["'prep_efficiency'"]),
+    ])
+    def test_key_the_mode_ignores_rejected(self, tmp_path, capsys, argv, config, keys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "z.csv"
+        assert run(["zeno", "--config", str(cfg)] + argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert all(key in err for key in keys), err
+        assert not out.exists()
 
     def test_incomplete_poisson_flags_rejected(self):
         assert run(["zeno", "--on-mean", "5.3"]) == 2
@@ -453,10 +500,13 @@ class TestGoldenArtifacts:
 
     # sha256 of channel artifacts; a change here means they drifted and
     # must be explained.  The spec path enters the config hash, so it is
-    # given relative to the working directory.
+    # given relative to the working directory.  The exact (--shots 0)
+    # digest was recorded again when phase damping became (1 - 2 lam) I +
+    # 2 lam a a^T instead of a rotated diagonal: four entries moved in
+    # their last digit (M within 9e-16 of the old one).
     @pytest.mark.parametrize("argv, digest", [
         (["--shots", "0"],
-         "a54018328435b3b9d4116c1128401a6234bb752d2a833d1481c44d97b5c8d74a"),
+         "a5e999725ebcc58699a7cb28a32356331385cb8bfe2d0cfa540598d89376a91c"),
         (["--shots", "10000", "--seed", "3"],
          "d7aa1cfe6267f11c244a61794fade558b27d6117af4ed3e609f03d6ccb67ec81"),
     ])
@@ -468,11 +518,14 @@ class TestGoldenArtifacts:
 
     # sha256 of the per-state CSV and the summary JSON of 200-state N = 12
     # runs, recorded before run_estimation returned plain arrays; a change
-    # here means the artifacts drifted and must be explained.
+    # here means the artifacts drifted and must be explained.  The
+    # self-learning pair was recorded again when the axis search became
+    # exact (sweep plus Newton): the second axis keeps the azimuth of its
+    # sweep point, so every trajectory and outcome draw changed.
     @pytest.mark.parametrize("argv, csv_digest, json_digest", [
         (["--strategy", "self"],
-         "4e5343afea5d7a5c2750b3af85018fc29537ed4ab1f6227207d0bd53aa1ee91a",
-         "571a778edb6041179e271c200eb68084d2e29ae0b0b79c841c55ac3817aeb15b"),
+         "b3e010714825df71b94e40e33bcaa4d6e867e4696f68fa17f7593f2cb13f6fbb",
+         "c27b83d35c0024de3ea0d432c5181d4dfea875fd11a2c61d7f8932b2d10bfa4b"),
         (["--strategy", "random", "--lambda", "0.1", "--delta-eta", "0.02"],
          "3a42703cd0058e9e4874c6c2f4103161f7d816e13f33406857697740b30811da",
          "6b9dcd475bc4f708c3dc74ecea2ca39845e40849a98b77ed622e2627ffad85b3"),
