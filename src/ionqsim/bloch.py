@@ -202,20 +202,6 @@ def born_probability(state: np.ndarray, direction) -> float:
     return min(1.0, max(0.0, p))
 
 
-def measure(state: np.ndarray, direction, rng) -> tuple[int, np.ndarray]:
-    """Projective measurement along the unit direction m; collapses onto
-    +/- m.
-
-    Returns (outcome, collapsed) with outcome +1 for projection onto m
-    and -1 for the antipode.
-    """
-    rng = as_generator(rng)
-    m = as_direction(direction)
-    if rng.random() < born_probability(state, m):
-        return 1, m
-    return -1, -m
-
-
 def detect(true_on, model: DetectionModel, rng) -> np.ndarray:
     """Simulate the fluorescence read-out of z-eigenstates.
 

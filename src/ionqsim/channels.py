@@ -21,6 +21,7 @@ from .sphere import _row_norm, rotation_matrix
 # probability table P[j, i], whose columns are the read-out axes x, y, z.
 _INPUTS = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
 _PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+_BALL_TOL = 1e-9    # apply rejects an output longer than 1 + _BALL_TOL
 
 
 class ChannelInvalidError(ValueError):
@@ -104,11 +105,11 @@ def compose(first: AffineChannel, second: AffineChannel) -> AffineChannel:
     return AffineChannel(second.m @ first.m, second.m @ first.v + second.v)
 
 
-def apply(channel: AffineChannel, s: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def apply(channel: AffineChannel, s: np.ndarray) -> np.ndarray:
     """M s + v, guarding the Bloch ball row by row."""
     out = channel(s)
     norm = _row_norm(out)
-    if np.any(norm > 1.0 + tol):
+    if np.any(norm > 1.0 + _BALL_TOL):
         raise ChannelInvalidError(f"channel output left the Bloch ball: |s'| = {np.max(norm)}")
     return out
 

@@ -87,9 +87,19 @@ _SPECS = {
 
 _STRATEGY_ALIASES = {"self": "self_learning", "random": "random", "fixed": "fixed_axes"}
 
-# the zeno keys each mode does not read, and rejects when given
-_ZENO_IGNORED = {"survival": {"theta", "pairs", "qmax"},
-                 "runlength": {"fractions", "sequences", "theta_total", "prep_efficiency"}}
+# per command: (when, the condition on the merged parameters, the keys the
+# command does not read while it holds); a key given then is rejected
+_UNREAD = {
+    "zeno": [
+        ("--mode survival", lambda p: p["mode"] == "survival", {"theta", "pairs", "qmax"}),
+        ("--mode runlength", lambda p: p["mode"] == "runlength",
+         {"fractions", "sequences", "theta_total", "prep_efficiency"}),
+        ("with --on-mean/--off-mean/--threshold",
+         lambda p: any(p[k] is not None for k in ("on_mean", "off_mean", "threshold")),
+         {"eta0", "eta1"}),
+    ],
+    "chain": [("without --no-weak-field", lambda p: not p["no_weak_field"], {"b0"})],
+}
 
 
 def _config_value(name: str, typ, value):
@@ -156,9 +166,9 @@ def _merge_params(command: str, args: argparse.Namespace) -> dict:
         given.add(name)
         if typ is float and not math.isfinite(params[name]):
             raise ConfigError(f"{name!r} must be a finite number, got {params[name]!r}")
-    ignored = given & _ZENO_IGNORED.get(params["mode"], set()) if command == "zeno" else None
-    if ignored:
-        raise ConfigError(f"zeno --mode {params['mode']} does not use {sorted(ignored)}")
+    for when, holds, keys in _UNREAD.get(command, ()):
+        if given & keys and holds(params):
+            raise ConfigError(f"{command} {when} does not use {sorted(given & keys)}")
     return params
 
 

@@ -104,22 +104,6 @@ def bayes_update(dist: SphereDistribution, direction, outcome) -> SphereDistribu
     return SphereDistribution(dist.grid, posterior / norm[..., None])
 
 
-def fidelity_map(dist: SphereDistribution):
-    """Return F(theta, phi), the fidelity of candidate estimates.
-
-    The map is (1 + u(theta, phi) . S)/2 with S the posterior mean; it
-    accepts scalars or arrays.
-    """
-    s_bar = dist.mean_vector()
-
-    def fidelity(theta, phi):
-        st = np.sin(theta)
-        u = np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta) * np.ones_like(st)], axis=-1)
-        return 0.5 * (1.0 + u @ s_bar)
-
-    return fidelity
-
-
 def estimate_state(dist: SphereDistribution) -> tuple[np.ndarray, float]:
     """Best estimate and its fidelity F_opt = max F(theta, phi).
 
@@ -135,19 +119,6 @@ def estimate_state(dist: SphereDistribution) -> tuple[np.ndarray, float]:
                          s_bar / np.where(flat, 1.0, norm)[..., None])
     fidelity = np.where(flat, 0.5, 0.5 * (1.0 + norm))
     return direction, (float(fidelity) if fidelity.ndim == 0 else fidelity)
-
-
-def expected_mean_fidelity(dist: SphereDistribution, candidate_direction) -> float:
-    """Expected post-measurement optimal fidelity for a candidate axis.
-
-    Fbar(m) = p(m) F_opt(posterior | m) + p(-m) F_opt(posterior | -m);
-    by construction it is symmetric under m <-> -m.
-    """
-    m = as_direction(candidate_direction)
-    s_bar = dist.mean_vector()
-    q = dist.second_moment()
-    qm = q @ m
-    return 0.5 + 0.25 * (np.linalg.norm(s_bar + qm) + np.linalg.norm(s_bar - qm))
 
 
 # the sweep's best axis takes at most _NEWTON_STEPS steps of at most _TRUST_RADIUS

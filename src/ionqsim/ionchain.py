@@ -13,7 +13,6 @@ An axial field gradient b makes the qubit splitting position dependent
 (Breit-Rabi), displaces the per-state equilibria, and thereby couples
 spins pairwise through the modes:
 
-    d_z(n,j)   = -hbar (dw01_j/dz) / (m nu_n^2)
     eps(n,j)   = S_nj Delta_z_n (dw01_j/dz) / nu_n
     J_ij       = sum_n nu_n eps(n,i) eps(n,j)
 """
@@ -25,6 +24,9 @@ import numpy as np
 
 from . import constants as const
 from .constants import Species
+
+# equilibrium_positions stops its Newton steps at |grad V|_inf < _NEWTON_TOL or after _MAX_ITER
+_NEWTON_TOL, _MAX_ITER = 1e-13, 100
 
 
 class ConvergenceError(RuntimeError):
@@ -71,20 +73,6 @@ class ChainModes:
     @property
     def n_ions(self) -> int:
         return self.u.size
-
-
-@dataclass(frozen=True)
-class GradientCoupling:
-    """Per-mode, per-ion coupling numbers induced by the field gradient.
-
-    eps[n, j] is the gradient part of the effective Lamb-Dicke
-    parameter, d_z[n, j] the state-dependent equilibrium shift in m,
-    and eta_prime[n, j] = |eta_n S_nj + i eps_nj| its magnitude.
-    """
-
-    eps: np.ndarray
-    d_z: np.ndarray
-    eta_prime: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -141,7 +129,7 @@ def _hessian(u: np.ndarray) -> np.ndarray:
     return h
 
 
-def equilibrium_positions(n_ions: int, tol: float = 1e-13, max_iter: int = 100) -> np.ndarray:
+def equilibrium_positions(n_ions: int) -> np.ndarray:
     """Dimensionless equilibrium positions of n ions, sorted ascending.
 
     Damped Newton iteration on grad V with the analytic Hessian, seeded
@@ -157,8 +145,8 @@ def equilibrium_positions(n_ions: int, tol: float = 1e-13, max_iter: int = 100) 
     du = 2.0 * n_ions ** (-0.56)
     u = (np.arange(n_ions) - 0.5 * (n_ions - 1)) * du
     g = _gradient(u)
-    for _ in range(max_iter):
-        if np.max(np.abs(g)) < tol:
+    for _ in range(_MAX_ITER):
+        if np.max(np.abs(g)) < _NEWTON_TOL:
             break
         step = np.linalg.solve(_hessian(u), -g)
         alpha, g_norm = 1.0, np.linalg.norm(g)
@@ -303,35 +291,25 @@ def required_gradient(species: Species, nu1: float, n_ions: int) -> float:
     )
 
 
-def epsilon_matrix(modes: ChainModes, gradients, species: Species,
-                   wavelength: float | None = None) -> GradientCoupling:
-    """Gradient-induced couplings for every (mode, ion) pair.
+def epsilon_matrix(modes: ChainModes, gradients, species: Species) -> np.ndarray:
+    """eps[n, j], the gradient part of the effective Lamb-Dicke parameter
+    of every (mode, ion) pair.
 
-    gradients is dw01/dz per ion (scalar broadcasts to all ions).  When
-    a drive wavelength is given the photon-recoil Lamb-Dicke parameter
-    eta_n is folded into eta_prime; otherwise eta_n = 0 (microwave
-    regime) and |eta_prime| = |eps|.
+    gradients is dw01/dz per ion (scalar broadcasts to all ions).  The
+    photon-recoil part eta_n is left out: it is ~1e-5 at microwave
+    wavelengths (see lamb_dicke).
     """
     grad = np.broadcast_to(np.asarray(gradients, dtype=float), (modes.n_ions,))
     nu = modes.nu
-    dz_n = ground_state_width(species, nu)
-    d_z = -const.HBAR * grad[None, :] / (species.mass * nu[:, None] ** 2)
-    eps = modes.s_matrix * (dz_n / nu)[:, None] * grad[None, :]
-    if wavelength is None:
-        eta_n = np.zeros_like(nu)
-    else:
-        eta_n, _, _ = lamb_dicke(wavelength, species, nu)
-    eta_prime = np.hypot(eta_n[:, None] * modes.s_matrix, eps)
-    return GradientCoupling(eps=eps, d_z=d_z, eta_prime=eta_prime)
+    return modes.s_matrix * (ground_state_width(species, nu) / nu)[:, None] * grad[None, :]
 
 
-def coupling_matrix(modes: ChainModes, coupling: GradientCoupling) -> CouplingMatrix:
+def coupling_matrix(modes: ChainModes, eps: np.ndarray) -> CouplingMatrix:
     """J_ij = sum_n nu_n eps_ni eps_nj (rad/s), zero diagonal.
 
     The diagonal is excluded by convention: the Hamiltonian sums pairs
     i < j only.
     """
-    eps = coupling.eps
     j = eps.T @ (modes.nu[:, None] * eps)
     j = 0.5 * (j + j.T)
     np.fill_diagonal(j, 0.0)
@@ -351,5 +329,4 @@ def spin_spin_couplings(species: Species, trap: TrapConfig,
         grads = qubit_frequency_gradient(species, 0.0, trap.b)
     else:
         grads = qubit_frequency_gradient(species, trap.b0 + trap.b * modes.z0, trap.b)
-    coupling = epsilon_matrix(modes, grads, species)
-    return modes, coupling_matrix(modes, coupling)
+    return modes, coupling_matrix(modes, epsilon_matrix(modes, grads, species))

@@ -35,8 +35,6 @@ class SphereGrid:
     smallest (theta, phi) pair.
     """
 
-    thetas: np.ndarray        # (n_theta,) colatitudes, ascending
-    phis: np.ndarray          # (n_phi,) azimuths, ascending from 0
     weights: np.ndarray       # (n_theta*n_phi,) solid-angle weights, sum 4*pi
     units: np.ndarray = field(repr=False)  # (K, 3) node unit vectors
 
@@ -47,25 +45,18 @@ class SphereGrid:
         x, w = np.polynomial.legendre.leggauss(n_theta)
         order = np.argsort(-x)            # cos(theta) descending => theta ascending
         x, w = x[order], w[order]
-        thetas = np.arccos(x)
         phis = np.arange(n_phi) * (2.0 * math.pi / n_phi)
         weights = np.repeat(w, n_phi) * (2.0 * math.pi / n_phi)
-        st = np.sin(thetas)[:, None]
+        st = np.sin(np.arccos(x))[:, None]
         ux = (st * np.cos(phis)[None, :]).ravel()
         uy = (st * np.sin(phis)[None, :]).ravel()
         uz = np.repeat(x, n_phi)
         units = np.column_stack([ux, uy, uz])
-        return cls(thetas=thetas, phis=phis, weights=weights, units=units)
+        return cls(weights=weights, units=units)
 
     @property
     def size(self) -> int:
         return self.weights.size
-
-    def node_angles(self) -> np.ndarray:
-        """(K, 2) array of (theta, phi) per node, in node order."""
-        t = np.repeat(self.thetas, self.phis.size)
-        p = np.tile(self.phis, self.thetas.size)
-        return np.column_stack([t, p])
 
     def integrate(self, values: np.ndarray):
         """Quadrature of (..., K) node values; a float for a single density."""

@@ -1,12 +1,14 @@
 """Independent reference implementations used only by the tests.
 
 Everything here works in the 2x2 complex density-matrix picture (or
-with scipy primitives) so the package's real-3-vector code paths are
-checked against a genuinely different route.
+with scipy primitives, or from a quantity's definition) so the package's
+real-3-vector code paths are checked against a genuinely different route.
 """
 
 import numpy as np
 from scipy.linalg import expm
+
+from ionqsim.estimation import bayes_update, estimate_state
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -59,3 +61,17 @@ def rotation_matrix_oracle(axis, angle):
     x, y, z = axis
     k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
     return expm(angle * k)
+
+
+def expected_mean_fidelity(dist, m):
+    """Fbar(m) = p(+m) F_opt(w | +m) + p(-m) F_opt(w | -m) from its
+    definition: the outcome probabilities integrated over the density,
+    each branch's posterior from bayes_update and its optimal fidelity
+    from estimate_state (not the collapsed moment formula of the axis
+    search)."""
+    m = np.asarray(m, dtype=float)
+    fbar = 0.0
+    for outcome in (1, -1):
+        p = dist.grid.integrate(dist.values * 0.5 * (1.0 + outcome * (dist.grid.units @ m)))
+        fbar += p * estimate_state(bayes_update(dist, m, outcome))[1]
+    return fbar

@@ -16,8 +16,7 @@ from ionqsim.bloch import (DrivePulse, Z_PLUS, born_probability, evolve,
 from ionqsim.channels import (depolarizing, identity_channel, phase_damping,
                               tomography_exact, tomography_sampled)
 from ionqsim.constants import YB171
-from ionqsim.estimation import (bayes_update, estimate_state,
-                                expected_mean_fidelity, mean_fidelity_experiment,
+from ionqsim.estimation import (bayes_update, estimate_state, mean_fidelity_experiment,
                                 optimal_fidelity_bound, optimal_next_direction,
                                 uniform_prior)
 from ionqsim.ionchain import (TrapConfig, field_for_chi, ground_state_width,
@@ -27,6 +26,7 @@ from ionqsim.sphere import SphereGrid
 from ionqsim.zeno import (run_length_distribution, run_length_ratio,
                           simulate_alternating, simulate_fractionated_pi,
                           survival_probability)
+from oracles import expected_mean_fidelity
 from test_channels import random_physical_channel
 from test_cli import read_artifact
 from ionqsim.cli import run as cli_run

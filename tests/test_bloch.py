@@ -7,9 +7,10 @@ from scipy import stats
 
 from ionqsim import bloch
 from ionqsim.bloch import (DetectionModel, DrivePulse, Z_PLUS,
-                           born_probability, detect, evolve, measure,
+                           born_probability, detect, evolve,
                            rabi_excitation_probability, ramsey_probability,
                            state_from_angles)
+from ionqsim.estimation import run_estimation
 from oracles import evolve_oracle, overlap_probability
 
 
@@ -165,43 +166,32 @@ class TestBornProbability:
 
 
 class TestMeasure:
-    def test_deterministic_at_poles(self):
-        rng = np.random.default_rng(17)
-        m = state_from_angles(1.0, 2.0)
-        for _ in range(50):
-            outcome, collapsed = measure(m, m, rng)
-            assert outcome == 1
-            np.testing.assert_allclose(collapsed, m, atol=1e-15)
-            outcome, collapsed = measure(-m, m, rng)
-            assert outcome == -1
-            np.testing.assert_allclose(collapsed, -m, atol=1e-15)
+    """The Born draw of run_estimation, where every measurement outcome
+    of the package is drawn: 100 000 identical one-shot runs of the fixed
+    axes, whose first axis is x, share one generator."""
 
-    def test_projection_idempotent(self):
-        rng = np.random.default_rng(18)
-        for _ in range(100):
-            s = state_from_angles(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
-            m = state_from_angles(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
-            outcome, collapsed = measure(s, m, rng)
-            for _ in range(3):
-                again, collapsed = measure(collapsed, m, rng)
-                assert again == outcome
+    N = 100_000
+    X = np.array([1.0, 0.0, 0.0])
+
+    def plus_frequency(self, s, seed):
+        rng = np.random.default_rng(seed)
+        outcomes = run_estimation(np.tile(s, (self.N, 1)), 1, "fixed_axes",
+                                  seed=[rng] * self.N)[3]
+        return np.count_nonzero(outcomes[:, 0] == 1) / self.N
+
+    def test_deterministic_at_poles(self):
+        assert self.plus_frequency(self.X, 17) == 1.0
+        assert self.plus_frequency(-self.X, 18) == 0.0
 
     def test_frequency_matches_born(self):
-        rng = np.random.default_rng(19)
-        s = state_from_angles(math.pi / 2, 0.0)   # orthogonal to z
-        n = 100_000
-        hits = sum(measure(s, Z_PLUS, rng)[0] == 1 for _ in range(n))
-        sigma = math.sqrt(0.25 / n)
-        assert abs(hits / n - 0.5) < 4 * sigma
+        # orthogonal to the axis: p = 1/2
+        sigma = math.sqrt(0.25 / self.N)
+        assert abs(self.plus_frequency(Z_PLUS, 19) - 0.5) < 4 * sigma
 
     def test_generic_direction_frequency(self):
-        rng = np.random.default_rng(20)
         s = state_from_angles(0.4, 0.3)
-        m = state_from_angles(1.2, 2.0)
-        p = born_probability(s, m)
-        n = 100_000
-        hits = sum(measure(s, m, rng)[0] == 1 for _ in range(n))
-        assert abs(hits / n - p) < 4 * math.sqrt(p * (1 - p) / n)
+        p = 0.5 * (1.0 + s[0])
+        assert abs(self.plus_frequency(s, 20) - p) < 4 * math.sqrt(p * (1 - p) / self.N)
 
 
 class TestDetectionModel:

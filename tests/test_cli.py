@@ -312,6 +312,23 @@ class TestZenoModes:
         assert all(key in err for key in keys), err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, config", [
+        (["--eta0", "0.6", "--eta1", "0.6"], {}),
+        ([], {"eta0": 0.6, "eta1": 0.6}),
+    ])
+    @pytest.mark.parametrize("mode", [[], ["--mode", "runlength", "--pairs", "1000"]])
+    def test_efficiencies_with_a_count_readout_rejected(self, tmp_path, capsys, mode, argv,
+                                                        config):
+        # a photon-count read-out replaces both efficiencies
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "z.csv"
+        assert run(["zeno", "--config", str(cfg), "--on-mean", "5", "--off-mean", "0.2",
+                    "--threshold", "1"] + mode + argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "'eta0'" in err and "'eta1'" in err, err
+        assert not out.exists()
+
     def test_incomplete_poisson_flags_rejected(self):
         assert run(["zeno", "--on-mean", "5.3"]) == 2
 
@@ -418,6 +435,17 @@ class TestChainFieldModes:
         assert local == pytest.approx(weak, rel=0.02)
         assert json.loads(out.read_text())["weak_field_limit"] is False
 
+    @pytest.mark.parametrize("argv, config", [(["--b0", "0.5"], {}), ([], {"b0": 0.5})])
+    def test_offset_field_without_local_field_rejected(self, tmp_path, capsys, argv, config):
+        # the weak-field limit does not read b0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "c.json"
+        assert run(["chain", "--n", "4", "--config", str(cfg)] + argv
+                   + ["--out", str(out)]) == 2
+        assert "'b0'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestConstantsHook:
     def test_version_reports_provenance(self, capsys):
@@ -515,6 +543,25 @@ class TestGoldenArtifacts:
         (tmp_path / "channel.json").write_text(json.dumps(_TILTED_SPEC))
         assert run(["channel", "--spec", "channel.json"] + argv + ["--out", "out.json"]) == 0
         assert hashlib.sha256((tmp_path / "out.json").read_bytes()).hexdigest() == digest
+
+    # sha256 of the chain JSON and the --table print of the README call,
+    # and of the JSON at N = 60, where the solver falls back to coordinate
+    # sweeps (it prints nothing: the sha256 of no bytes); a change here means
+    # the artifacts drifted and must be explained
+    @pytest.mark.parametrize("argv, digest, table_digest", [
+        (["--species", "yb171", "--nu1-khz", "100", "--n", "10", "--gradient", "25", "--table"],
+         "43c9d06af9ec663d502122b03faa13b9cd4ff8ad352177880d545e4fdbf7d88e",
+         "4e369ca19d5ab78be7dd35a7756eaa4fa66e9f7fb38aba7b803f8a44753d9778"),
+        (["--n", "60"],
+         "a2f74c91b76f58b0a5629eacfc7af27ce1e2010f48a9db3f1c0abe3f5aace1f6",
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ])
+    def test_chain_artifact_digest(self, tmp_path, capsys, argv, digest, table_digest):
+        out = tmp_path / "chain.json"
+        assert run(["chain"] + argv + ["--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        assert hashlib.sha256(printed.encode()).hexdigest() == table_digest
 
     # sha256 of the per-state CSV and the summary JSON of 200-state N = 12
     # runs, recorded before run_estimation returned plain arrays; a change

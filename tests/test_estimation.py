@@ -6,13 +6,11 @@ import pytest
 from ionqsim.bloch import born_probability, state_from_angles
 from ionqsim.channels import affine_shift, apply, compose, depolarizing
 from ionqsim.estimation import (STRATEGIES, DegenerateUpdateError, SphereDistribution,
-                                bayes_update, estimate_state,
-                                expected_mean_fidelity, fidelity_map,
-                                mean_fidelity_experiment, optimal_fidelity_bound,
-                                optimal_next_direction, random_direction,
-                                run_estimation, uniform_prior)
+                                bayes_update, estimate_state, mean_fidelity_experiment,
+                                optimal_fidelity_bound, optimal_next_direction,
+                                random_direction, run_estimation, uniform_prior)
 from ionqsim.sphere import SphereGrid, fibonacci_sphere, moment_grid, rotate, rotation_matrix
-from oracles import imperfection_oracle
+from oracles import expected_mean_fidelity, imperfection_oracle
 
 # reference quadrature for densities not tied to one measurement count
 GRID = SphereGrid.build(64, 128)
@@ -28,9 +26,8 @@ def _imperfect(lam, delta_eta=0.0):
 
 
 def _grid_cos_half_sq(grid):
-    """cos^2(theta/2) evaluated on every grid node."""
-    angles = grid.node_angles()
-    return np.cos(angles[:, 0] / 2.0) ** 2
+    """cos^2(theta/2) = (1 + cos theta)/2 evaluated on every grid node."""
+    return 0.5 * (1.0 + grid.units[:, 2])
 
 
 class TestPriorAndGrid:
@@ -124,8 +121,7 @@ class TestBayesUpdate:
 
     def test_opposite_outcomes_symmetric_density(self):
         post = bayes_update(bayes_update(uniform_prior(GRID), Z, +1), Z, -1)
-        n_phi = post.grid.phis.size
-        grid_values = post.values.reshape(-1, n_phi)
+        grid_values = post.values.reshape(64, 128)   # GRID's (theta, phi) rows
         np.testing.assert_allclose(grid_values, grid_values[::-1], atol=1e-12)
 
     def test_antipode_equivalence(self):
@@ -180,10 +176,10 @@ class TestBayesUpdate:
 
 class TestFidelityAndEstimate:
     def test_uniform_map_constant_half(self):
-        fmap = fidelity_map(uniform_prior(GRID))
-        thetas = np.linspace(0, math.pi, 7)
-        phis = np.linspace(0, 2 * math.pi, 7, endpoint=False)
-        np.testing.assert_allclose(fmap(thetas, phis), 0.5, atol=1e-12)
+        # F(n) = (1 + n.S)/2 for every candidate n, and S = 0
+        candidates = fibonacci_sphere(49)
+        fmap = 0.5 * (1.0 + candidates @ uniform_prior(GRID).mean_vector())
+        np.testing.assert_allclose(fmap, 0.5, atol=1e-12)
 
     def test_uniform_estimate_tie_broken_to_first_node(self):
         prior = uniform_prior(GRID)
