@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sphere import _row_norm, rotate
+from .sphere import _row_dot, _row_norm, rotate
 
 TWO_PI = 2.0 * math.pi
 
@@ -191,15 +191,17 @@ def ramsey_probability(pulse: DrivePulse, precession_time: float) -> float:
     return born_probability(s, state_from_angles(math.pi))  # overlap with |1> at -z
 
 
-def born_probability(state: np.ndarray, direction) -> float:
+def born_probability(state: np.ndarray, direction):
     """p(+1) = (1 + s . m)/2 for the unit measurement direction m.
 
     Equals |<theta_m, phi_m | theta, phi>|^2 when the state is pure.
+    A float for one state and one axis; (B, 3) states or axes give (B,)
+    probabilities, one per row, each rounded as that pair on its own.
     """
-    m = as_direction(direction)
-    p = 0.5 * (1.0 + float(np.dot(state, m)))
+    p = 0.5 * (1.0 + _row_dot(state, as_direction(direction)))
     # clamp float noise at the endpoints
-    return min(1.0, max(0.0, p))
+    p = np.minimum(1.0, np.maximum(0.0, p))
+    return float(p) if p.ndim == 0 else p
 
 
 def detect(true_on, model: DetectionModel, rng) -> np.ndarray:

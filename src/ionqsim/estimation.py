@@ -19,7 +19,10 @@ Born overlap alone; the moments are evaluated with the grid quadrature.
 
 Densities, updates and the axis search carry a leading batch axis, so an
 ensemble of states is estimated in one pass; a single state is the batch
-of one, and every batch row rounds exactly as it would on its own.
+of one, and every batch row rounds exactly as it would on its own.  The
+self-learning and fixed-axes strategies choose each axis from the past
+outcomes alone, so states that share an outcome string share one
+posterior: there the batch rows are the distinct outcome strings so far.
 """
 
 import math
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import Z_PLUS, as_direction, as_generator
+from .bloch import Z_PLUS, as_direction, as_generator, born_probability
 from .channels import AffineChannel, apply
 from .sphere import (SWEEP_POINTS, SphereGrid, _row_dot, _row_norm, maximize_on_sphere,
                      moment_grid)
@@ -76,7 +79,7 @@ class SphereDistribution:
         """Second moment Q = <u u^T> of the normalized density, (..., 3, 3)."""
         wv = self.grid.weights * self.values
         u = self.grid.units
-        q = np.swapaxes(wv[..., :, None] * u, -1, -2) @ u
+        q = (wv[..., None, :] * u.T) @ u
         return q / np.asarray(self.integral)[..., None, None]
 
 
@@ -138,49 +141,52 @@ def optimal_next_direction(dist: SphereDistribution, scratch: dict | None = None
     (fresh uniform prior) returns +z.  Antipodal ties go to the upper
     hemisphere, components within 1e-9 of zero counting as zero.  A batch
     gets one (B, 3) row of axes per density, each equal to its lone
-    search: a row that has stopped is not touched again.
+    search: a row that has stopped, or is flat, is not touched again.
 
-    `scratch` is a dict in which the sweep keeps its work arrays between
-    calls; run_estimation passes one dict to every step of a run.  Arrays
-    freed at each step make glibc trim the heap top and fault it back in:
-    ~1300 page faults and ~15% of a 25-state, N = 12 run (2-vCPU x86-64).
+    `scratch` is a dict in which the sweep keeps its work array between
+    calls, sized for the largest batch it has seen; run_estimation passes
+    one dict, sized for its whole batch, to every step of a run.
     """
     scratch = {} if scratch is None else scratch
     batch = dist.values.shape[:-1]
     s_bar, q = dist.mean_vector().reshape(-1, 3), dist.second_moment().reshape(-1, 3, 3)
     q_t, eye = np.swapaxes(q, -1, -2), np.eye(3)
 
-    def norm(v):
-        # np.linalg.norm(v, axis=-1) term for term, without its slow reduce;
-        # squares in place, as v is always scratch
-        v *= v
-        return np.sqrt(v[..., 0] + v[..., 1] + v[..., 2])
+    def norm(op, qm):
+        # |S + Q m| (op np.add) or |S - Q m| per row and sweep axis, as
+        # np.linalg.norm rounds it, one (rows, n) component at a time
+        total = None
+        for j in range(3):
+            v = op(s_bar[:, j, None], qm[:, j])
+            v *= v
+            total = v if total is None else np.add(total, v, out=total)
+        return np.sqrt(total, out=total)
 
     def objective(dirs):
-        shape = (len(q_t),) + dirs.shape
-        if shape not in scratch:
-            scratch[shape] = (np.empty(shape), np.empty(shape))
-        qm, plus = scratch[shape]
-        np.matmul(dirs, q_t, out=qm)
-        np.add(s_bar[:, None, :], qm, out=plus)
-        np.subtract(s_bar[:, None, :], qm, out=qm)
-        return 0.5 + 0.25 * (norm(plus) + norm(qm))
+        # component-major, so that every operation runs along the sweep axes
+        qm = _sweep_buffer(scratch, len(q), len(dirs))
+        np.matmul(q, dirs.T, out=qm)
+        fbar = norm(np.add, qm)
+        fbar += norm(np.subtract, qm)
+        fbar *= 0.25
+        fbar += 0.5
+        return fbar
 
     def outer(u):
         return u[:, :, None] * u[:, None, :]
 
     best, flat = maximize_on_sphere(objective)
-    active = np.arange(len(best))
+    active = np.flatnonzero(~flat)      # flat rows become +z below
     for _ in range(_NEWTON_STEPS):
         if not active.size:
             break
-        m = best[active]
-        qm = (q[active] @ m[:, :, None])[..., 0]
-        a, b = s_bar[active] + qm, s_bar[active] - qm
+        m, q_a, q_ta, s_a = best[active], q[active], q_t[active], s_bar[active]
+        qm = (q_a @ m[:, :, None])[..., 0]
+        a, b = s_a + qm, s_a - qm
         len_a, len_b = _row_norm(a)[:, None, None], _row_norm(b)[:, None, None]
         a, b = a / len_a[..., 0], b / len_b[..., 0]
-        grad = 0.25 * q_t[active] @ (a - b)[:, :, None]
-        hess = q_t[active] @ ((eye - outer(a)) / len_a + (eye - outer(b)) / len_b) @ q[active]
+        grad = 0.25 * q_ta @ (a - b)[:, :, None]
+        hess = q_ta @ ((eye - outer(a)) / len_a + (eye - outer(b)) / len_b) @ q_a
         proj = eye - outer(m)
         curv, vecs = np.linalg.eigh(proj @ (0.25 * hess) @ proj - (m[:, None, :] @ grad) * proj)
         along = (np.swapaxes(vecs, -1, -2) @ grad)[..., 0]
@@ -195,6 +201,15 @@ def optimal_next_direction(dist: SphereDistribution, scratch: dict | None = None
     lower = (z < 0) | ((z == 0) & ((y < 0) | ((y == 0) & (x < 0))))
     best = np.where(lower[:, None], -best, best)
     return np.where(flat[:, None], Z_PLUS, best).reshape(batch + (3,))
+
+
+def _sweep_buffer(scratch, rows, points):
+    """A (rows, 3, points) work array, the leading rows of one kept in
+    `scratch`; it is allocated again only for more rows or points."""
+    kept = scratch.get("sweep")
+    if kept is None or len(kept) < rows or kept.shape[2] != points:
+        kept = scratch["sweep"] = np.empty((rows, 3, points))
+    return kept[:rows]
 
 
 STRATEGIES = ("self_learning", "random", "fixed_axes")
@@ -236,8 +251,17 @@ def run_estimation(true_state, n: int, strategy: str = "self_learning",
     A (B, 3) array of true states is estimated as one batch; `seed` is
     then a sequence of B seeds or generators, one stream per state, and
     the results carry a leading B axis.  Each stream is drawn in the
-    same order as a lone run of its state.  The default grid is
-    `moment_grid(n)`, on which the moments are exact.
+    same order as a lone run of its state: n outcome uniforms, each
+    preceded under `random` by the two uniforms of its axis.  Pass
+    distinct streams: one Generator repeated for several states is drawn
+    state by state under `self_learning` and `fixed_axes` (each state's n
+    uniforms up front), but step by step across the states under
+    `random`.  The default grid is `moment_grid(n)`, on which the moments
+    are exact.
+
+    Under `self_learning` and `fixed_axes` the run keeps one density per
+    distinct outcome string so far, shared by the states that drew it;
+    `random` keeps one per state.
     """
     _check_strategy(n, strategy)
     single = np.ndim(true_state) < 2
@@ -247,26 +271,42 @@ def run_estimation(true_state, n: int, strategy: str = "self_learning",
         raise ValueError(f"got {len(rngs)} seeds for {len(target)} states")
     transmitted = target if channel is None else apply(channel, target)
 
+    shared = strategy != "random"     # axes depend on past outcomes alone
     prior = uniform_prior(grid if grid is not None else moment_grid(n))
-    dist = SphereDistribution(prior.grid,
-                              np.broadcast_to(prior.values, (len(target), prior.grid.size)))
+    # node[i] is the density row of state i
+    node = np.zeros(len(target), dtype=int) if shared else np.arange(len(target))
+    dist = SphereDistribution(prior.grid, np.broadcast_to(
+        prior.values, (1 if shared else len(target), prior.grid.size)))
+    uniforms = np.array([rng.random(n) for rng in rngs]) if shared else None
     directions = np.empty((len(target), n, 3))
     outcomes = np.empty((len(target), n), dtype=int)
     scratch = {}
+    if strategy == "self_learning":
+        _sweep_buffer(scratch, len(target), SWEEP_POINTS)
     for k in range(n):
         if strategy == "self_learning":
-            m = optimal_next_direction(dist, scratch)
+            axes = optimal_next_direction(dist, scratch)
         elif strategy == "random":
-            m = np.array([random_direction(rng) for rng in rngs])
+            axes = np.array([random_direction(rng) for rng in rngs])
         else:
-            m = np.broadcast_to(_FIXED_AXES[k % 3], target.shape)
-        p_plus = 0.5 * (1.0 + _row_dot(transmitted, m))
-        outcome = np.array([1 if rng.random() < p else -1 for rng, p in zip(rngs, p_plus)])
-        dist = bayes_update(dist, m, outcome)
+            axes = np.broadcast_to(_FIXED_AXES[k % 3], dist.values.shape[:-1] + (3,))
+        m = axes[node]
+        u = uniforms[:, k] if shared else np.array([rng.random() for rng in rngs])
+        up = np.where(u < born_probability(transmitted, m), 1, 0)
+        # one density per string drawn, ordered by (parent row, outcome);
+        # np.unique would do, but pages in numpy's sort code.  Under
+        # `random` every row has one child, so the rows stay the states.
+        drawn = np.zeros((len(axes), 2), dtype=int)
+        drawn[node, up] = 1
+        parent, side = np.nonzero(drawn)
+        drawn[parent, side] = np.arange(len(parent))
+        node = drawn[node, up]
+        dist = bayes_update(SphereDistribution(dist.grid, dist.values[parent]),
+                            axes[parent], 2 * side - 1)
         directions[:, k] = m
-        outcomes[:, k] = outcome
+        outcomes[:, k] = 2 * up - 1
 
-    estimate, _ = estimate_state(dist)
+    estimate = estimate_state(dist)[0][node]
     fidelity = 0.5 * (1.0 + _row_dot(estimate, target))
     if single:
         return estimate[0], float(fidelity[0]), directions[0], outcomes[0]

@@ -164,6 +164,27 @@ class TestBornProbability:
             total = born_probability(s, m) + born_probability(s, -m)
             assert abs(total - 1.0) < 1e-12
 
+    def test_rows_match_lone_pairs(self):
+        rng = np.random.default_rng(17)
+        states = rng.uniform(-0.6, 0.6, size=(50, 3))
+        axes = np.array([state_from_angles(math.acos(rng.uniform(-1, 1)),
+                                           rng.uniform(0, 2 * math.pi)) for _ in range(50)])
+        rows = born_probability(states, axes)
+        assert rows.shape == (50,)
+        for state, axis, p in zip(states, axes, rows):
+            lone = born_probability(state, axis)
+            assert type(lone) is float and lone == p
+        # one state against many axes broadcasts
+        np.testing.assert_array_equal(born_probability(states[0], axes),
+                                      [born_probability(states[0], a) for a in axes])
+
+    def test_clamped_to_unit_interval(self):
+        # a state a hair outside the ball along the axis, in both directions
+        axes = np.array([Z_PLUS, -Z_PLUS])
+        outside = np.array([[0.0, 0.0, 1.0 + 1e-12], [0.0, 0.0, 1.0 + 1e-12]])
+        np.testing.assert_array_equal(born_probability(outside, axes), [1.0, 0.0])
+        assert born_probability(outside[0], Z_PLUS) == 1.0
+
 
 class TestMeasure:
     """The Born draw of run_estimation, where every measurement outcome

@@ -265,20 +265,41 @@ class TestOptimalNextDirection:
         want = 0.5 + 1.0 / math.sqrt(12.0)
         assert expected_mean_fidelity(post, m3) == pytest.approx(want, abs=5e-3)
 
-    def test_batch_search_matches_single_searches_exactly(self):
-        rng = np.random.default_rng(14)
+    @staticmethod
+    def _updated_batch(rows, seed):
+        rng = np.random.default_rng(seed)
         prior = uniform_prior(moment_grid(12))
-        batch = SphereDistribution(prior.grid, np.tile(prior.values, (5, 1)))
+        batch = SphereDistribution(prior.grid, np.tile(prior.values, (rows, 1)))
         for _ in range(3):
-            batch = bayes_update(batch, np.array([random_direction(rng) for _ in range(5)]),
-                                 rng.choice([-1, 1], size=5))
-        axes = optimal_next_direction(batch)
-        assert axes.shape == (5, 3)
-        scratch = {}   # reused by every row, as run_estimation reuses it across steps
+            batch = bayes_update(batch, np.array([random_direction(rng) for _ in range(rows)]),
+                                 rng.choice([-1, 1], size=rows))
+        return batch
+
+    def test_batch_search_matches_single_searches_exactly(self):
+        batch = self._updated_batch(25, 14)
+        lone = np.array([optimal_next_direction(SphereDistribution(batch.grid, row))
+                         for row in batch.values])
+        scratch = {}   # reused by every call, as run_estimation reuses it across steps
+        for rows in (slice(0, 3), slice(None), slice(22, 25)):
+            part = SphereDistribution(batch.grid, batch.values[rows])
+            axes = optimal_next_direction(part, scratch=scratch)
+            assert axes.shape == (len(part.values), 3)
+            np.testing.assert_array_equal(axes, lone[rows])
         for row in range(5):
             single = SphereDistribution(batch.grid, batch.values[row])
+            np.testing.assert_array_equal(lone[row], optimal_next_direction(single, scratch=scratch))
+
+    def test_flat_rows_get_z_and_the_others_their_lone_axes(self):
+        updated = self._updated_batch(3, 16)
+        flat = uniform_prior(updated.grid).values
+        mixed = SphereDistribution(updated.grid, np.array(
+            [flat, updated.values[0], flat, updated.values[1], updated.values[2], flat]))
+        axes = optimal_next_direction(mixed)
+        for row in (0, 2, 5):
+            np.testing.assert_array_equal(axes[row], Z)
+        for row, source in ((1, 0), (3, 1), (4, 2)):
+            single = SphereDistribution(updated.grid, updated.values[source])
             np.testing.assert_array_equal(axes[row], optimal_next_direction(single))
-            np.testing.assert_array_equal(axes[row], optimal_next_direction(single, scratch=scratch))
 
     def test_gap_to_dense_sweep(self):
         # Fbar reached by the sweep-plus-Newton search against the best of a
@@ -402,6 +423,33 @@ class TestRunEstimation:
         with pytest.raises(ValueError):
             run_estimation(targets, n=4, seed=[1, 2])
 
+    @pytest.mark.parametrize("strategy, draws", [("self_learning", 1), ("fixed_axes", 1),
+                                                 ("random", 3)])
+    def test_generator_ends_where_its_draws_end(self, strategy, draws):
+        # n outcome uniforms per stream, and under random two axis uniforms
+        # before each of them
+        n = 5
+        seeds = [np.random.default_rng(60 + row) for row in range(3)]
+        targets = np.array([random_direction(np.random.default_rng(row)) for row in range(3)])
+        run_estimation(targets, n, strategy, seed=seeds)
+        lone = np.random.default_rng(63)
+        run_estimation(targets[0], n, strategy, seed=lone)
+        for rng, ref_seed in zip(seeds + [lone], (60, 61, 62, 63)):
+            ref = np.random.default_rng(ref_seed)
+            ref.random(draws * n)
+            assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("strategy", ["self_learning", "fixed_axes"])
+    def test_repeated_generator_is_drawn_state_by_state(self, strategy):
+        # one Generator for every state: each state takes its n uniforms in turn
+        n = 4
+        targets = np.array([random_direction(np.random.default_rng(row)) for row in range(3)])
+        batch = run_estimation(targets, n, strategy, seed=[np.random.default_rng(64)] * 3)
+        lone_rng = np.random.default_rng(64)
+        for row, target in enumerate(targets):
+            lone = run_estimation(target, n, strategy, seed=lone_rng)
+            np.testing.assert_array_equal(batch[3][row], lone[3])
+
     def test_strategy_validation(self):
         with pytest.raises(ValueError):
             run_estimation(state_from_angles(0.2, 0.1), n=2, strategy="bogus", seed=0)
@@ -488,6 +536,30 @@ class TestBatchedEnsemble:
                                                  grid=SphereGrid.build(64, 128))
         np.testing.assert_array_equal(batched, _per_state_reference(30, 12, "self_learning",
                                                                     None, 790))
+
+
+class TestSharedOutcomeStrings:
+    """Self-learning and fixed axes keep one density per distinct outcome
+    string; each state must still get exactly its lone run."""
+
+    @pytest.mark.parametrize("strategy", ["self_learning", "fixed_axes"])
+    @pytest.mark.parametrize("channel", [None, compose(depolarizing(0.1),
+                                                       affine_shift([0.0, 0.0, 0.1]))])
+    def test_repeated_states_match_lone_runs(self, strategy, channel):
+        n = 8
+        rng = np.random.default_rng(80)
+        pairs = [(random_direction(rng), int(rng.integers(1000))) for _ in range(10)]
+        # 40 states: each (target, seed) pair four times, interleaved
+        order = np.random.default_rng(81).permutation(np.repeat(np.arange(10), 4))
+        targets = np.array([pairs[i][0] for i in order])
+        seeds = [pairs[i][1] for i in order]
+        batch = run_estimation(targets, n, strategy, channel, seed=seeds)
+        strings = {tuple(row) for row in batch[3]}
+        assert len(strings) <= 10
+        for row, (target, seed) in enumerate(zip(targets, seeds)):
+            lone = run_estimation(target, n, strategy, channel, seed=seed)
+            for got, want in zip(batch, lone):
+                np.testing.assert_array_equal(got[row], want)
 
 
 class TestRodrigues:
