@@ -60,7 +60,8 @@ class SphereDistribution:
         v = np.asarray(self.values, dtype=float)
         if v.ndim < 1 or v.shape[-1] != self.grid.size:
             raise ValueError(f"values shape {v.shape} does not match grid size {self.grid.size}")
-        if np.any(v < -1e-12) or not np.all(np.isfinite(v)):
+        # NaN fails both comparisons, -inf the first and +inf the second
+        if v.size and not (v.min() >= -1e-12 and v.max() < math.inf):
             raise ValueError("density values must be finite and non-negative")
         object.__setattr__(self, "values", v)
         v.flags.writeable = False
@@ -127,6 +128,8 @@ def estimate_state(dist: SphereDistribution) -> tuple[np.ndarray, float]:
 # the sweep's best axis takes at most _NEWTON_STEPS steps of at most _TRUST_RADIUS
 # rad along curvatures below _CURVATURE; a row stops after one below _STOP_STEP rad
 _NEWTON_STEPS, _TRUST_RADIUS, _CURVATURE, _STOP_STEP = 8, 0.3, -1e-9, 1e-5
+_EYE = np.eye(3)
+_SIGNS = np.array([1.0, -1.0])[:, None, None]
 
 
 def optimal_next_direction(dist: SphereDistribution, scratch: dict | None = None) -> np.ndarray:
@@ -143,14 +146,16 @@ def optimal_next_direction(dist: SphereDistribution, scratch: dict | None = None
     gets one (B, 3) row of axes per density, each equal to its lone
     search: a row that has stopped, or is flat, is not touched again.
 
-    `scratch` is a dict in which the sweep keeps its work array between
-    calls, sized for the largest batch it has seen; run_estimation passes
-    one dict, sized for its whole batch, to every step of a run.
+    The 400 sweep axes (`fibonacci_sphere`) and run_estimation's default
+    grid (`moment_grid`) are built once per process and shared as
+    read-only arrays, so no call rebuilds them.  `scratch` is a dict in
+    which the sweep keeps its work array between calls, sized for the
+    largest batch it has seen; run_estimation passes one dict, sized for
+    its whole batch, to every step of a run.
     """
     scratch = {} if scratch is None else scratch
     batch = dist.values.shape[:-1]
     s_bar, q = dist.mean_vector().reshape(-1, 3), dist.second_moment().reshape(-1, 3, 3)
-    q_t, eye = np.swapaxes(q, -1, -2), np.eye(3)
 
     def norm(op, qm):
         # |S + Q m| (op np.add) or |S - Q m| per row and sweep axis, as
@@ -172,30 +177,36 @@ def optimal_next_direction(dist: SphereDistribution, scratch: dict | None = None
         fbar += 0.5
         return fbar
 
-    def outer(u):
-        return u[:, :, None] * u[:, None, :]
-
     best, flat = maximize_on_sphere(objective)
     active = np.flatnonzero(~flat)      # flat rows become +z below
+    # the rows still stepping.  q^T/4 keeps the memory layout of q's
+    # transpose, and with it the products' rounding; a power-of-two factor
+    # scales every rounded partial sum exactly, so grad and the Hessian
+    # carry their 1/4 with the same bits as when it was applied after
+    m, q_a, s_a = best[active], q[active], s_bar[active]
+    q_t4 = 0.25 * q_a.swapaxes(-1, -2)
     for _ in range(_NEWTON_STEPS):
         if not active.size:
             break
-        m, q_a, q_ta, s_a = best[active], q[active], q_t[active], s_bar[active]
-        qm = (q_a @ m[:, :, None])[..., 0]
-        a, b = s_a + qm, s_a - qm
-        len_a, len_b = _row_norm(a)[:, None, None], _row_norm(b)[:, None, None]
-        a, b = a / len_a[..., 0], b / len_b[..., 0]
-        grad = 0.25 * q_ta @ (a - b)[:, :, None]
-        hess = q_ta @ ((eye - outer(a)) / len_a + (eye - outer(b)) / len_b) @ q_a
-        proj = eye - outer(m)
-        curv, vecs = np.linalg.eigh(proj @ (0.25 * hess) @ proj - (m[:, None, :] @ grad) * proj)
-        along = (np.swapaxes(vecs, -1, -2) @ grad)[..., 0]
-        along = np.divide(-along, curv, out=np.zeros_like(along), where=curv < _CURVATURE)
+        # a and b stacked (2, rows, 3); S + (-Qm) rounds as S - Qm
+        ab = s_a + _SIGNS * (q_a @ m[:, :, None])[..., 0]
+        lengths = _row_norm(ab)[..., None]
+        ab /= lengths
+        grad = q_t4 @ (ab[0] - ab[1])[:, :, None]
+        curve = (_EYE - ab[..., :, None] * ab[..., None, :]) / lengths[..., None]
+        hess = q_t4 @ (curve[0] + curve[1]) @ q_a
+        proj = _EYE - m[:, :, None] * m[:, None, :]
+        curv, vecs = np.linalg.eigh(proj @ hess @ proj - (m[:, None, :] @ grad) * proj)
+        along = (vecs.swapaxes(-1, -2) @ grad)[..., 0]
+        along = np.divide(-along, curv, out=np.zeros(along.shape), where=curv < _CURVATURE)
         step = (vecs @ along[:, :, None])[..., 0]
         length = _row_norm(step)
         m = m + step * (_TRUST_RADIUS / np.maximum(length, _TRUST_RADIUS))[:, None]
-        best[active] = m / _row_norm(m)[:, None]
-        active = active[length >= _STOP_STEP]
+        m /= _row_norm(m)[:, None]
+        best[active] = m
+        going = length >= _STOP_STEP
+        if not going.all():
+            active, m, q_a, q_t4, s_a = (x[going] for x in (active, m, q_a, q_t4, s_a))
 
     x, y, z = np.where(np.abs(best) <= 1e-9, 0.0, best).T
     lower = (z < 0) | ((z == 0) & ((y < 0) | ((y == 0) & (x < 0))))

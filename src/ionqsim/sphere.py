@@ -13,6 +13,12 @@ Gauss-Legendre integrates exactly when 2 n_theta - 1 >= N + 2, i.e.
 n_theta >= (N + 3)/2.  `moment_grid(N)` is the smallest such grid with
 n_phi = 2 n_theta (8x16 at N = 12).
 
+Grid and sweep arrays are read-only.  `moment_grid` and
+`fibonacci_sphere` build a grid or sweep of at most 4096 nodes once per
+process and hand out the same arrays after that, so the axis search
+rebuilds neither its 400 sweep axes nor the moment grid on every step;
+larger one-off builds are not kept.
+
 Functions here take a leading batch axis where noted, so that many
 densities can be swept at once; each batch row is rounded exactly as
 the same row would be on its own.
@@ -52,6 +58,7 @@ class SphereGrid:
         uy = (st * np.sin(phis)[None, :]).ravel()
         uz = np.repeat(x, n_phi)
         units = np.column_stack([ux, uy, uz])
+        weights.flags.writeable = units.flags.writeable = False
         return cls(weights=weights, units=units)
 
     @property
@@ -78,20 +85,40 @@ def _row_norm(a) -> np.ndarray:
     return np.sqrt(_row_dot(a, a))
 
 
+_KEPT_POINTS = 4096          # grids and sweeps up to this many nodes are built once
+_kept_grids: dict[int, SphereGrid] = {}
+_kept_sweeps: dict[int, np.ndarray] = {}
+
+
 def moment_grid(n_updates: int) -> SphereGrid:
     """Smallest grid on which the first and second moments of a uniform
-    prior after `n_updates` Bayes updates are exact (see module notes)."""
+    prior after `n_updates` Bayes updates are exact (see module notes).
+
+    A grid of at most _KEPT_POINTS nodes is built once and shared."""
     n_theta = (n_updates + 4) // 2          # ceil((n_updates + 3) / 2)
-    return SphereGrid.build(n_theta, 2 * n_theta)
+    grid = _kept_grids.get(n_theta)
+    if grid is None:
+        grid = SphereGrid.build(n_theta, 2 * n_theta)
+        if grid.size <= _KEPT_POINTS:
+            _kept_grids[n_theta] = grid
+    return grid
 
 
 def fibonacci_sphere(n: int) -> np.ndarray:
-    """n roughly equidistributed unit vectors (golden-angle spiral)."""
-    i = np.arange(n)
-    z = 1.0 - (2.0 * i + 1.0) / n
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    phi = i * GOLDEN_ANGLE
-    return np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+    """n roughly equidistributed unit vectors (golden-angle spiral), as a
+    read-only (n, 3) array; a sweep of at most _KEPT_POINTS axes is built
+    once and shared."""
+    pts = _kept_sweeps.get(n)
+    if pts is None:
+        i = np.arange(n)
+        z = 1.0 - (2.0 * i + 1.0) / n
+        r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+        phi = i * GOLDEN_ANGLE
+        pts = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+        pts.flags.writeable = False
+        if n <= _KEPT_POINTS:
+            _kept_sweeps[n] = pts
+    return pts
 
 
 def rotate(v, axis, angle):
@@ -124,11 +151,12 @@ SWEEP_POINTS = 400          # axes in maximize_on_sphere's sweep
 def maximize_on_sphere(objective):
     """Best axis of a coarse Fibonacci sweep, for many rows at once.
 
-    objective maps the (n, 3) sweep axes, shared by every row, to (..., n)
-    values.  Returns (direction, flat), shaped (..., 3) and (...): each
-    row's best axis, and whether its sweep was constant to within 1e-6.
+    objective maps the (n, 3) sweep axes, shared by every row and the
+    same read-only array on every call, to (..., n) values.  Returns
+    (direction, flat), shaped (..., 3) and (...): each row's best axis,
+    and whether its sweep was constant to within 1e-6.
     """
     pts = fibonacci_sphere(SWEEP_POINTS)
     vals = objective(pts)
-    flat = np.max(vals, axis=-1) - np.min(vals, axis=-1) < 1e-6
-    return pts[np.argmax(vals, axis=-1)], flat
+    flat = vals.max(axis=-1) - vals.min(axis=-1) < 1e-6
+    return pts[vals.argmax(axis=-1)], flat

@@ -281,8 +281,8 @@ class TestDetectionModel:
             assert abs(model.eta1 - stats.poisson.sf(threshold, on_mean)) <= 1e-14
 
     def test_poisson_cdf_matches_scipy_at_large_means(self):
-        # the log-form exponent cancels terms of size mean*log(mean), which
-        # bounds the accuracy; thresholds 41 sigma below the mean give 0
+        # the bound of the earlier log-form exponent, which cancelled terms
+        # of size mean*log(mean); thresholds 41 sigma below the mean give 0
         for mean in (1e4, 1e5, 1e6, 1e7):
             sd = math.sqrt(mean)
             thresholds = [int(mean + f * sd) for f in (-41, -5, -1, 0, 1, 5)]
@@ -290,6 +290,29 @@ class TestDetectionModel:
             tol = 2.0 * np.finfo(float).eps * mean * math.log(mean)
             np.testing.assert_allclose(got, stats.poisson.cdf(thresholds, mean), rtol=0, atol=tol)
             assert got[0] == 0.0
+
+    def test_poisson_cdf_deviance_form_at_large_means(self):
+        # seeds in deviance form, re-seeded near the mean: 1.3e-11, 6.6e-10
+        # and 2.4e-8 off with the log form.  scipy's own cdf is 1.3e-12
+        # (1e6) and 8.9e-9 (1e7) off a 30-digit reference at mean + 5 sd,
+        # so no threshold sits between 4.5 and 6.5 sd
+        for mean in (1e4, 1e6, 1e7):
+            sd = math.sqrt(mean)
+            thresholds = [int(mean + f * sd) for f in (-41, -8, -5, -3, -1, 0, 1, 3, 4, 8)]
+            got = [bloch._poisson_cdf(mean, k) for k in thresholds]
+            np.testing.assert_allclose(got, stats.poisson.cdf(thresholds, mean),
+                                       rtol=0, atol=1e-13)
+
+    def test_small_means_sum_the_plain_recursion(self):
+        # means up to ~690 start at exp(-mean) and are never re-seeded, so
+        # the paper's read-out means keep the earlier sums bit for bit
+        for mean in (0.2, 5.0, 5.3, 100.0, 600.0):
+            terms = [math.exp(-mean)]
+            last = int(mean + 5.0 * math.sqrt(mean))
+            for j in range(1, last + 1):
+                terms.append(terms[-1] * (mean / j))
+            for k in range(last + 1):
+                assert bloch._poisson_cdf(mean, k) == min(1.0, math.fsum(terms[:k + 1]))
 
     def test_tails_summed_once(self, monkeypatch):
         calls = []

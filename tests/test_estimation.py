@@ -1,8 +1,13 @@
+import gc
+import inspect
 import math
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from ionqsim import estimation, sphere
 from ionqsim.bloch import born_probability, state_from_angles
 from ionqsim.channels import affine_shift, apply, compose, depolarizing
 from ionqsim.estimation import (STRATEGIES, DegenerateUpdateError, SphereDistribution,
@@ -344,6 +349,99 @@ class TestOptimalNextDirection:
         for _ in range(6):
             dist = bayes_update(dist, random_direction(rng), int(rng.choice([-1, 1])))
             assert optimal_next_direction(dist)[2] >= -1e-12
+
+
+class TestKeptSweepsAndGrids:
+    """fibonacci_sphere and moment_grid hand out read-only arrays, built
+    once per size, that equal a fresh build bit for bit."""
+
+    def test_sweep_axes_kept_read_only(self, monkeypatch):
+        pts = fibonacci_sphere(sphere.SWEEP_POINTS)
+        assert fibonacci_sphere(sphere.SWEEP_POINTS) is pts
+        assert not pts.flags.writeable
+        with pytest.raises(ValueError):
+            pts[0, 0] = 0.0
+        monkeypatch.setattr(sphere, "_kept_sweeps", {})
+        fresh = fibonacci_sphere(sphere.SWEEP_POINTS)
+        assert fresh is not pts
+        np.testing.assert_array_equal(fresh, pts)
+
+    def test_moment_grid_kept_read_only(self, monkeypatch):
+        grid = moment_grid(12)
+        assert moment_grid(12) is grid and moment_grid(13) is grid   # both 8x16
+        assert not grid.weights.flags.writeable and not grid.units.flags.writeable
+        with pytest.raises(ValueError):
+            grid.units[0, 0] = 0.0
+        monkeypatch.setattr(sphere, "_kept_grids", {})
+        fresh = moment_grid(12)
+        assert fresh is not grid
+        built = SphereGrid.build(8, 16)
+        for other in (fresh, built):
+            np.testing.assert_array_equal(other.weights, grid.weights)
+            np.testing.assert_array_equal(other.units, grid.units)
+
+    def test_large_one_off_builds_not_kept(self):
+        # the 200 000-point sweep of test_gap_to_dense_sweep, and a grid
+        # above 4096 nodes, are freed once their caller drops them
+        for build in (lambda: fibonacci_sphere(200_000), lambda: moment_grid(200)):
+            ref = weakref.ref(build())
+            gc.collect()
+            assert ref() is None
+        assert 200_000 not in sphere._kept_sweeps
+
+
+class TestBenchmarkSpanCoverage:
+    """perfbench's traced runs time the axis search by wrapping, from
+    outside, the module global `sphere.fibonacci_sphere`, the moment
+    methods of SphereDistribution and the `objective` passed to
+    `maximize_on_sphere`; a cache or an inlined copy that bypassed them
+    would leave those spans empty."""
+
+    def test_axis_search_calls_the_wrapped_functions(self, monkeypatch):
+        calls = Counter()
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        search = estimation.maximize_on_sphere
+
+        def counted_search(*args, **kwargs):
+            # the harness reads the objective as the first argument
+            objective = args[0] if args else kwargs["objective"]
+
+            def counted_objective(dirs):
+                calls["dirs"] += len(dirs)
+                return objective(dirs)
+
+            calls["maximize_on_sphere"] += 1
+            return search(counted_objective, *args[1:], **kwargs)
+
+        assert list(inspect.signature(search).parameters)[0] == "objective"
+        monkeypatch.setattr(sphere, "fibonacci_sphere",
+                            counting("fibonacci_sphere", sphere.fibonacci_sphere))
+        for method in ("mean_vector", "second_moment"):
+            monkeypatch.setattr(SphereDistribution, method,
+                                counting(method, getattr(SphereDistribution, method)))
+        monkeypatch.setattr(estimation, "maximize_on_sphere", counted_search)
+        monkeypatch.setattr(estimation, "optimal_next_direction",
+                            counting("optimal_next_direction", optimal_next_direction))
+
+        batch = TestOptimalNextDirection._updated_batch(4, 3)
+        lone = optimal_next_direction(batch)
+        assert calls == Counter(fibonacci_sphere=1, mean_vector=1, second_moment=1,
+                                maximize_on_sphere=1, dirs=sphere.SWEEP_POINTS)
+        calls.clear()
+        n = 5
+        run_estimation(np.array([Z, X, Y]), n, seed=[1, 2, 3])
+        for name in ("optimal_next_direction", "fibonacci_sphere", "second_moment",
+                     "maximize_on_sphere"):
+            assert calls[name] == n, name
+        assert calls["mean_vector"] == n + 1      # and once for the final estimate
+        assert calls["dirs"] == n * sphere.SWEEP_POINTS
+        np.testing.assert_array_equal(optimal_next_direction(batch), lone)
 
 
 class TestImperfections:

@@ -239,6 +239,14 @@ class TestStreamedDraws:
         expected = whole_array_detect(true_on, model, np.random.default_rng(2))
         assert np.array_equal(detect(true_on, model, np.random.default_rng(2)), expected)
 
+    @pytest.mark.parametrize("density", [0.0, 0.01, 0.05, 0.07, 0.096, 0.12, 0.5, 1.0])
+    def test_plain_and_padded_change_scans(self, density):
+        # each block's change flags are scanned with a tail of set flags,
+        # which must not reach the histogram; the last block is short
+        rng = np.random.default_rng(int(1000 * density))
+        results = np.logical_xor.accumulate(rng.random(2 * BLOCK + 11) < density)
+        assert run_length_distribution(results) == whole_array_runs(results)
+
     def test_run_spanning_blocks(self):
         results = np.zeros(3 * BLOCK + 7, dtype=bool)
         results[5:2 * BLOCK + 3] = True     # one run across two block edges
