@@ -194,12 +194,17 @@ def evolve(state: np.ndarray, pulse: DrivePulse) -> np.ndarray:
     omega_r = pulse.effective_rabi
     if omega_r == 0.0 or pulse.duration == 0.0:
         return np.array(state, dtype=float)
-    axis = np.array([
+    return rotate(state, _drive_axis(pulse), omega_r * pulse.duration)
+
+
+def _drive_axis(pulse: DrivePulse) -> np.ndarray:
+    """Unit rotation axis (Omega cos phi, Omega sin phi, delta) / Omega_R
+    of a pulse with Omega_R > 0."""
+    return np.array([
         pulse.rabi * math.cos(pulse.phase),
         pulse.rabi * math.sin(pulse.phase),
         pulse.detuning,
-    ]) / omega_r
-    return rotate(state, axis, omega_r * pulse.duration)
+    ]) / pulse.effective_rabi
 
 
 def rabi_excitation_probability(rabi: float, detuning: float, t: float) -> float:
@@ -216,20 +221,30 @@ def rabi_excitation_probability(rabi: float, detuning: float, t: float) -> float
     return (rabi * rabi / omega_r_sq) * math.sin(0.5 * omega_r * t) ** 2
 
 
-def ramsey_probability(pulse: DrivePulse, precession_time: float) -> float:
+def ramsey_probability(pulse: DrivePulse, precession_time):
     """Excitation probability after pi/2 - free precession - pi/2.
 
-    The sequence is composed from evolve() calls: the supplied near-pi/2
+    The sequence is composed from rotations: the supplied near-pi/2
     pulse, free precession at the pulse detuning for precession_time,
     then the same pulse again.  For ideal short pulses the fringes
     follow cos^2(delta t_p / 2).
+
+    precession_time may be a float, which gives a float, or an array of
+    times, which gives an array of that shape.  The first pulse runs
+    once; free precession and the second pulse are each one rotation of
+    all the states, and each time rounds exactly as it would on its own.
+    Free precession for a zero time or at zero detuning leaves the state
+    unchanged.
     """
-    if precession_time < 0:
+    times = np.asarray(precession_time, dtype=float)
+    if np.any(times < 0):
         raise ValueError("precession_time must be >= 0")
-    free = DrivePulse(rabi=0.0, detuning=pulse.detuning, duration=precession_time,
-                      phase=pulse.phase)
     s = evolve(Z_PLUS, pulse)
-    s = evolve(s, free)
+    if pulse.detuning == 0.0:
+        s = np.broadcast_to(s, times.shape + (3,))
+    else:
+        free = DrivePulse(rabi=0.0, detuning=pulse.detuning, phase=pulse.phase)
+        s = rotate(s, _drive_axis(free), free.effective_rabi * times)
     s = evolve(s, pulse)
     return born_probability(s, state_from_angles(math.pi))  # overlap with |1> at -z
 

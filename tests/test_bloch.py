@@ -134,6 +134,45 @@ class TestRamsey:
             assert p1 == pytest.approx(p0, abs=1e-6)
         assert ramsey_probability(pulse, 0.5 * period) == pytest.approx(0.0, abs=1e-4)
 
+    @pytest.mark.parametrize("rabi, detuning, phase, t_max", [
+        (2 * math.pi * 50e3, 2 * math.pi * 103.9, 0.0, 30e-3),     # the README fringes
+        (2 * math.pi * 2.9165e3, 0.0, 0.0, 2e-3),                  # zero detuning
+        (2 * math.pi * 10e3, -2 * math.pi * 57.3, 0.0, 30e-3),
+        (2 * math.pi * 50e3, 2 * math.pi * 10e3, 0.0, 1e-3),
+        (2 * math.pi * 20e3, 2 * math.pi * 311.0, 2.3, 10e-3),     # a nonzero drive phase
+    ])
+    def test_array_of_times_matches_scalar_calls_bit_for_bit(self, rabi, detuning, phase, t_max):
+        pulse = DrivePulse(rabi=rabi, detuning=detuning, duration=0.5 * math.pi / rabi,
+                           phase=phase)
+        times = np.linspace(0.0, t_max, 1000)          # starts at t = 0
+        batch = ramsey_probability(pulse, times)
+        assert batch.shape == times.shape
+        np.testing.assert_array_equal(batch, [ramsey_probability(pulse, t) for t in times])
+        grid = times[:12].reshape(3, 4)
+        np.testing.assert_array_equal(ramsey_probability(pulse, grid), batch[:12].reshape(3, 4))
+
+    def test_scalar_time_gives_a_float(self):
+        pulse = DrivePulse(rabi=2.0, detuning=0.3, duration=math.pi / 4)
+        for t_p in (0.0, 1.7, np.float64(1.7), 2):
+            assert type(ramsey_probability(pulse, t_p)) is float
+
+    def test_zero_time_and_zero_detuning_are_the_identity(self):
+        # only the two pulses act: the state after them, read out as usual
+        for detuning in (0.0, 0.4):
+            pulse = DrivePulse(rabi=2.0, detuning=detuning, duration=0.6, phase=0.5)
+            twice = evolve(evolve(Z_PLUS, pulse), pulse)
+            expected = born_probability(twice, state_from_angles(math.pi))
+            assert ramsey_probability(pulse, 0.0) == expected
+            if detuning == 0.0:
+                np.testing.assert_array_equal(ramsey_probability(pulse, [0.0, 1.0, 5.0]),
+                                              [expected] * 3)
+
+    @pytest.mark.parametrize("times", [-1e-9, [0.0, 1.0, -1e-300], np.array([[0.5], [-2.0]])])
+    def test_negative_time_raises(self, times):
+        pulse = DrivePulse(rabi=2.0, detuning=0.3, duration=math.pi / 4)
+        with pytest.raises(ValueError, match="precession_time"):
+            ramsey_probability(pulse, times)
+
 
 class TestBornProbability:
     def test_aligned_and_orthogonal(self):

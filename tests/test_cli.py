@@ -484,6 +484,40 @@ class TestExitCodes:
         assert run(["rabi"]) == code
 
 
+# the README Ramsey call
+_RAMSEY_FRINGES = ["--ramsey", "--rabi-khz", "50", "--detuning-hz", "103.9", "--tmax-ms", "30"]
+
+
+class TestProcessEntryPoint:
+    """`python -m ionqsim.cli` runs main(), which ends the process."""
+
+    @staticmethod
+    def call(argv, cwd):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        return subprocess.run([sys.executable, "-m", "ionqsim.cli"] + argv, cwd=cwd, env=env,
+                              capture_output=True, text=True)
+
+    def test_ramsey_call_matches_run(self, tmp_path):
+        done = self.call(["rabi"] + _RAMSEY_FRINGES + ["--out", "fringes.csv"], tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == done.stderr == ""
+        assert run(["rabi"] + _RAMSEY_FRINGES + ["--out", str(tmp_path / "in_process.csv")]) == 0
+        assert (tmp_path / "fringes.csv").read_bytes() == (tmp_path / "in_process.csv").read_bytes()
+
+    # a zero Rabi frequency is a ConfigError; a negative scan end makes
+    # negative precession times, which ramsey_probability rejects
+    @pytest.mark.parametrize("argv, message", [
+        (["--rabi-khz", "0"], "positive Rabi frequency"),
+        (["--tmax-ms", "-1"], "precession_time must be >= 0"),
+    ])
+    def test_config_error_exits_2_and_writes_nothing(self, tmp_path, argv, message):
+        done = self.call(["rabi", "--ramsey"] + argv + ["--out", "fringes.csv"], tmp_path)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert message in done.stderr
+        assert list(tmp_path.iterdir()) == []
+
+
 # sha256 of zeno artifacts, recorded before trajectories were drawn in
 # blocks; a change here means the artifacts drifted and must be explained.
 # The two count-based digests were recorded again when a counting read-out
@@ -562,6 +596,21 @@ class TestGoldenArtifacts:
         printed = capsys.readouterr().out
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
         assert hashlib.sha256(printed.encode()).hexdigest() == table_digest
+
+    # sha256 of the two README rabi calls, the 400-point pulse-length scan
+    # and the Ramsey fringes, recorded while each Ramsey time was still its
+    # own scalar call; a change here means the artifacts drifted and must
+    # be explained
+    @pytest.mark.parametrize("argv, digest", [
+        (["--rabi-khz", "2.9165", "--tmax-ms", "2", "--points", "400"],
+         "f57396ac4f48bfe49979a3abe40d776b900cc8351fd67b172f4741ba91476dd3"),
+        (_RAMSEY_FRINGES,
+         "ed5a99eeb21fc6a0938553e30460a77e871453b5a0d10cc3d1a1e4a2866c2061"),
+    ])
+    def test_rabi_artifact_digest(self, tmp_path, argv, digest):
+        out = tmp_path / "rabi.csv"
+        assert run(["rabi"] + argv + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
     # sha256 of the per-state CSV and the summary JSON of 200-state N = 12
     # runs, recorded before run_estimation returned plain arrays; a change
