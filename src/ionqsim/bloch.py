@@ -194,17 +194,9 @@ def evolve(state: np.ndarray, pulse: DrivePulse) -> np.ndarray:
     omega_r = pulse.effective_rabi
     if omega_r == 0.0 or pulse.duration == 0.0:
         return np.array(state, dtype=float)
-    return rotate(state, _drive_axis(pulse), omega_r * pulse.duration)
-
-
-def _drive_axis(pulse: DrivePulse) -> np.ndarray:
-    """Unit rotation axis (Omega cos phi, Omega sin phi, delta) / Omega_R
-    of a pulse with Omega_R > 0."""
-    return np.array([
-        pulse.rabi * math.cos(pulse.phase),
-        pulse.rabi * math.sin(pulse.phase),
-        pulse.detuning,
-    ]) / pulse.effective_rabi
+    axis = np.array([pulse.rabi * math.cos(pulse.phase), pulse.rabi * math.sin(pulse.phase),
+                     pulse.detuning]) / omega_r
+    return rotate(state, axis, omega_r * pulse.duration)
 
 
 def rabi_excitation_probability(rabi: float, detuning: float, t: float) -> float:
@@ -233,18 +225,12 @@ def ramsey_probability(pulse: DrivePulse, precession_time):
     times, which gives an array of that shape.  The first pulse runs
     once; free precession and the second pulse are each one rotation of
     all the states, and each time rounds exactly as it would on its own.
-    Free precession for a zero time or at zero detuning leaves the state
-    unchanged.
+    Free precession is the rotation about +z by delta * t.
     """
     times = np.asarray(precession_time, dtype=float)
     if np.any(times < 0):
         raise ValueError("precession_time must be >= 0")
-    s = evolve(Z_PLUS, pulse)
-    if pulse.detuning == 0.0:
-        s = np.broadcast_to(s, times.shape + (3,))
-    else:
-        free = DrivePulse(rabi=0.0, detuning=pulse.detuning, phase=pulse.phase)
-        s = rotate(s, _drive_axis(free), free.effective_rabi * times)
+    s = rotate(evolve(Z_PLUS, pulse), Z_PLUS, pulse.detuning * times)
     s = evolve(s, pulse)
     return born_probability(s, state_from_angles(math.pi))  # overlap with |1> at -z
 

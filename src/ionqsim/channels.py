@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import as_generator, state_from_angles
-from .sphere import _row_norm, rotation_matrix
+from .sphere import _row_norm, rotate
 
 # The inputs +x, +y, +z, -z sent through a box: the rows j of its
 # probability table P[j, i], whose columns are the read-out axes x, y, z.
@@ -62,10 +62,6 @@ class AffineChannel:
         return bool(np.linalg.eigvalsh(0.5 * choi)[0] >= -tol)
 
 
-def identity_channel() -> AffineChannel:
-    return AffineChannel(np.eye(3), np.zeros(3))
-
-
 def _unit_axis(axis) -> np.ndarray:
     axis = np.asarray(axis, dtype=float)
     norm = np.linalg.norm(axis)
@@ -74,24 +70,29 @@ def _unit_axis(axis) -> np.ndarray:
     return axis / norm
 
 
+def _check_lambda(lam: float) -> None:
+    if not (0.0 <= lam <= 0.5):
+        raise ValueError(f"lam must lie in [0, 1/2], got {lam}")
+
+
 def phase_damping(lam: float, axis=(0.0, 0.0, 1.0)) -> AffineChannel:
     """Shrink the plane normal to `axis` by 1 - 2*lam; the axis itself
     is untouched: M = (1 - 2 lam) I + 2 lam a a^T for the unit axis a."""
-    if not (0.0 <= lam <= 0.5):
-        raise ValueError(f"lam must lie in [0, 1/2], got {lam}")
+    _check_lambda(lam)
     a = _unit_axis(axis)
     return AffineChannel((1.0 - 2.0 * lam) * np.eye(3) + 2.0 * lam * np.outer(a, a), np.zeros(3))
 
 
 def depolarizing(lam: float) -> AffineChannel:
-    """s -> (1 - 2*lam) s."""
-    if not (0.0 <= lam <= 0.5):
-        raise ValueError(f"lam must lie in [0, 1/2], got {lam}")
+    """s -> (1 - 2*lam) s; lam = 0 is the identity channel."""
+    _check_lambda(lam)
     return AffineChannel((1.0 - 2.0 * lam) * np.eye(3), np.zeros(3))
 
 
 def rotation_channel(axis, angle: float) -> AffineChannel:
-    return AffineChannel(rotation_matrix(_unit_axis(axis), angle), np.zeros(3))
+    """Right-handed rotation by angle about axis: M's columns are the
+    basis vectors rotated."""
+    return AffineChannel(rotate(np.eye(3), _unit_axis(axis), angle).T, np.zeros(3))
 
 
 def affine_shift(v) -> AffineChannel:

@@ -21,14 +21,15 @@ from . import __version__, constants
 from .bloch import DetectionModel, DrivePulse, rabi_excitation_probability, ramsey_probability
 from .channels import (ChannelInvalidError, affine_shift, channel_from_spec, compose,
                        depolarizing, tomography_exact, tomography_sampled)
-from .estimation import DegenerateUpdateError, mean_fidelity_experiment
+from .estimation import mean_fidelity_experiment
 from .ionchain import (ConvergenceError, NotAMinimumError, TrapConfig,
                        length_scale, required_gradient, spin_spin_couplings)
 from .zeno import (corrected_survival, run_length_distribution, run_length_ratio,
                    simulate_alternating, simulate_fractionated_pi, survival_probability)
 
+# ArithmeticError covers overflow, FloatingPointError and estimation's DegenerateUpdateError
 NUMERICAL_ERRORS = (ConvergenceError, NotAMinimumError, ChannelInvalidError,
-                    DegenerateUpdateError, FloatingPointError, np.linalg.LinAlgError)
+                    ArithmeticError, np.linalg.LinAlgError)
 
 
 class ConfigError(ValueError):
@@ -139,16 +140,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_json(path: str, what: str):
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}")
+
+
 def _merge_params(command: str, args: argparse.Namespace) -> dict:
     """Resolve parameters: command line > config file > defaults."""
     spec = _SPECS[command]
     from_file = {}
     if args.config is not None:
-        try:
-            with open(args.config) as fh:
-                from_file = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config file {args.config}: {exc}")
+        from_file = _read_json(args.config, "config file")
         if not isinstance(from_file, dict):
             raise ConfigError("config file must hold a JSON object")
         unknown = set(from_file) - set(spec)
@@ -196,9 +201,12 @@ def _emit(path, text: str) -> None:
     """Write text to the file at path, or to stdout when path is None."""
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}")
 
 
 def _write_csv(path, meta: dict, columns: list, rows: list) -> None:
@@ -299,6 +307,9 @@ def _cmd_estimate(params: dict, out) -> int:
     if not channel.is_physical(5e-13):
         raise ConfigError(f"lambda = {params['lambda']} and delta_eta = {params['delta_eta']} "
                           "push pure states outside the Bloch ball (need |delta_eta| <= lambda)")
+    if out is not None and os.path.splitext(out)[0] + ".json" == out:
+        raise ConfigError(f"--out {out} is the path of its own summary sidecar; "
+                          "give it another extension, such as .csv")
     mean, stderr, fidelities = mean_fidelity_experiment(
         params["states"], params["n"], kind, channel, seed=params["seed"])
     meta = _meta("estimate", params)
@@ -316,11 +327,7 @@ def _cmd_channel(params: dict, out) -> int:
     if params["spec"] is None:
         raise ConfigError("channel requires --spec pointing to a JSON file")
     _require_at_least(params, "shots", 0)
-    try:
-        with open(params["spec"]) as fh:
-            spec = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read channel spec: {exc}")
+    spec = _read_json(params["spec"], "channel spec")
     try:
         channel = channel_from_spec(spec)
     except ValueError as exc:

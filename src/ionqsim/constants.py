@@ -56,17 +56,12 @@ class Species:
         if self.e_hfs < 0:
             raise ValueError(f"hyperfine splitting must be >= 0, got {self.e_hfs}")
 
-    @classmethod
-    def from_amu(cls, mass_amu, **kwargs):
-        """Build a species from a mass given in atomic mass units."""
-        return cls(mass=mass_amu * AMU, **kwargs)
-
 
 # 171Yb+ ground-state qubit: |S_1/2, F=0> <-> |S_1/2, F=1, m_F=0>,
 # hyperfine splitting 12.6428 GHz.  g_j is taken as the free-electron
 # value 2 (pure S state); the nuclear term only enters at the 5e-4 level.
-YB171 = Species.from_amu(
-    170.936,
+YB171 = Species(
+    mass=170.936 * AMU,
     g_j=2.0,
     g_i=0.98734,
     e_hfs=PLANCK_H * 12.6428121e9,

@@ -114,16 +114,20 @@ def spacing_estimate(n_ions: int, zeta: float) -> float:
     return zeta * 2.0 * n_ions ** (-0.56)
 
 
-def _gradient(u: np.ndarray) -> np.ndarray:
+def _separations(u: np.ndarray) -> np.ndarray:
+    """d[i, j] = u_i - u_j, with an infinite diagonal so self-terms vanish."""
     d = u[:, None] - u[None, :]
     np.fill_diagonal(d, np.inf)
+    return d
+
+
+def _gradient(u: np.ndarray) -> np.ndarray:
+    d = _separations(u)
     return u - np.sum(np.sign(d) / d**2, axis=1)
 
 
 def _hessian(u: np.ndarray) -> np.ndarray:
-    d = u[:, None] - u[None, :]
-    np.fill_diagonal(d, np.inf)
-    off = -2.0 / np.abs(d) ** 3
+    off = -2.0 / np.abs(_separations(u)) ** 3
     h = off.copy()
     np.fill_diagonal(h, 1.0 - np.sum(off, axis=1))
     return h
@@ -192,17 +196,11 @@ def normal_modes(u: np.ndarray, nu1: float, species: Species | None = None) -> C
     if lam[0] <= 0:
         raise NotAMinimumError(f"lowest Hessian eigenvalue is {lam[0]:.3e}")
     s = vecs.T.copy()
-    for row in s:
-        nz = np.flatnonzero(np.abs(row) > 1e-8)
-        if nz.size and row[nz[0]] < 0:
-            row *= -1.0
+    # each row is a unit vector, so it has an entry above 1e-8
+    lead = s[np.arange(s.shape[0]), np.argmax(np.abs(s) > 1e-8, axis=1)]
+    s[lead < 0] *= -1.0
     zeta = length_scale(species, nu1) if species is not None else 1.0
     return ChainModes(u=u, z0=u * zeta, nu=nu1 * np.sqrt(lam), s_matrix=s)
-
-
-def chain_modes(species: Species, trap: TrapConfig) -> ChainModes:
-    """Convenience: equilibrium positions plus modes for a trap config."""
-    return normal_modes(equilibrium_positions(trap.n_ions), trap.nu1, species)
 
 
 def ground_state_width(species: Species, nu) -> np.ndarray:
@@ -224,15 +222,20 @@ def lamb_dicke(wavelength: float, species: Species, nu):
     return 2.0 * math.pi * dz / wavelength, dz, dp
 
 
+def _field_moment(species: Species) -> float:
+    """(g_J + g_I m_e/m_p) mu_B, the moment that scales B into chi."""
+    return (species.g_j + species.g_i * const.M_ELECTRON / const.M_PROTON) * const.MU_B
+
+
 def chi_parameter(species: Species, b_field) -> np.ndarray:
     """Scaled field chi = (g_J + g_I m_e/m_p) mu_B B / E_HFS."""
     b = np.abs(np.asarray(b_field, dtype=float))
-    return (species.g_j + species.g_i * const.M_ELECTRON / const.M_PROTON) * const.MU_B * b / species.e_hfs
+    return _field_moment(species) * b / species.e_hfs
 
 
 def field_for_chi(species: Species, chi: float = 1.0) -> float:
     """Magnetic field at which the scaled field parameter reaches chi."""
-    return chi * species.e_hfs / ((species.g_j + species.g_i * const.M_ELECTRON / const.M_PROTON) * const.MU_B)
+    return chi * species.e_hfs / _field_moment(species)
 
 
 def breit_rabi_energy(species: Species, b_field: float, m_q: float, branch: int) -> float:
@@ -324,7 +327,7 @@ def spin_spin_couplings(species: Species, trap: TrapConfig,
     (chi -> 0), i.e. the offset field is assumed negligible; otherwise
     the local field b0 + b z_j at each equilibrium position is used.
     """
-    modes = chain_modes(species, trap)
+    modes = normal_modes(equilibrium_positions(trap.n_ions), trap.nu1, species)
     if weak_field:
         grads = qubit_frequency_gradient(species, 0.0, trap.b)
     else:

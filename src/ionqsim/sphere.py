@@ -135,16 +135,6 @@ def rotate(v, axis, angle):
     return v * c + cross * s + axis * _row_dot(axis, v)[..., None] * (1.0 - c)
 
 
-def rotation_matrix(axis: np.ndarray, angle) -> np.ndarray:
-    """Right-handed rotation matrix about a unit axis: `rotate` applied
-    to the basis vectors, one per column.
-
-    Broadcasts over (..., 3) axes and (...,) angles to (..., 3, 3).
-    """
-    axis = np.asarray(axis, dtype=float)[..., None, :]
-    return np.swapaxes(rotate(np.eye(3), axis, np.asarray(angle)[..., None]), -1, -2)
-
-
 SWEEP_POINTS = 400          # axes in maximize_on_sphere's sweep
 
 

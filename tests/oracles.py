@@ -56,7 +56,7 @@ def imperfection_oracle(s, lam, delta_eta):
     return bloch_from_density(rho_out)
 
 
-def rotation_matrix_oracle(axis, angle):
+def rotation_oracle(axis, angle):
     """SO(3) rotation via the matrix exponential of the generator."""
     x, y, z = axis
     k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])

@@ -151,6 +151,22 @@ class TestRamsey:
         grid = times[:12].reshape(3, 4)
         np.testing.assert_array_equal(ramsey_probability(pulse, grid), batch[:12].reshape(3, 4))
 
+    # free precession is the rabi = 0 pulse of evolve, bit for bit, at any detuning sign
+    @pytest.mark.parametrize("detuning, phase", [
+        (-2 * math.pi * 57.3, 0.0), (0.0, 0.0), (2 * math.pi * 103.9, 0.0),
+        (2 * math.pi * 311.0, 2.3), (-2 * math.pi * 311.0, 4.0), (0.0, 1.1),
+    ])
+    def test_free_precession_matches_a_zero_rabi_pulse_bit_for_bit(self, detuning, phase):
+        rabi = 2 * math.pi * 20e3
+        pulse = DrivePulse(rabi=rabi, detuning=detuning, duration=0.5 * math.pi / rabi,
+                           phase=phase)
+        times = np.linspace(0.0, 30e-3, 301)
+        half = evolve(Z_PLUS, pulse)
+        want = [born_probability(evolve(evolve(half, DrivePulse(rabi=0.0, detuning=detuning,
+                                                                duration=t, phase=phase)), pulse),
+                                 state_from_angles(math.pi)) for t in times]
+        np.testing.assert_array_equal(ramsey_probability(pulse, times), want)
+
     def test_scalar_time_gives_a_float(self):
         pulse = DrivePulse(rabi=2.0, detuning=0.3, duration=math.pi / 4)
         for t_p in (0.0, 1.7, np.float64(1.7), 2):

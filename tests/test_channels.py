@@ -6,17 +6,17 @@ import pytest
 from ionqsim.bloch import state_from_angles
 from ionqsim.channels import (AffineChannel, ChannelInvalidError, affine_shift,
                               apply, channel_from_spec,
-                              compose, depolarizing, identity_channel,
+                              compose, depolarizing,
                               phase_damping, rotation_channel,
                               tomography_exact, tomography_sampled)
 from ionqsim.sphere import fibonacci_sphere
-from oracles import rotation_matrix_oracle
+from oracles import rotation_oracle
 
 
 def random_physical_channel(rng):
     """Random composition of rotations, dampings and an amplitude-damping
     style block; every factor maps the ball into itself."""
-    channel = identity_channel()
+    channel = depolarizing(0.0)
     for _ in range(rng.integers(1, 4)):
         kind = rng.integers(0, 4)
         axis = state_from_angles(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
@@ -82,7 +82,7 @@ class TestConstructors:
             axis = state_from_angles(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
             angle = rng.uniform(0, 2 * math.pi)
             got = rotation_channel(axis, angle).m
-            np.testing.assert_allclose(got, rotation_matrix_oracle(axis, angle), atol=1e-12)
+            np.testing.assert_allclose(got, rotation_oracle(axis, angle), atol=1e-12)
 
     def test_rotation_composition_adds_angles(self):
         axis = state_from_angles(1.1, 0.4)
@@ -103,7 +103,7 @@ class TestConstructors:
 class TestComposeApply:
     def test_identity_neutral(self):
         c = phase_damping(0.3, [0, 1, 0])
-        for composed in (compose(identity_channel(), c), compose(c, identity_channel())):
+        for composed in (compose(depolarizing(0.0), c), compose(c, depolarizing(0.0))):
             np.testing.assert_allclose(composed.m, c.m, atol=1e-15)
             np.testing.assert_allclose(composed.v, c.v, atol=1e-15)
 
@@ -175,7 +175,7 @@ class TestComposeApply:
 
 class TestTomographyExact:
     def test_identity_box(self):
-        channel = tomography_exact(identity_channel())
+        channel = tomography_exact(depolarizing(0.0))
         np.testing.assert_allclose(channel.m, np.eye(3), atol=1e-12)
         np.testing.assert_allclose(channel.v, np.zeros(3), atol=1e-12)
 
@@ -216,7 +216,7 @@ class TestTomographySampled:
 
     def test_identity_within_binomial_propagation(self):
         shots = 10_000
-        estimate, _, _ = tomography_sampled(identity_channel(), shots, seed=2)
+        estimate, _, _ = tomography_sampled(depolarizing(0.0), shots, seed=2)
         # true-probability propagation: diagonal entries combine vars
         # 0, 1/4, 1/4; off-diagonals 1/4, 1/4, 1/4
         sig_diag = math.sqrt(0.5 / shots)
@@ -242,7 +242,7 @@ class TestTomographySampled:
 
     def test_shots_validated(self):
         with pytest.raises(ValueError):
-            tomography_sampled(identity_channel(), 0, seed=0)
+            tomography_sampled(depolarizing(0.0), 0, seed=0)
 
 
 class TestTrendAndSpec:

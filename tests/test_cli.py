@@ -395,6 +395,16 @@ class TestLowerBounds:
         assert run(["estimate", "--states", "10"] + argv + ["--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_estimate_out_on_its_own_sidecar_rejected_before_drawing(self, tmp_path, monkeypatch,
+                                                                     capsys):
+        def draw(rng):
+            raise AssertionError("a state was drawn")
+        monkeypatch.setattr("ionqsim.estimation.random_direction", draw)
+        out = tmp_path / "fid.json"
+        assert run(["estimate", "--n", "3", "--states", "5", "--out", str(out)]) == 2
+        assert "sidecar" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestStrategyNames:
     @pytest.mark.parametrize("strategy", ["bogus", "self_learning", "fixed_axes"])
@@ -514,6 +524,22 @@ class TestProcessEntryPoint:
         done = self.call(["rabi", "--ramsey"] + argv + ["--out", "fringes.csv"], tmp_path)
         assert done.returncode == 2
         assert done.stdout == ""
+        assert message in done.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    # an --out that cannot be opened and an --out on the estimate summary's
+    # own path are configuration errors; an overflow is a numerical failure
+    @pytest.mark.parametrize("argv, code, message", [
+        (["rabi", "--out", "missing/x.csv"], 2, "cannot write missing/x.csv"),
+        (["rabi", "--out", "."], 2, "cannot write ."),
+        (["estimate", "--n", "3", "--states", "5", "--out", "fid.json"], 2, "summary sidecar"),
+        (["chain", "--nu1-khz", "1e300", "--n", "3"], 1, "out of range"),
+    ])
+    def test_failure_prints_one_error_line(self, tmp_path, argv, code, message):
+        done = self.call(argv, tmp_path)
+        assert done.returncode == code
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
         assert message in done.stderr
         assert list(tmp_path.iterdir()) == []
 

@@ -9,12 +9,12 @@ import pytest
 
 from ionqsim import estimation, sphere
 from ionqsim.bloch import born_probability, state_from_angles
-from ionqsim.channels import affine_shift, apply, compose, depolarizing
+from ionqsim.channels import affine_shift, apply, compose, depolarizing, rotation_channel
 from ionqsim.estimation import (STRATEGIES, DegenerateUpdateError, SphereDistribution,
                                 bayes_update, estimate_state, mean_fidelity_experiment,
                                 optimal_fidelity_bound, optimal_next_direction,
                                 random_direction, run_estimation, uniform_prior)
-from ionqsim.sphere import SphereGrid, fibonacci_sphere, moment_grid, rotate, rotation_matrix
+from ionqsim.sphere import SphereGrid, fibonacci_sphere, moment_grid, rotate
 from oracles import expected_mean_fidelity, imperfection_oracle
 
 # reference quadrature for densities not tied to one measurement count
@@ -574,7 +574,7 @@ class TestEnsembleProperties:
         for _ in range(20):
             axis = random_direction(rng)
             angle = rng.uniform(0, 2 * math.pi)
-            rot = rotation_matrix(axis, angle)
+            rot = rotate(np.eye(3), axis, angle).T
             dist, dist_r = uniform_prior(GRID), uniform_prior(GRID)
             for m, o in zip(base_dirs, outcomes):
                 dist = bayes_update(dist, m, o)
@@ -665,12 +665,11 @@ class TestRodrigues:
         rng = np.random.default_rng(41)
         axes = np.array([random_direction(rng) for _ in range(200)])
         angles = rng.uniform(-2 * math.pi, 2 * math.pi, 200)
-        batch = rotation_matrix(axes, angles)
-        for axis, angle, rot in zip(axes, angles, batch):
-            lone = rotation_matrix(axis, angle)
-            np.testing.assert_array_equal(rot, lone)
+        for axis, angle in zip(axes, angles):
+            m = rotation_channel(axis, angle).m
+            unit = axis / np.linalg.norm(axis)      # as rotation_channel normalizes it
             for j, e in enumerate(np.eye(3)):
-                np.testing.assert_array_equal(lone[:, j], rotate(e, axis, angle))
+                np.testing.assert_array_equal(m[:, j], rotate(e, unit, angle))
 
     def test_batch_vectors_match_lone_rotations(self):
         rng = np.random.default_rng(42)

@@ -7,7 +7,7 @@ from scipy import constants as sc
 from ionqsim.constants import AMU, YB171, Species
 from ionqsim.ionchain import (ChainModes, ConvergenceError, CouplingMatrix,
                               NotAMinimumError, TrapConfig, breit_rabi_energy,
-                              chain_modes, chi_parameter, coupling_matrix,
+                              chi_parameter, coupling_matrix,
                               epsilon_matrix, equilibrium_positions,
                               field_for_chi, ground_state_width, lamb_dicke,
                               length_scale, normal_modes,
@@ -165,6 +165,25 @@ class TestNormalModes:
             first = row[np.flatnonzero(np.abs(row) > 1e-8)[0]]
             assert first > 0
 
+    def test_sign_convention_matches_the_row_loop(self):
+        import ionqsim.ionchain as ic
+        for n in (2, 3, 7, 20, 60):
+            u = equilibrium_positions(n)
+            want = np.linalg.eigh(ic._hessian(u))[1].T.copy()
+            for row in want:
+                nz = np.flatnonzero(np.abs(row) > 1e-8)
+                if nz.size and row[nz[0]] < 0:
+                    row *= -1.0
+            np.testing.assert_array_equal(normal_modes(u, NU1).s_matrix, want)
+
+    def test_sign_convention_skips_vanishing_leading_entries(self, monkeypatch):
+        # a row's sign is set by its first entry above 1e-8, not by entry 0
+        import ionqsim.ionchain as ic
+        rows = np.array([[1e-12, -0.6, 0.8], [0.0, 0.8, 0.6], [-1.0, 0.0, 0.0]])
+        monkeypatch.setattr(ic.np.linalg, "eigh", lambda h: (np.array([1.0, 2.0, 3.0]), rows.T))
+        got = ic.normal_modes(np.array([-1.0, 0.0, 1.0]), NU1).s_matrix
+        np.testing.assert_array_equal(got, [[-1e-12, 0.6, -0.8], [0.0, 0.8, 0.6], [1.0, 0.0, 0.0]])
+
     def test_invalid_positions_rejected(self):
         with pytest.raises(ValueError):
             normal_modes(np.array([0.3, 0.3]), NU1)
@@ -306,7 +325,7 @@ class TestCouplings:
 
     def test_com_epsilon_value(self):
         trap = TrapConfig(nu1=NU1, n_ions=10, b=25.0)
-        modes = chain_modes(YB171, trap)
+        modes = normal_modes(equilibrium_positions(trap.n_ions), trap.nu1, YB171)
         grad = qubit_frequency_gradient(YB171, 0.0, 25.0)
         eps = epsilon_matrix(modes, grad, YB171)
         want = (1 / math.sqrt(10)) * ground_state_width(YB171, NU1) * grad / NU1
@@ -318,7 +337,7 @@ class TestCouplings:
 
     def test_microwave_epsilon_dominates(self):
         # the photon-recoil part epsilon_matrix leaves out is < 1e-3 of eps
-        modes = chain_modes(YB171, TrapConfig(nu1=NU1, n_ions=5, b=25.0))
+        modes = normal_modes(equilibrium_positions(5), NU1, YB171)
         grad = qubit_frequency_gradient(YB171, 0.0, 25.0)
         eps = epsilon_matrix(modes, grad, YB171)
         recoil_part = np.abs(lamb_dicke(0.024, YB171, modes.nu)[0][:, None]
@@ -353,13 +372,13 @@ class TestCouplings:
         np.testing.assert_allclose(j2.j[mask] / j1.j[mask], 4.0, rtol=1e-12)
 
     def test_amu_versus_kg_identical(self):
+        # the registry's 171Yb+ is given as 170.936 u
         direct = Species(mass=170.936 * AMU, g_j=2.0, g_i=0.98734,
                          e_hfs=YB171.e_hfs, i_nuc=0.5)
-        via_amu = Species.from_amu(170.936, g_j=2.0, g_i=0.98734,
-                                   e_hfs=YB171.e_hfs, i_nuc=0.5)
+        assert direct.mass == YB171.mass
         trap = TrapConfig(nu1=NU1, n_ions=5, b=25.0)
         _, j1 = spin_spin_couplings(direct, trap)
-        _, j2 = spin_spin_couplings(via_amu, trap)
+        _, j2 = spin_spin_couplings(YB171, trap)
         mask = ~np.eye(5, dtype=bool)
         np.testing.assert_allclose(j1.j[mask], j2.j[mask], rtol=1e-12)
 
@@ -397,8 +416,8 @@ class TestConfigTypes:
         with pytest.raises(ValueError):
             Species(mass=1.0, g_j=2.0, g_i=0.0, e_hfs=-1.0, i_nuc=0.5)
 
-    def test_chain_modes_carry_physical_positions(self):
-        modes = chain_modes(YB171, TrapConfig(nu1=NU1, n_ions=2, b=0.0))
+    def test_normal_modes_carry_physical_positions(self):
+        modes = normal_modes(equilibrium_positions(2), NU1, YB171)
         assert isinstance(modes, ChainModes)
         zeta = length_scale(YB171, NU1)
         np.testing.assert_allclose(modes.z0, modes.u * zeta, atol=1e-20)
