@@ -4,8 +4,10 @@ Subpackages cover coherent two-level dynamics (bloch), quantum Zeno
 measurement statistics (zeno), Bayesian adaptive state estimation
 (estimation), affine qubit channels with tomography (channels), and
 the spin-spin-coupled ion chain calculator (ionchain).
+
+Importing the package loads none of them, and no numpy: import the
+layer you use (`from ionqsim import ionchain`), and only it and what it
+needs are loaded.
 """
 
 __version__ = "0.1.0"
-
-from . import bloch, channels, constants, estimation, ionchain, sphere, zeno  # noqa: F401

@@ -201,24 +201,46 @@ def _emit(path, text: str) -> None:
     """Write text to the file at path, or to stdout when path is None."""
     if path is None:
         sys.stdout.write(text)
-        return
+    else:
+        _emit_files([(path, text)])
+
+
+def _emit_files(outputs) -> None:
+    """Write every (path, text) pair, or none of them.
+
+    Every path is opened before any is written, in append mode, so that a
+    file that exists keeps its bytes until all are open.  When one cannot
+    be opened, the files this call created are removed again.
+    """
+    handles, created = [], []
     try:
-        with open(path, "w") as fh:
-            fh.write(text)
+        for path, _text in outputs:
+            existed = os.path.exists(path)
+            handles.append(open(path, "a"))
+            if not existed:
+                created.append(path)
     except OSError as exc:
+        for fh in handles:
+            fh.close()
+        for made in created:
+            os.remove(made)
         raise ConfigError(f"cannot write {path}: {exc}")
+    for fh, (_path, text) in zip(handles, outputs):
+        with fh:
+            fh.truncate(0)
+            fh.write(text)
 
 
-def _write_csv(path, meta: dict, columns: list, rows: list) -> None:
+def _csv_text(meta: dict, columns: list, rows: list) -> str:
     lines = [f"# {key}={meta[key]}" for key in ("seed", "config_hash", "version")]
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
-    _emit(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _write_json(path, payload: dict) -> None:
-    _emit(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _require_at_least(params: dict, name: str, low: int) -> None:
@@ -240,7 +262,7 @@ def _cmd_rabi(params: dict, out) -> int:
     else:
         rows = [(t, rabi_excitation_probability(omega, delta, t)) for t in times]
         columns = ["pulse_length_s", "p1"]
-    _write_csv(out, _meta("rabi", params), columns, rows)
+    _emit(out, _csv_text(_meta("rabi", params), columns, rows))
     return 0
 
 
@@ -288,7 +310,8 @@ def _cmd_zeno(params: dict, out) -> int:
             rows.append((q, theory, ratio, stderr))
     else:
         raise ConfigError(f"unknown zeno mode {params['mode']!r}")
-    _write_csv(out, _meta("zeno", params), ["N_or_q", "theory", "simulated", "stderr"], rows)
+    _emit(out, _csv_text(_meta("zeno", params), ["N_or_q", "theory", "simulated", "stderr"],
+                         rows))
     return 0
 
 
@@ -315,11 +338,12 @@ def _cmd_estimate(params: dict, out) -> int:
     meta = _meta("estimate", params)
     summary = {"meta": meta, "mean": mean, "stderr": stderr, "strategy": kind,
                "N": params["n"], "states": params["states"]}
+    summary_text = _json_text(summary)
     if out is not None:
         rows = [(i, f) for i, f in enumerate(fidelities)]
-        _write_csv(out, meta, ["state_index", "fidelity"], rows)
-        _write_json(os.path.splitext(out)[0] + ".json", summary)
-    _write_json(None, summary)
+        _emit_files([(out, _csv_text(meta, ["state_index", "fidelity"], rows)),
+                     (os.path.splitext(out)[0] + ".json", summary_text)])
+    _emit(None, summary_text)
     return 0
 
 
@@ -344,7 +368,7 @@ def _cmd_channel(params: dict, out) -> int:
         "m_stderr": m_err.tolist(),
         "v_stderr": v_err.tolist(),
     }
-    _write_json(out, payload)
+    _emit(out, _json_text(payload))
     return 0
 
 
@@ -381,7 +405,7 @@ def _cmd_chain(params: dict, out) -> int:
             required_gradient(species, nu1, trap.n_ions) if trap.n_ions >= 2 else None),
         "J_hz": coupling.in_hz().tolist(),
     }
-    _write_json(out, payload)
+    _emit(out, _json_text(payload))
     if params["table"]:
         sys.stdout.write(_format_j_table(coupling.in_hz()) + "\n")
     return 0

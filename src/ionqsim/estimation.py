@@ -146,6 +146,14 @@ def optimal_next_direction(dist: SphereDistribution, scratch: dict | None = None
     gets one (B, 3) row of axes per density, each equal to its lone
     search: a row that has stopped, or is flat, is not touched again.
 
+    Tie rule: Fbar(m) = Fbar(-m), and the hemisphere rule picks one of each
+    antipodal pair.  Among maximizers that are not antipodes, the search
+    returns the one Newton reaches from the first sweep axis (in
+    `fibonacci_sphere` order) of largest Fbar, then applies the hemisphere
+    rule.  Another search that reaches the same Fbar may pick another
+    maximizer; the later axes, and the ensemble's mean fidelity, change
+    with it.
+
     The 400 sweep axes (`fibonacci_sphere`) and run_estimation's default
     grid (`moment_grid`) are built once per process and shared as
     read-only arrays, so no call rebuilds them.  `scratch` is a dict in

@@ -97,10 +97,18 @@ class CouplingMatrix:
 
 
 def length_scale(species: Species, nu1: float) -> float:
-    """zeta = (e^2 / (4 pi eps0 m nu1^2))^(1/3) in meters."""
+    """zeta = (e^2 / (4 pi eps0 m nu1^2))^(1/3) in meters.
+
+    Raises OverflowError when zeta is not a finite positive float, because
+    m nu1^2 or e^2 / (m nu1^2) has left the float range.
+    """
     if nu1 <= 0:
         raise ValueError(f"nu1 must be positive, got {nu1}")
-    return (const.COULOMB_E2 / (species.mass * nu1 * nu1)) ** (1.0 / 3.0)
+    stiffness = species.mass * nu1 * nu1
+    zeta = (const.COULOMB_E2 / stiffness) ** (1.0 / 3.0) if stiffness > 0 else math.inf
+    if not 0.0 < zeta < math.inf:
+        raise OverflowError(f"length scale zeta is out of range for nu1 = {nu1:.6g} rad/s")
+    return zeta
 
 
 def spacing_estimate(n_ions: int, zeta: float) -> float:

@@ -466,22 +466,41 @@ class TestConstantsHook:
 
 class TestStartup:
     @staticmethod
-    def loaded(module, prefix):
-        code = (f"import {module}, sys; "
-                f"print(sorted(m for m in sys.modules if m.startswith({prefix!r})))")
+    def loaded(statement):
+        """The names in sys.modules after statement, in a fresh interpreter."""
+        code = f"{statement}; import json, sys; print(json.dumps(sorted(sys.modules)))"
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=env, check=True)
-        return done.stdout.strip()
+        return json.loads(done.stdout)
+
+    @staticmethod
+    def under(modules, package):
+        return [m for m in modules if m == package or m.startswith(package + ".")]
 
     def test_cli_import_pulls_in_no_scipy(self):
-        assert self.loaded("ionqsim.cli", "scipy") == "[]"
+        assert self.under(self.loaded("import ionqsim.cli"), "scipy") == []
 
     def test_cli_import_pulls_in_no_numpy_random(self):
         # rabi, ramsey and chain runs draw nothing, so they need not load it
-        if self.loaded("numpy", "numpy.random") != "[]":
+        if self.under(self.loaded("import numpy"), "numpy.random"):
             pytest.skip("a bare `import numpy` already loads numpy.random here")
-        assert self.loaded("ionqsim.cli", "numpy.random") == "[]"
+        assert self.under(self.loaded("import ionqsim.cli"), "numpy.random") == []
+
+    # the package loads no layer; a layer loads only what it imports, and
+    # the CLI loads all seven, which is what perfbench's Tracer.install wraps
+    @pytest.mark.parametrize("statement, layers", [
+        ("import ionqsim", set()),
+        ("from ionqsim import ionchain", {"ionchain", "constants"}),
+        ("from ionqsim import estimation", {"estimation", "bloch", "channels", "sphere"}),
+        ("import ionqsim.cli", {"cli", "bloch", "channels", "constants", "estimation",
+                                "ionchain", "sphere", "zeno"}),
+    ])
+    def test_entry_point_loads_only_its_layers(self, statement, layers):
+        loaded = self.loaded(statement)
+        assert {m[len("ionqsim."):] for m in loaded if m.startswith("ionqsim.")} == layers
+        if not layers:
+            assert self.under(loaded, "numpy") == []
 
 
 class TestExitCodes:
@@ -527,21 +546,53 @@ class TestProcessEntryPoint:
         assert message in done.stderr
         assert list(tmp_path.iterdir()) == []
 
-    # an --out that cannot be opened and an --out on the estimate summary's
-    # own path are configuration errors; an overflow is a numerical failure
+    @staticmethod
+    def assert_one_error_line(done, code, message):
+        assert done.returncode == code
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+        assert message in done.stderr
+
+    # an --out that cannot be opened, an --out on the estimate summary's own
+    # path and an empty fractions list are configuration errors; a chain
+    # whose length scale or required gradient overflows is a numerical failure
     @pytest.mark.parametrize("argv, code, message", [
         (["rabi", "--out", "missing/x.csv"], 2, "cannot write missing/x.csv"),
         (["rabi", "--out", "."], 2, "cannot write ."),
         (["estimate", "--n", "3", "--states", "5", "--out", "fid.json"], 2, "summary sidecar"),
         (["chain", "--nu1-khz", "1e300", "--n", "3"], 1, "out of range"),
+        (["zeno", "--fractions", ","], 2, "fractions list is empty"),
+        (["chain", "--nu1-khz", "1e160", "--n", "3"], 1, "out of range"),
     ])
     def test_failure_prints_one_error_line(self, tmp_path, argv, code, message):
         done = self.call(argv, tmp_path)
-        assert done.returncode == code
-        assert done.stdout == ""
-        assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
-        assert message in done.stderr
+        self.assert_one_error_line(done, code, message)
         assert list(tmp_path.iterdir()) == []
+
+    # inputs are made in the working directory first, a None one as a
+    # directory, and a failing call must leave them, unchanged, as all it
+    # holds: an estimate sidecar that cannot be opened takes a new CSV with
+    # it, and leaves an old one as it was
+    @pytest.mark.parametrize("argv, inputs, message", [
+        (["estimate", "--n", "3", "--states", "5", "--out", "fid.csv"], {"fid.json": None},
+         "cannot write fid.json"),
+        (["estimate", "--n", "3", "--states", "5", "--out", "fid.csv"],
+         {"fid.json": None, "fid.csv": "kept\n"}, "cannot write fid.json"),
+        (["chain", "--config", "cfg.json"], {"cfg.json": "[1, 2]"}, "must hold a JSON object"),
+        (["rabi", "--config", "cfg.json"], {"cfg.json": '{"rabi_khz": 1' + "0" * 400 + "}"},
+         "bad config value"),
+    ])
+    def test_config_error_leaves_only_its_inputs(self, tmp_path, argv, inputs, message):
+        for name, text in inputs.items():
+            if text is None:
+                (tmp_path / name).mkdir()
+            else:
+                (tmp_path / name).write_text(text)
+        done = self.call(argv, tmp_path)
+        self.assert_one_error_line(done, 2, message)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(inputs)
+        assert all((tmp_path / name).read_text() == text
+                   for name, text in inputs.items() if text is not None)
 
 
 # sha256 of zeno artifacts, recorded before trajectories were drawn in

@@ -64,6 +64,18 @@ class TestLengthScale:
         assert length_scale(heavy, NU1) == pytest.approx(
             length_scale(YB171, NU1) / 2.0, rel=1e-12)
 
+    # m nu1^2 underflows to 0; e^2 / (m nu1^2) underflows to 0 (zeta would be
+    # 0); m nu1^2 overflows to inf (zeta would be 0 too)
+    @pytest.mark.parametrize("nu1", [1e-160, 1e161, 1e170])
+    def test_out_of_float_range_raises(self, nu1):
+        with pytest.raises(OverflowError, match="out of range"):
+            length_scale(YB171, nu1)
+
+    @pytest.mark.parametrize("nu1", [1e-130, 1e150])
+    def test_extreme_but_representable_is_kept(self, nu1):
+        assert length_scale(YB171, nu1) == pytest.approx(
+            length_scale(YB171, NU1) * (NU1 / nu1) ** (2 / 3), rel=1e-12)
+
 
 class TestSpacing:
     def test_ten_ion_spacing_near_seven_microns(self):
