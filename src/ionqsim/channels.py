@@ -21,7 +21,7 @@ from .sphere import _row_norm, rotate
 # probability table P[j, i], whose columns are the read-out axes x, y, z.
 _INPUTS = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
 _PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-_BALL_TOL = 1e-9    # apply rejects an output longer than 1 + _BALL_TOL
+_BALL_TOL = 1e-9    # a channel call rejects an output longer than 1 + _BALL_TOL
 
 
 class ChannelInvalidError(ValueError):
@@ -47,10 +47,15 @@ class AffineChannel:
         v.flags.writeable = False
 
     def __call__(self, s: np.ndarray) -> np.ndarray:
-        """M s + v for one (3,) or many (..., 3) Bloch vectors; each row
-        of a stack rounds exactly as it would on its own."""
+        """M s + v for one (3,) or many (..., 3) Bloch vectors, guarding
+        the Bloch ball row by row; each row of a stack rounds exactly as
+        it would on its own."""
         s = np.asarray(s, dtype=float)
-        return (self.m @ s[..., None])[..., 0] + self.v
+        out = (self.m @ s[..., None])[..., 0] + self.v
+        norm = _row_norm(out)
+        if np.any(norm > 1.0 + _BALL_TOL):
+            raise ChannelInvalidError(f"channel output left the Bloch ball: |s'| = {np.max(norm)}")
+        return out
 
     def is_physical(self, tol: float = 1e-9) -> bool:
         """Exact complete-positivity test: the Choi matrix
@@ -104,15 +109,6 @@ def affine_shift(v) -> AffineChannel:
 def compose(first: AffineChannel, second: AffineChannel) -> AffineChannel:
     """Channel applying `first` and then `second`."""
     return AffineChannel(second.m @ first.m, second.m @ first.v + second.v)
-
-
-def apply(channel: AffineChannel, s: np.ndarray) -> np.ndarray:
-    """M s + v, guarding the Bloch ball row by row."""
-    out = channel(s)
-    norm = _row_norm(out)
-    if np.any(norm > 1.0 + _BALL_TOL):
-        raise ChannelInvalidError(f"channel output left the Bloch ball: |s'| = {np.max(norm)}")
-    return out
 
 
 def _probabilities(black_box) -> np.ndarray:

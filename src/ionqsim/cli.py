@@ -197,14 +197,6 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _emit(path, text: str) -> None:
-    """Write text to the file at path, or to stdout when path is None."""
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        _emit_files([(path, text)])
-
-
 def _emit_files(outputs) -> None:
     """Write every (path, text) pair, or none of them.
 
@@ -248,7 +240,7 @@ def _require_at_least(params: dict, name: str, low: int) -> None:
         raise ConfigError(f"{name!r} must be >= {low}, got {params[name]}")
 
 
-def _cmd_rabi(params: dict, out) -> int:
+def _cmd_rabi(params: dict, out) -> list:
     _require_at_least(params, "points", 1)
     times = np.linspace(0.0, params["tmax_ms"] * 1e-3, params["points"])
     omega = 2.0 * math.pi * params["rabi_khz"] * 1e3
@@ -262,8 +254,7 @@ def _cmd_rabi(params: dict, out) -> int:
     else:
         rows = [(t, rabi_excitation_probability(omega, delta, t)) for t in times]
         columns = ["pulse_length_s", "p1"]
-    _emit(out, _csv_text(_meta("rabi", params), columns, rows))
-    return 0
+    return [(out, _csv_text(_meta("rabi", params), columns, rows))]
 
 
 def _detection_from(params: dict) -> DetectionModel:
@@ -275,7 +266,7 @@ def _detection_from(params: dict) -> DetectionModel:
     return DetectionModel.from_counts(*counting)
 
 
-def _cmd_zeno(params: dict, out) -> int:
+def _cmd_zeno(params: dict, out) -> list:
     detection = _detection_from(params)
     rows = []
     if params["mode"] == "survival":
@@ -310,12 +301,11 @@ def _cmd_zeno(params: dict, out) -> int:
             rows.append((q, theory, ratio, stderr))
     else:
         raise ConfigError(f"unknown zeno mode {params['mode']!r}")
-    _emit(out, _csv_text(_meta("zeno", params), ["N_or_q", "theory", "simulated", "stderr"],
-                         rows))
-    return 0
+    return [(out, _csv_text(_meta("zeno", params), ["N_or_q", "theory", "simulated", "stderr"],
+                            rows))]
 
 
-def _cmd_estimate(params: dict, out) -> int:
+def _cmd_estimate(params: dict, out) -> list:
     if params["strategy"] not in _STRATEGY_ALIASES:
         raise ConfigError(f"unknown strategy {params['strategy']!r}; "
                           f"choose from {' | '.join(_STRATEGY_ALIASES)}")
@@ -326,7 +316,7 @@ def _cmd_estimate(params: dict, out) -> int:
         raise ConfigError(f"'delta_eta' must lie in [-1/4, 1/4], got {params['delta_eta']}")
     # the smallest Choi eigenvalue is lambda - |delta_eta|: this tolerance is
     # the ball rule |1 - 2 lambda| + 2 |delta_eta| <= 1 + 1e-12, and it keeps
-    # every accepted channel inside apply's guard
+    # every accepted channel inside the ball guard of a channel call
     if not channel.is_physical(5e-13):
         raise ConfigError(f"lambda = {params['lambda']} and delta_eta = {params['delta_eta']} "
                           "push pure states outside the Bloch ball (need |delta_eta| <= lambda)")
@@ -339,15 +329,14 @@ def _cmd_estimate(params: dict, out) -> int:
     summary = {"meta": meta, "mean": mean, "stderr": stderr, "strategy": kind,
                "N": params["n"], "states": params["states"]}
     summary_text = _json_text(summary)
-    if out is not None:
-        rows = [(i, f) for i, f in enumerate(fidelities)]
-        _emit_files([(out, _csv_text(meta, ["state_index", "fidelity"], rows)),
-                     (os.path.splitext(out)[0] + ".json", summary_text)])
-    _emit(None, summary_text)
-    return 0
+    if out is None:
+        return [(None, summary_text)]
+    rows = [(i, f) for i, f in enumerate(fidelities)]
+    return [(out, _csv_text(meta, ["state_index", "fidelity"], rows)),
+            (os.path.splitext(out)[0] + ".json", summary_text), (None, summary_text)]
 
 
-def _cmd_channel(params: dict, out) -> int:
+def _cmd_channel(params: dict, out) -> list:
     if params["spec"] is None:
         raise ConfigError("channel requires --spec pointing to a JSON file")
     _require_at_least(params, "shots", 0)
@@ -368,8 +357,7 @@ def _cmd_channel(params: dict, out) -> int:
         "m_stderr": m_err.tolist(),
         "v_stderr": v_err.tolist(),
     }
-    _emit(out, _json_text(payload))
-    return 0
+    return [(out, _json_text(payload))]
 
 
 def _format_j_table(j_hz: np.ndarray) -> str:
@@ -384,7 +372,7 @@ def _format_j_table(j_hz: np.ndarray) -> str:
     return "\n".join(lines)
 
 
-def _cmd_chain(params: dict, out) -> int:
+def _cmd_chain(params: dict, out) -> list:
     species_key = params["species"].lower()
     if species_key not in constants.SPECIES_REGISTRY:
         raise ConfigError(f"unknown species {params['species']!r}; "
@@ -405,10 +393,10 @@ def _cmd_chain(params: dict, out) -> int:
             required_gradient(species, nu1, trap.n_ions) if trap.n_ions >= 2 else None),
         "J_hz": coupling.in_hz().tolist(),
     }
-    _emit(out, _json_text(payload))
+    outputs = [(out, _json_text(payload))]
     if params["table"]:
-        sys.stdout.write(_format_j_table(coupling.in_hz()) + "\n")
-    return 0
+        outputs.append((None, _format_j_table(coupling.in_hz()) + "\n"))
+    return outputs
 
 
 _DISPATCH = {
@@ -421,7 +409,12 @@ _DISPATCH = {
 
 
 def run(argv) -> int:
-    """Parse argv, execute one subcommand, write artifacts; returns exit code."""
+    """Parse argv, execute one subcommand, write artifacts; returns exit code.
+
+    Each subcommand returns its outputs as (path, text) pairs, path None
+    for stdout.  Every file is written, or none (`_emit_files`), before
+    anything goes to stdout.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -429,14 +422,17 @@ def run(argv) -> int:
         return int(exc.code or 0)
     try:
         params = _merge_params(args.command, args)
-        return _DISPATCH[args.command](params, args.out)
+        outputs = _DISPATCH[args.command](params, args.out)
+        _emit_files([(path, text) for path, text in outputs if path is not None])
     # LinAlgError and ChannelInvalidError are ValueErrors too, so this comes first
     except NUMERICAL_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ConfigError, ValueError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
+    sys.stdout.write("".join(text for path, text in outputs if path is None))
+    return 0
 
 
 def main() -> None:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import Z_PLUS, as_direction, as_generator, born_probability
-from .channels import AffineChannel, apply
+from .channels import AffineChannel
 from .sphere import (SWEEP_POINTS, SphereGrid, _row_dot, _row_norm, maximize_on_sphere,
                      moment_grid)
 
@@ -236,12 +236,16 @@ STRATEGIES = ("self_learning", "random", "fixed_axes")
 _FIXED_AXES = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 
 
-def random_direction(rng) -> np.ndarray:
-    """Uniform direction w.r.t. the sphere's area measure."""
-    z = rng.uniform(-1.0, 1.0)
-    phi = rng.uniform(0.0, 2.0 * math.pi)
-    r = math.sqrt(max(0.0, 1.0 - z * z))
-    return np.array([r * math.cos(phi), r * math.sin(phi), z])
+def random_direction(uniforms) -> np.ndarray:
+    """Directions uniform w.r.t. the sphere's area measure, (..., 3) from
+    (..., 2) uniforms on [0, 1): the first sets z = 2u - 1 and the second
+    the azimuth 2 pi u, as rng.uniform(-1, 1) and rng.uniform(0, 2 pi)
+    round them."""
+    u = np.asarray(uniforms, dtype=float)
+    z = -1.0 + 2.0 * u[..., 0]
+    phi = 2.0 * math.pi * u[..., 1]
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    return np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
 
 
 def _check_strategy(n: int, strategy: str) -> None:
@@ -261,21 +265,21 @@ def run_estimation(true_state, n: int, strategy: str = "self_learning",
     passed through `channel` (ideal if None; the experiment's
     depolarization lam and detection bias delta_eta are
     compose(depolarizing(lam), affine_shift((0, 0, 2 delta_eta)))); the
-    Bayesian update itself assumes ideal conditions (as the experiment's
-    algorithm did).
+    channel call raises ChannelInvalidError for an output outside the
+    Bloch ball.  The Bayesian update itself assumes ideal conditions (as
+    the experiment's algorithm did).
     Returns (estimate, fidelity, directions, outcomes): the estimated
     Bloch vector, its fidelity cos^2(gamma/2) against the intended pure
     state, the (n, 3) measurement axes and the (n,) outcomes of +/-1.
 
     A (B, 3) array of true states is estimated as one batch; `seed` is
     then a sequence of B seeds or generators, one stream per state, and
-    the results carry a leading B axis.  Each stream is drawn in the
-    same order as a lone run of its state: n outcome uniforms, each
-    preceded under `random` by the two uniforms of its axis.  Pass
-    distinct streams: one Generator repeated for several states is drawn
-    state by state under `self_learning` and `fixed_axes` (each state's n
-    uniforms up front), but step by step across the states under
-    `random`.  The default grid is `moment_grid(n)`, on which the moments
+    the results carry a leading B axis.  Every strategy draws each
+    state's stream up front, state by state, in one order: n outcome
+    uniforms, each preceded under `random` by the two uniforms of its
+    axis (`random_direction`).  A batch row thus draws as a lone run of
+    its state, and one Generator repeated for several states serves them
+    in turn.  The default grid is `moment_grid(n)`, on which the moments
     are exact.
 
     Under `self_learning` and `fixed_axes` the run keeps one density per
@@ -288,7 +292,7 @@ def run_estimation(true_state, n: int, strategy: str = "self_learning",
     target = as_direction(true_state).reshape(-1, 3)
     if len(rngs) != len(target):
         raise ValueError(f"got {len(rngs)} seeds for {len(target)} states")
-    transmitted = target if channel is None else apply(channel, target)
+    transmitted = target if channel is None else channel(target)
 
     shared = strategy != "random"     # axes depend on past outcomes alone
     prior = uniform_prior(grid if grid is not None else moment_grid(n))
@@ -296,7 +300,9 @@ def run_estimation(true_state, n: int, strategy: str = "self_learning",
     node = np.zeros(len(target), dtype=int) if shared else np.arange(len(target))
     dist = SphereDistribution(prior.grid, np.broadcast_to(
         prior.values, (1 if shared else len(target), prior.grid.size)))
-    uniforms = np.array([rng.random(n) for rng in rngs]) if shared else None
+    # (states, n, draws per step); the outcome uniform is the last draw
+    uniforms = np.array([rng.random((n, 1 if shared else 3)) for rng in rngs])
+    random_axes = None if shared else random_direction(uniforms[..., :2])
     directions = np.empty((len(target), n, 3))
     outcomes = np.empty((len(target), n), dtype=int)
     scratch = {}
@@ -306,12 +312,11 @@ def run_estimation(true_state, n: int, strategy: str = "self_learning",
         if strategy == "self_learning":
             axes = optimal_next_direction(dist, scratch)
         elif strategy == "random":
-            axes = np.array([random_direction(rng) for rng in rngs])
+            axes = random_axes[:, k]
         else:
             axes = np.broadcast_to(_FIXED_AXES[k % 3], dist.values.shape[:-1] + (3,))
         m = axes[node]
-        u = uniforms[:, k] if shared else np.array([rng.random() for rng in rngs])
-        up = np.where(u < born_probability(transmitted, m), 1, 0)
+        up = np.where(uniforms[:, k, -1] < born_probability(transmitted, m), 1, 0)
         # one density per string drawn, ordered by (parent row, outcome);
         # np.unique would do, but pages in numpy's sort code.  Under
         # `random` every row has one child, so the rows stay the states.
@@ -347,7 +352,7 @@ def mean_fidelity_experiment(num_states: int, n: int, strategy: str = "self_lear
     master = as_generator(seed)
     state_seeds = master.integers(0, 2**63, size=num_states, dtype=np.uint64)
     rngs = [np.random.default_rng(int(s)) for s in state_seeds]
-    targets = np.array([random_direction(rng) for rng in rngs])
+    targets = random_direction(np.array([rng.random(2) for rng in rngs]))
     if grid is None:
         grid = moment_grid(n)
     chunk = max(1, _CHUNK_SIZE // max(grid.size, SWEEP_POINTS))

@@ -154,7 +154,7 @@ def equilibrium_positions(n_ions: int) -> np.ndarray:
     if n_ions == 1:
         return np.zeros(1)
 
-    du = 2.0 * n_ions ** (-0.56)
+    du = spacing_estimate(n_ions, 1.0)
     u = (np.arange(n_ions) - 0.5 * (n_ions - 1)) * du
     g = _gradient(u)
     for _ in range(_MAX_ITER):

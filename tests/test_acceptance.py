@@ -259,14 +259,14 @@ def test_criterion_8_property_suites(tmp_path):
     from ionqsim.estimation import SphereDistribution, random_direction
     from ionqsim.sphere import rotate
     dist = uniform_prior(GRID)
-    updates = [(random_direction(rng), int(rng.choice([-1, 1]))) for _ in range(6)]
+    updates = [(random_direction(rng.random(2)), int(rng.choice([-1, 1]))) for _ in range(6)]
     for m, o in updates:
         dist = bayes_update(dist, m, o)
         assert dist.integral == pytest.approx(1.0, abs=1e-9)
     scaled = SphereDistribution(dist.grid, dist.values * 3.7)
     np.testing.assert_allclose(estimate_state(dist)[0], estimate_state(scaled)[0],
                                atol=1e-14)
-    rot = rotate(np.eye(3), random_direction(rng), rng.uniform(0, 2 * math.pi)).T
+    rot = rotate(np.eye(3), random_direction(rng.random(2)), rng.uniform(0, 2 * math.pi)).T
     dist_r = uniform_prior(GRID)
     for m, o in updates:
         dist_r = bayes_update(dist_r, rot @ m, o)

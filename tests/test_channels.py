@@ -5,7 +5,7 @@ import pytest
 
 from ionqsim.bloch import state_from_angles
 from ionqsim.channels import (AffineChannel, ChannelInvalidError, affine_shift,
-                              apply, channel_from_spec,
+                              channel_from_spec,
                               compose, depolarizing,
                               phase_damping, rotation_channel,
                               tomography_exact, tomography_sampled)
@@ -45,7 +45,7 @@ class TestConstructors:
 
     def test_full_dephasing_kills_transverse(self):
         channel = phase_damping(0.5)
-        np.testing.assert_allclose(apply(channel, [1.0, 0.0, 0.0]), [0, 0, 0], atol=1e-15)
+        np.testing.assert_allclose(channel([1.0, 0.0, 0.0]), [0, 0, 0], atol=1e-15)
 
     def test_phase_damping_axis_preserved(self):
         rng = np.random.default_rng(1)
@@ -60,8 +60,7 @@ class TestConstructors:
     def test_depolarizing(self):
         np.testing.assert_allclose(depolarizing(0.5).m, np.zeros((3, 3)), atol=1e-15)
         np.testing.assert_allclose(depolarizing(0.0).m, np.eye(3), atol=1e-15)
-        np.testing.assert_allclose(apply(depolarizing(0.25), [0, 0, 1.0]), [0, 0, 0.5],
-                                   atol=1e-15)
+        np.testing.assert_allclose(depolarizing(0.25)([0, 0, 1.0]), [0, 0, 0.5], atol=1e-15)
 
     def test_lambda_range_validated(self):
         for bad in (-0.1, 0.6):
@@ -73,7 +72,7 @@ class TestConstructors:
     def test_rotation_channel(self):
         np.testing.assert_allclose(rotation_channel([0, 0, 1], 0.0).m, np.eye(3), atol=1e-15)
         flip = rotation_channel([1, 0, 0], math.pi)
-        np.testing.assert_allclose(apply(flip, [0, 0, 1.0]), [0, 0, -1.0], atol=1e-12)
+        np.testing.assert_allclose(flip([0, 0, 1.0]), [0, 0, -1.0], atol=1e-12)
         assert abs(abs(np.linalg.det(flip.m)) - 1.0) < 1e-12
 
     def test_rotation_matches_expm_oracle(self):
@@ -125,7 +124,7 @@ class TestComposeApply:
         for _ in range(50):
             a, b = random_physical_channel(rng), random_physical_channel(rng)
             s = fibonacci_sphere(7)[rng.integers(0, 7)] * rng.uniform(0, 1)
-            np.testing.assert_allclose(apply(compose(a, b), s), apply(b, apply(a, s)),
+            np.testing.assert_allclose(compose(a, b)(s), b(a(s)),
                                        atol=1e-12)
 
     def test_ball_preserved_for_constructed_channels(self):
@@ -148,10 +147,10 @@ class TestComposeApply:
         with pytest.raises(ChannelInvalidError):
             channel_from_spec({"variant": "raw", "m": transpose.m.tolist(), "v": [0.0, 0.0, 0.0]})
 
-    def test_apply_flags_ball_violation(self):
+    def test_call_flags_ball_violation(self):
         bad = affine_shift([0.5, 0.0, 0.0])
         with pytest.raises(ChannelInvalidError):
-            apply(bad, [1.0, 0.0, 0.0])
+            bad([1.0, 0.0, 0.0])
 
     @pytest.mark.parametrize("rows", [3, 5])
     def test_stack_maps_row_by_row(self, rows):
@@ -161,16 +160,20 @@ class TestComposeApply:
             stack = fibonacci_sphere(rows) * rng.uniform(0, 1, (rows, 1))
             expected = np.array([channel(s) for s in stack])
             np.testing.assert_array_equal(channel(stack), expected)
-            np.testing.assert_array_equal(apply(channel, stack), expected)
             np.testing.assert_array_equal(channel(stack.reshape(1, rows, 3))[0], expected)
 
-    def test_apply_flags_one_bad_row_of_a_stack(self):
+    def test_call_flags_one_bad_row_of_a_stack(self):
         shift = affine_shift([0.2, 0.0, 0.0])
         stack = np.array([[0.0, 0.0, 0.5], [0.0, 0.3, 0.0], [0.9, 0.0, 0.0],
                           [-0.5, 0.5, 0.0], [0.0, 0.0, -0.9]])
-        apply(shift, np.delete(stack, 2, axis=0))
+        shift(np.delete(stack, 2, axis=0))
         with pytest.raises(ChannelInvalidError):
-            apply(shift, stack)
+            shift(stack)
+
+    def test_tomography_of_a_map_that_leaves_the_ball_raises(self):
+        # +x goes to (1.2, 0, 0)
+        with pytest.raises(ChannelInvalidError):
+            tomography_exact(affine_shift([0.2, 0.0, 0.0]))
 
 
 class TestTomographyExact:

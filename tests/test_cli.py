@@ -2,8 +2,10 @@ import hashlib
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,6 +100,13 @@ class TestChain:
         assert len(lines) == 11             # header + one row per ion
         assert lines[2].split() == ["2", "54.35"]
 
+    def test_table_with_unwritable_out_prints_nothing(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "chain.json"
+        assert run(["chain", "--n", "3", "--table", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot write" in captured.err
+
     def test_unknown_species_is_config_error(self):
         assert run(["chain", "--species", "unobtainium"]) == 2
 
@@ -132,6 +141,28 @@ class TestEstimateExample:
         _, _, rows = read_artifact(out)
         assert len(rows) == 1000
         capsys.readouterr()   # swallow the stdout copy of the summary
+
+
+def readme_calls():
+    """The `ionqsim ...` lines of the first fenced block under the
+    README's "## Command line", each as its argv."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("\n## Command line\n", 1)[1].split("```\n", 2)[1]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("ionqsim ")]
+
+
+class TestReadmeExamples:
+    def test_every_call_runs_and_writes_its_out(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "channel.json").write_text(
+            json.dumps({"variant": "phase_damping", "lambda": 0.2, "axis": [0.7, 1.3]}))
+        calls = readme_calls()
+        assert {argv[0] for argv in calls} == set(cli._SPECS)
+        for argv in calls:
+            assert run(argv) == 0, argv
+            out = argv[argv.index("--out") + 1] if "--out" in argv else None
+            assert out is None or (tmp_path / out).exists(), argv
+        assert capsys.readouterr().err == ""
 
 
 class TestConfigMerging:
@@ -388,7 +419,7 @@ class TestLowerBounds:
 
     @pytest.mark.parametrize("argv", [["--n", "0"], ["--strategy", "bogus"]])
     def test_bad_estimate_rejected_before_drawing(self, tmp_path, monkeypatch, argv):
-        def draw(rng):
+        def draw(uniforms):
             raise AssertionError("a state was drawn")
         monkeypatch.setattr("ionqsim.estimation.random_direction", draw)
         out = tmp_path / "fid.csv"
@@ -397,7 +428,7 @@ class TestLowerBounds:
 
     def test_estimate_out_on_its_own_sidecar_rejected_before_drawing(self, tmp_path, monkeypatch,
                                                                      capsys):
-        def draw(rng):
+        def draw(uniforms):
             raise AssertionError("a state was drawn")
         monkeypatch.setattr("ionqsim.estimation.random_direction", draw)
         out = tmp_path / "fid.json"
@@ -511,6 +542,27 @@ class TestExitCodes:
             raise error
         monkeypatch.setitem(cli._DISPATCH, "rabi", fail)
         assert run(["rabi"]) == code
+
+    # a request too large for memory is a configuration error of one line;
+    # the library call is replaced, so nothing is allocated
+    @pytest.mark.parametrize("call, argv, error, message", [
+        ("simulate_alternating", ["zeno", "--mode", "runlength", "--pairs", "1000000000000"],
+         MemoryError("Unable to allocate 931. GiB for an array with shape (1000000000000,)"),
+         "error: Unable to allocate 931. GiB for an array with shape (1000000000000,)"),
+        ("simulate_fractionated_pi", ["zeno", "--sequences", "100000000000"], MemoryError(),
+         "error: out of memory"),
+    ], ids=["runlength", "survival"])
+    def test_memory_error_exits_2_with_one_line(self, tmp_path, capsys, monkeypatch, call, argv,
+                                                error, message):
+        def fail(*args, **kwargs):
+            raise error
+        monkeypatch.setattr(cli, call, fail)
+        out = tmp_path / "out.csv"
+        assert run(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message + "\n"
+        assert not out.exists()
 
 
 # the README Ramsey call

@@ -9,7 +9,7 @@ import pytest
 
 from ionqsim import estimation, sphere
 from ionqsim.bloch import born_probability, state_from_angles
-from ionqsim.channels import affine_shift, apply, compose, depolarizing, rotation_channel
+from ionqsim.channels import affine_shift, compose, depolarizing, rotation_channel
 from ionqsim.estimation import (STRATEGIES, DegenerateUpdateError, SphereDistribution,
                                 bayes_update, estimate_state, mean_fidelity_experiment,
                                 optimal_fidelity_bound, optimal_next_direction,
@@ -73,7 +73,7 @@ class TestPriorAndGrid:
         for n in (1, 4, 12):
             small, fine = uniform_prior(moment_grid(n)), uniform_prior(GRID)
             for _ in range(n):
-                m, o = random_direction(rng), int(rng.choice([-1, 1]))
+                m, o = random_direction(rng.random(2)), int(rng.choice([-1, 1]))
                 small, fine = bayes_update(small, m, o), bayes_update(fine, m, o)
             np.testing.assert_allclose(small.mean_vector(), fine.mean_vector(), atol=1e-14)
             np.testing.assert_allclose(small.second_moment(), fine.second_moment(), atol=1e-14)
@@ -85,7 +85,7 @@ class TestOutcomeProbability:
         prior = uniform_prior(GRID)
         rng = np.random.default_rng(0)
         for _ in range(20):
-            m = random_direction(rng)
+            m = random_direction(rng.random(2))
             assert born_probability(prior.mean_vector(), m) == pytest.approx(0.5, abs=1e-12)
 
     def test_concentrated_density(self):
@@ -104,9 +104,9 @@ class TestOutcomeProbability:
         rng = np.random.default_rng(1)
         dist = uniform_prior(GRID)
         for _ in range(5):
-            dist = bayes_update(dist, random_direction(rng), rng.choice([-1, 1]))
+            dist = bayes_update(dist, random_direction(rng.random(2)), rng.choice([-1, 1]))
         for _ in range(20):
-            m = random_direction(rng)
+            m = random_direction(rng.random(2))
             s_bar = dist.mean_vector()
             total = born_probability(s_bar, m) + born_probability(s_bar, -m)
             assert total == pytest.approx(1.0, abs=1e-10)
@@ -133,7 +133,7 @@ class TestBayesUpdate:
         rng = np.random.default_rng(2)
         prior = uniform_prior(GRID)
         for _ in range(10):
-            m = random_direction(rng)
+            m = random_direction(rng.random(2))
             a = bayes_update(prior, m, +1)
             b = bayes_update(prior, -m, -1)
             np.testing.assert_allclose(a.values, b.values, atol=1e-12)
@@ -142,7 +142,7 @@ class TestBayesUpdate:
         rng = np.random.default_rng(3)
         dist = uniform_prior(GRID)
         for _ in range(25):
-            dist = bayes_update(dist, random_direction(rng), rng.choice([-1, 1]))
+            dist = bayes_update(dist, random_direction(rng.random(2)), rng.choice([-1, 1]))
             assert dist.integral == pytest.approx(1.0, abs=1e-9)
 
     def test_zero_probability_outcome_raises(self):
@@ -164,7 +164,7 @@ class TestBayesUpdate:
 
     def test_batch_rows_match_single_updates_exactly(self):
         rng = np.random.default_rng(13)
-        dirs = np.array([random_direction(rng) for _ in range(4)])
+        dirs = random_direction(rng.random((4, 2)))
         outcomes = np.array([1, -1, -1, 1])
         prior = uniform_prior(moment_grid(6))
         batch = SphereDistribution(prior.grid, np.tile(prior.values, (4, 1)))
@@ -201,7 +201,7 @@ class TestFidelityAndEstimate:
     def test_concentrated_density_estimate(self):
         grid = uniform_prior(GRID).grid
         rng = np.random.default_rng(4)
-        m = random_direction(rng)
+        m = random_direction(rng.random(2))
         values = np.exp(500.0 * (grid.units @ m - 1.0))
         dist = SphereDistribution(grid, values / grid.integrate(values))
         direction, f_opt = estimate_state(dist)
@@ -212,7 +212,7 @@ class TestFidelityAndEstimate:
         rng = np.random.default_rng(5)
         dist = uniform_prior(GRID)
         for _ in range(4):
-            dist = bayes_update(dist, random_direction(rng), rng.choice([-1, 1]))
+            dist = bayes_update(dist, random_direction(rng.random(2)), rng.choice([-1, 1]))
         scaled = SphereDistribution(dist.grid, dist.values * 7.3)
         d1, _ = estimate_state(dist)
         d2, _ = estimate_state(scaled)
@@ -224,7 +224,7 @@ class TestExpectedMeanFidelity:
         prior = uniform_prior(GRID)
         rng = np.random.default_rng(6)
         for _ in range(10):
-            m = random_direction(rng)
+            m = random_direction(rng.random(2))
             assert expected_mean_fidelity(prior, m) == pytest.approx(2.0 / 3.0, abs=2e-3)
 
     def test_second_measurement_closed_form(self):
@@ -240,9 +240,9 @@ class TestExpectedMeanFidelity:
 
     def test_antipode_swap_invariance(self):
         rng = np.random.default_rng(7)
-        dist = bayes_update(uniform_prior(GRID), random_direction(rng), +1)
+        dist = bayes_update(uniform_prior(GRID), random_direction(rng.random(2)), +1)
         for _ in range(10):
-            m = random_direction(rng)
+            m = random_direction(rng.random(2))
             assert expected_mean_fidelity(dist, m) == pytest.approx(
                 expected_mean_fidelity(dist, -m), abs=1e-12)
 
@@ -276,7 +276,7 @@ class TestOptimalNextDirection:
         prior = uniform_prior(moment_grid(12))
         batch = SphereDistribution(prior.grid, np.tile(prior.values, (rows, 1)))
         for _ in range(3):
-            batch = bayes_update(batch, np.array([random_direction(rng) for _ in range(rows)]),
+            batch = bayes_update(batch, random_direction(rng.random((rows, 2))),
                                  rng.choice([-1, 1], size=rows))
         return batch
 
@@ -311,7 +311,7 @@ class TestOptimalNextDirection:
         # 200 000-point Fibonacci sweep, over 10 states x 12 adaptive steps
         n_states, n_steps = 10, 12
         rng = np.random.default_rng(15)
-        truth = np.array([random_direction(rng) for _ in range(n_states)])
+        truth = random_direction(rng.random((n_states, 2)))
         dense = fibonacci_sphere(200_000)
         prior = uniform_prior(moment_grid(n_steps))
         dist = SphereDistribution(prior.grid, np.tile(prior.values, (n_states, 1)))
@@ -347,7 +347,7 @@ class TestOptimalNextDirection:
         rng = np.random.default_rng(8)
         dist = uniform_prior(GRID)
         for _ in range(6):
-            dist = bayes_update(dist, random_direction(rng), int(rng.choice([-1, 1])))
+            dist = bayes_update(dist, random_direction(rng.random(2)), int(rng.choice([-1, 1])))
             assert optimal_next_direction(dist)[2] >= -1e-12
 
 
@@ -447,25 +447,25 @@ class TestBenchmarkSpanCoverage:
 class TestImperfections:
     def test_identity_when_ideal(self):
         s = np.array([0.3, -0.2, 0.5])
-        np.testing.assert_allclose(apply(_imperfect(0.0), s), s, atol=1e-15)
+        np.testing.assert_allclose(_imperfect(0.0)(s), s, atol=1e-15)
 
     def test_depolarization_shrinks_z(self):
-        out = apply(_imperfect(0.1), Z)
+        out = _imperfect(0.1)(Z)
         np.testing.assert_allclose(out, [0, 0, 0.8], atol=1e-15)
 
     def test_bias_shifts_center(self):
         # lam = delta_eta = 0.05 keeps the map physical; the center moves
         # to 2*delta_eta as in the density-matrix picture
-        out = apply(_imperfect(0.05, 0.05), np.zeros(3))
+        out = _imperfect(0.05, 0.05)(np.zeros(3))
         np.testing.assert_allclose(out, [0, 0, 0.1], atol=1e-15)
 
     def test_matches_density_matrix_oracle(self):
         rng = np.random.default_rng(9)
         for _ in range(100):
-            s = random_direction(rng) * rng.uniform(0, 1)
+            s = random_direction(rng.random(2)) * rng.uniform(0, 1)
             lam = rng.uniform(0, 0.5)
             delta_eta = rng.uniform(-1, 1) * min(0.25, lam)
-            got = apply(_imperfect(lam, delta_eta), s)
+            got = _imperfect(lam, delta_eta)(s)
             np.testing.assert_allclose(got, imperfection_oracle(s, lam, delta_eta),
                                        atol=1e-12)
 
@@ -479,7 +479,7 @@ class TestImperfections:
 
     def test_output_ball_check(self):
         with pytest.raises(ValueError):
-            apply(_imperfect(0.05, 0.05), np.array([0.0, 0.0, 1.4]))
+            _imperfect(0.05, 0.05)(np.array([0.0, 0.0, 1.4]))
 
 
 class TestRunEstimation:
@@ -510,7 +510,7 @@ class TestRunEstimation:
         assert abs(mean - 2.0 / 3.0) < 4 * stderr
 
     def test_batch_returns_one_row_per_state(self):
-        targets = np.array([random_direction(np.random.default_rng(i)) for i in range(3)])
+        targets = random_direction(np.array([np.random.default_rng(i).random(2) for i in range(3)]))
         estimates, fidelities, directions, outcomes = run_estimation(targets, n=4, seed=[1, 2, 3])
         assert estimates.shape == (3, 3) and fidelities.shape == (3,)
         assert directions.shape == (3, 4, 3) and outcomes.shape == (3, 4)
@@ -528,7 +528,8 @@ class TestRunEstimation:
         # before each of them
         n = 5
         seeds = [np.random.default_rng(60 + row) for row in range(3)]
-        targets = np.array([random_direction(np.random.default_rng(row)) for row in range(3)])
+        targets = random_direction(
+            np.array([np.random.default_rng(row).random(2) for row in range(3)]))
         run_estimation(targets, n, strategy, seed=seeds)
         lone = np.random.default_rng(63)
         run_estimation(targets[0], n, strategy, seed=lone)
@@ -537,15 +538,17 @@ class TestRunEstimation:
             ref.random(draws * n)
             assert rng.bit_generator.state == ref.bit_generator.state
 
-    @pytest.mark.parametrize("strategy", ["self_learning", "fixed_axes"])
+    @pytest.mark.parametrize("strategy", ["self_learning", "fixed_axes", "random"])
     def test_repeated_generator_is_drawn_state_by_state(self, strategy):
-        # one Generator for every state: each state takes its n uniforms in turn
+        # one Generator for every state: each state takes its draws in turn
         n = 4
-        targets = np.array([random_direction(np.random.default_rng(row)) for row in range(3)])
+        targets = random_direction(
+            np.array([np.random.default_rng(row).random(2) for row in range(3)]))
         batch = run_estimation(targets, n, strategy, seed=[np.random.default_rng(64)] * 3)
         lone_rng = np.random.default_rng(64)
         for row, target in enumerate(targets):
             lone = run_estimation(target, n, strategy, seed=lone_rng)
+            np.testing.assert_array_equal(batch[2][row], lone[2])
             np.testing.assert_array_equal(batch[3][row], lone[3])
 
     def test_strategy_validation(self):
@@ -556,7 +559,7 @@ class TestRunEstimation:
 
     @pytest.mark.parametrize("n, strategy", [(0, "self_learning"), (12, "bogus")])
     def test_ensemble_rejects_bad_run_before_drawing(self, monkeypatch, n, strategy):
-        def draw(rng):
+        def draw(uniforms):
             raise AssertionError("a state was drawn")
         monkeypatch.setattr("ionqsim.estimation.random_direction", draw)
         master = np.random.default_rng(3)
@@ -569,10 +572,10 @@ class TestRunEstimation:
 class TestEnsembleProperties:
     def test_rotational_covariance(self):
         rng = np.random.default_rng(11)
-        base_dirs = [random_direction(rng) for _ in range(5)]
+        base_dirs = random_direction(rng.random((5, 2)))
         outcomes = [int(rng.choice([-1, 1])) for _ in range(5)]
         for _ in range(20):
-            axis = random_direction(rng)
+            axis = random_direction(rng.random(2))
             angle = rng.uniform(0, 2 * math.pi)
             rot = rotate(np.eye(3), axis, angle).T
             dist, dist_r = uniform_prior(GRID), uniform_prior(GRID)
@@ -608,7 +611,7 @@ def _per_state_reference(num_states, n, strategy, channel, seed):
     for state_seed in np.random.default_rng(seed).integers(0, 2**63, size=num_states,
                                                            dtype=np.uint64):
         rng = np.random.default_rng(int(state_seed))
-        target = random_direction(rng)
+        target = random_direction(rng.random(2))
         fidelities.append(run_estimation(target, n, strategy, channel, seed=rng,
                                          grid=grid)[1])
     return np.array(fidelities)
@@ -646,7 +649,7 @@ class TestSharedOutcomeStrings:
     def test_repeated_states_match_lone_runs(self, strategy, channel):
         n = 8
         rng = np.random.default_rng(80)
-        pairs = [(random_direction(rng), int(rng.integers(1000))) for _ in range(10)]
+        pairs = [(random_direction(rng.random(2)), int(rng.integers(1000))) for _ in range(10)]
         # 40 states: each (target, seed) pair four times, interleaved
         order = np.random.default_rng(81).permutation(np.repeat(np.arange(10), 4))
         targets = np.array([pairs[i][0] for i in order])
@@ -663,7 +666,7 @@ class TestSharedOutcomeStrings:
 class TestRodrigues:
     def test_matrix_columns_are_rotated_basis_vectors(self):
         rng = np.random.default_rng(41)
-        axes = np.array([random_direction(rng) for _ in range(200)])
+        axes = random_direction(rng.random((200, 2)))
         angles = rng.uniform(-2 * math.pi, 2 * math.pi, 200)
         for axis, angle in zip(axes, angles):
             m = rotation_channel(axis, angle).m
@@ -673,7 +676,7 @@ class TestRodrigues:
 
     def test_batch_vectors_match_lone_rotations(self):
         rng = np.random.default_rng(42)
-        axes = np.array([random_direction(rng) for _ in range(200)])
+        axes = random_direction(rng.random((200, 2)))
         angles = rng.uniform(-2 * math.pi, 2 * math.pi, 200)
         vectors = rng.normal(size=(200, 3))
         batch = rotate(vectors, axes, angles)
