@@ -27,13 +27,15 @@ posterior: there the batch rows are the distinct outcome strings so far.
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .bloch import Z_PLUS, as_direction, as_generator, born_probability
-from .channels import AffineChannel
 from .sphere import (SWEEP_POINTS, SphereGrid, _row_dot, _row_norm, maximize_on_sphere,
                      moment_grid)
+if TYPE_CHECKING:
+    from .channels import AffineChannel     # for annotations only
 
 FOUR_PI = 4.0 * math.pi
 # mean_fidelity_experiment estimates at most this many states x max(grid
@@ -80,7 +82,8 @@ class SphereDistribution:
         """Second moment Q = <u u^T> of the normalized density, (..., 3, 3)."""
         wv = self.grid.weights * self.values
         u = self.grid.units
-        q = (wv[..., None, :] * u.T) @ u
+        # w u^T laid out as u^T, whose matmul path fixes the bits, built in (..., K, 3)
+        q = (np.repeat(wv, 3, axis=-1) * u.ravel()).reshape(wv.shape + (3,)).swapaxes(-1, -2) @ u
         return q / np.asarray(self.integral)[..., None, None]
 
 
@@ -97,13 +100,13 @@ def bayes_update(dist: SphereDistribution, direction, outcome) -> SphereDistribu
     directions and (B,) outcomes, one per row.
     """
     outcome = np.asarray(outcome)
-    if not np.all((outcome == 1) | (outcome == -1)):
+    if not ((outcome == 1) | (outcome == -1)).all():
         raise ValueError(f"outcome must be +1 or -1, got {outcome}")
     m = outcome[..., None] * as_direction(direction)
     likelihood = 0.5 * (1.0 + (dist.grid.units @ m[..., :, None])[..., 0])
     posterior = dist.values * likelihood
     norm = np.asarray(dist.grid.integrate(posterior))
-    if np.any(norm <= 1e-300):
+    if (norm <= 1e-300).any():
         raise DegenerateUpdateError("observed outcome has zero probability under the prior")
     return SphereDistribution(dist.grid, posterior / norm[..., None])
 
@@ -130,6 +133,7 @@ def estimate_state(dist: SphereDistribution) -> tuple[np.ndarray, float]:
 _NEWTON_STEPS, _TRUST_RADIUS, _CURVATURE, _STOP_STEP = 8, 0.3, -1e-9, 1e-5
 _EYE = np.eye(3)
 _SIGNS = np.array([1.0, -1.0])[:, None, None]
+_SIGN_KEY = np.array([1.0, 2.0, 4.0])
 
 
 def optimal_next_direction(dist: SphereDistribution, scratch: dict | None = None) -> np.ndarray:
@@ -142,55 +146,49 @@ def optimal_next_direction(dist: SphereDistribution, scratch: dict | None = None
     only its eigendirections of negative curvature, so a ring of optima (as
     after one z result) is not travelled on roundoff.  A flat objective
     (fresh uniform prior) returns +z.  Antipodal ties go to the upper
-    hemisphere, components within 1e-9 of zero counting as zero.  A batch
-    gets one (B, 3) row of axes per density, each equal to its lone
+    hemisphere: the first of z, y, x not within 1e-9 of zero is positive.
+    A batch gets one (B, 3) row of axes per density, each equal to its lone
     search: a row that has stopped, or is flat, is not touched again.
 
     Tie rule: Fbar(m) = Fbar(-m), and the hemisphere rule picks one of each
-    antipodal pair.  Among maximizers that are not antipodes, the search
-    returns the one Newton reaches from the first sweep axis (in
-    `fibonacci_sphere` order) of largest Fbar, then applies the hemisphere
-    rule.  Another search that reaches the same Fbar may pick another
-    maximizer; the later axes, and the ensemble's mean fidelity, change
-    with it.
+    antipodal pair.  Of other maximizers the search returns the one Newton
+    reaches from the first sweep axis (in `fibonacci_sphere` order) of
+    largest Fbar.  Another search that reaches the same Fbar may pick
+    another maximizer; the later axes, and the ensemble's mean fidelity,
+    change with it.
 
-    The 400 sweep axes (`fibonacci_sphere`) and run_estimation's default
-    grid (`moment_grid`) are built once per process and shared as
-    read-only arrays, so no call rebuilds them.  `scratch` is a dict in
-    which the sweep keeps its work array between calls, sized for the
-    largest batch it has seen; run_estimation passes one dict, sized for
-    its whole batch, to every step of a run.
+    `scratch` is a dict in which the sweep keeps its component-major
+    (2, 3, rows, 400) work array, the components of a and b, between
+    calls, sized for the largest batch it has seen; run_estimation passes
+    one, sized for its whole batch, to every step of a run.  matmul writes
+    Q m into b through its (rows, 3, 400) view, and the norms run in place
+    along contiguous (rows, 400) blocks.
     """
     scratch = {} if scratch is None else scratch
     batch = dist.values.shape[:-1]
     s_bar, q = dist.mean_vector().reshape(-1, 3), dist.second_moment().reshape(-1, 3, 3)
 
-    def norm(op, qm):
-        # |S + Q m| (op np.add) or |S - Q m| per row and sweep axis, as
-        # np.linalg.norm rounds it, one (rows, n) component at a time
-        total = None
-        for j in range(3):
-            v = op(s_bar[:, j, None], qm[:, j])
-            v *= v
-            total = v if total is None else np.add(total, v, out=total)
-        return np.sqrt(total, out=total)
-
     def objective(dirs):
-        # component-major, so that every operation runs along the sweep axes
-        qm = _sweep_buffer(scratch, len(q), len(dirs))
-        np.matmul(q, dirs.T, out=qm)
-        fbar = norm(np.add, qm)
-        fbar += norm(np.subtract, qm)
+        # |a| and |b| per row and sweep axis, rounded as np.linalg.norm rounds them
+        ab = _sweep_buffer(scratch, len(q), len(dirs))
+        np.matmul(q, dirs.T, out=ab[1].transpose(1, 0, 2))
+        np.add(s_bar.T[:, :, None], ab[1], out=ab[0])
+        np.subtract(s_bar.T[:, :, None], ab[1], out=ab[1])
+        ab *= ab
+        lengths = np.add(ab[:, 0], ab[:, 1], out=ab[:, 0])
+        lengths += ab[:, 2]
+        fbar = np.sqrt(lengths, out=lengths)[0]
+        fbar += lengths[1]
         fbar *= 0.25
         fbar += 0.5
         return fbar
 
     best, flat = maximize_on_sphere(objective)
     active = np.flatnonzero(~flat)      # flat rows become +z below
-    # the rows still stepping.  q^T/4 keeps the memory layout of q's
-    # transpose, and with it the products' rounding; a power-of-two factor
-    # scales every rounded partial sum exactly, so grad and the Hessian
-    # carry their 1/4 with the same bits as when it was applied after
+    # the rows still stepping, each written to best once, when it stops.
+    # q^T/4 keeps the memory layout of q's transpose, and with it the
+    # products' rounding; a power-of-two factor scales every rounded partial
+    # sum exactly, so grad and the Hessian round as with the 1/4 applied after
     m, q_a, s_a = best[active], q[active], s_bar[active]
     q_t4 = 0.25 * q_a.swapaxes(-1, -2)
     for _ in range(_NEWTON_STEPS):
@@ -198,7 +196,7 @@ def optimal_next_direction(dist: SphereDistribution, scratch: dict | None = None
             break
         # a and b stacked (2, rows, 3); S + (-Qm) rounds as S - Qm
         ab = s_a + _SIGNS * (q_a @ m[:, :, None])[..., 0]
-        lengths = _row_norm(ab)[..., None]
+        lengths = np.sqrt(ab[..., None, :] @ ab[..., :, None])[..., 0]
         ab /= lengths
         grad = q_t4 @ (ab[0] - ab[1])[:, :, None]
         curve = (_EYE - ab[..., :, None] * ab[..., None, :]) / lengths[..., None]
@@ -207,28 +205,30 @@ def optimal_next_direction(dist: SphereDistribution, scratch: dict | None = None
         curv, vecs = np.linalg.eigh(proj @ hess @ proj - (m[:, None, :] @ grad) * proj)
         along = (vecs.swapaxes(-1, -2) @ grad)[..., 0]
         along = np.divide(-along, curv, out=np.zeros(along.shape), where=curv < _CURVATURE)
-        step = (vecs @ along[:, :, None])[..., 0]
-        length = _row_norm(step)
-        m = m + step * (_TRUST_RADIUS / np.maximum(length, _TRUST_RADIUS))[:, None]
-        m /= _row_norm(m)[:, None]
-        best[active] = m
-        going = length >= _STOP_STEP
+        step = vecs @ along[:, :, None]
+        length = np.sqrt(step.swapaxes(-1, -2) @ step)[:, 0]
+        m = m + (step * (_TRUST_RADIUS / np.maximum(length, _TRUST_RADIUS))[:, None])[..., 0]
+        m /= np.sqrt(m[:, None, :] @ m[:, :, None])[:, 0]
+        going = length[:, 0] >= _STOP_STEP
         if not going.all():
+            best[active[~going]] = m[~going]
             active, m, q_a, q_t4, s_a = (x[going] for x in (active, m, q_a, q_t4, s_a))
+    best[active] = m
+    return np.where(flat[:, None], Z_PLUS, _upper_hemisphere(best)).reshape(batch + (3,))
 
-    x, y, z = np.where(np.abs(best) <= 1e-9, 0.0, best).T
-    lower = (z < 0) | ((z == 0) & ((y < 0) | ((y == 0) & (x < 0))))
-    best = np.where(lower[:, None], -best, best)
-    return np.where(flat[:, None], Z_PLUS, best).reshape(batch + (3,))
+
+def _upper_hemisphere(axes):
+    """Rows flipped to the upper hemisphere: a row is below it if sign(snapped) . (1, 2, 4) < 0."""
+    snapped = np.where(np.abs(axes) <= 1e-9, 0.0, axes)
+    return np.where((np.sign(snapped) @ _SIGN_KEY < 0)[:, None], -axes, axes)
 
 
 def _sweep_buffer(scratch, rows, points):
-    """A (rows, 3, points) work array, the leading rows of one kept in
-    `scratch`; it is allocated again only for more rows or points."""
+    """The leading rows of the (2, 3, rows, points) array kept in `scratch`, grown as needed."""
     kept = scratch.get("sweep")
-    if kept is None or len(kept) < rows or kept.shape[2] != points:
-        kept = scratch["sweep"] = np.empty((rows, 3, points))
-    return kept[:rows]
+    if kept is None or kept.shape[2] < rows or kept.shape[3] != points:
+        kept = scratch["sweep"] = np.empty((2, 3, rows, points))
+    return kept[:, :, :rows]
 
 
 STRATEGIES = ("self_learning", "random", "fixed_axes")
@@ -256,7 +256,7 @@ def _check_strategy(n: int, strategy: str) -> None:
 
 
 def run_estimation(true_state, n: int, strategy: str = "self_learning",
-                   channel: AffineChannel | None = None,
+                   channel: "AffineChannel | None" = None,
                    seed=None, grid: SphereGrid | None = None):
     """Estimate one qubit state, or a batch of them, from n single-copy
     measurements each, with a strategy from STRATEGIES.
@@ -316,7 +316,7 @@ def run_estimation(true_state, n: int, strategy: str = "self_learning",
         else:
             axes = np.broadcast_to(_FIXED_AXES[k % 3], dist.values.shape[:-1] + (3,))
         m = axes[node]
-        up = np.where(uniforms[:, k, -1] < born_probability(transmitted, m), 1, 0)
+        up = (uniforms[:, k, -1] < born_probability(transmitted, m)).astype(int)
         # one density per string drawn, ordered by (parent row, outcome);
         # np.unique would do, but pages in numpy's sort code.  Under
         # `random` every row has one child, so the rows stay the states.
@@ -325,8 +325,9 @@ def run_estimation(true_state, n: int, strategy: str = "self_learning",
         parent, side = np.nonzero(drawn)
         drawn[parent, side] = np.arange(len(parent))
         node = drawn[node, up]
-        dist = bayes_update(SphereDistribution(dist.grid, dist.values[parent]),
-                            axes[parent], 2 * side - 1)
+        parents = object.__new__(SphereDistribution)   # rows of a checked one: no new check
+        vars(parents).update(grid=dist.grid, values=dist.values[parent])
+        dist = bayes_update(parents, axes[parent], 2 * side - 1)
         directions[:, k] = m
         outcomes[:, k] = 2 * up - 1
 
@@ -338,7 +339,7 @@ def run_estimation(true_state, n: int, strategy: str = "self_learning",
 
 
 def mean_fidelity_experiment(num_states: int, n: int, strategy: str = "self_learning",
-                             channel: AffineChannel | None = None,
+                             channel: "AffineChannel | None" = None,
                              seed=None, grid: SphereGrid | None = None):
     """Mean estimation fidelity over an ensemble of random pure states.
 
@@ -353,8 +354,7 @@ def mean_fidelity_experiment(num_states: int, n: int, strategy: str = "self_lear
     state_seeds = master.integers(0, 2**63, size=num_states, dtype=np.uint64)
     rngs = [np.random.default_rng(int(s)) for s in state_seeds]
     targets = random_direction(np.array([rng.random(2) for rng in rngs]))
-    if grid is None:
-        grid = moment_grid(n)
+    grid = moment_grid(n) if grid is None else grid
     chunk = max(1, _CHUNK_SIZE // max(grid.size, SWEEP_POINTS))
 
     fidelities = np.empty(num_states)

@@ -1,5 +1,7 @@
 import gc
+import hashlib
 import inspect
+import itertools
 import math
 import weakref
 from collections import Counter
@@ -290,9 +292,14 @@ class TestOptimalNextDirection:
             axes = optimal_next_direction(part, scratch=scratch)
             assert axes.shape == (len(part.values), 3)
             np.testing.assert_array_equal(axes, lone[rows])
+        # the sweep's buffer is component-major, (a or b, xyz, rows, axes),
+        # grown for the 25 rows and then reused by every smaller batch
+        kept = scratch["sweep"]
+        assert kept.shape == (2, 3, 25, sphere.SWEEP_POINTS) and kept.flags.c_contiguous
         for row in range(5):
             single = SphereDistribution(batch.grid, batch.values[row])
             np.testing.assert_array_equal(lone[row], optimal_next_direction(single, scratch=scratch))
+        assert scratch["sweep"] is kept
 
     def test_flat_rows_get_z_and_the_others_their_lone_axes(self):
         updated = self._updated_batch(3, 16)
@@ -349,6 +356,45 @@ class TestOptimalNextDirection:
         for _ in range(6):
             dist = bayes_update(dist, random_direction(rng.random(2)), int(rng.choice([-1, 1])))
             assert optimal_next_direction(dist)[2] >= -1e-12
+
+
+class TestHemisphereRule:
+    """Which axis of each antipodal pair is returned: the sign of
+    sign(snapped) . (1, 2, 4), snapped zeroing components within 1e-9 of
+    zero, against the lexicographic rule (z, then y, then x) as reference."""
+
+    ABOVE = np.nextafter(1e-9, 1.0)       # the first magnitude not snapped to zero
+
+    @staticmethod
+    def lexicographic(axes):
+        x, y, z = np.where(np.abs(axes) <= 1e-9, 0.0, axes).T
+        lower = (z < 0) | ((z == 0) & ((y < 0) | ((y == 0) & (x < 0))))
+        return np.where(lower[:, None], -axes, axes)
+
+    def test_matches_the_lexicographic_rule_at_its_edges(self):
+        edges = [1e-9, -1e-9, self.ABOVE, -self.ABOVE, 0.0, -0.0, 0.6, -0.6]
+        axes = np.array(list(itertools.product(edges, repeat=3)))
+        got = estimation._upper_hemisphere(axes)
+        # bytes, so that a -0.0 for a 0.0 counts as a difference
+        assert got.tobytes() == self.lexicographic(axes).tobytes()
+        # the 4^3 rows that snap to zero stay; half of the others flip
+        assert np.count_nonzero(np.any(got != axes, axis=1)) == (len(axes) - 4**3) // 2
+
+    @pytest.mark.parametrize("row", [[0.0, 0.0, 0.0], [-0.0, -0.0, -0.0],
+                                     [-1e-9, -1e-9, -1e-9], [1e-9, -0.0, -1e-9]])
+    def test_a_row_snapped_to_zero_is_kept_as_it_is(self, row):
+        axes = np.array([row])
+        assert estimation._upper_hemisphere(axes).tobytes() == axes.tobytes()
+
+    @pytest.mark.parametrize("row, want", [
+        ([-ABOVE, 0.0, 1e-9], [ABOVE, -0.0, -1e-9]),
+        ([0.3, -ABOVE, -1e-9], [-0.3, ABOVE, 1e-9]),
+        ([0.3, 0.2, -ABOVE], [-0.3, -0.2, ABOVE]),
+        ([-0.3, -0.2, ABOVE], [-0.3, -0.2, ABOVE]),
+    ])
+    def test_first_component_past_1e9_decides(self, row, want):
+        got = estimation._upper_hemisphere(np.array([row]))
+        assert got.tobytes() == np.array([want]).tobytes()
 
 
 class TestKeptSweepsAndGrids:
@@ -637,6 +683,14 @@ class TestBatchedEnsemble:
                                                  grid=SphereGrid.build(64, 128))
         np.testing.assert_array_equal(batched, _per_state_reference(30, 12, "self_learning",
                                                                     None, 790))
+
+    def test_benchmark_reference_ensemble_is_pinned(self):
+        # the fixed ensemble from which the benchmark's estimate-self
+        # workload computes reference_gap: a change in any of its 400
+        # fidelities, however small, fails here and not only there
+        fidelities = mean_fidelity_experiment(400, 12, seed=501)[2]
+        assert hashlib.sha256(fidelities.tobytes()).hexdigest() == (
+            "ea8b5c2f4071fbfca5a305aeb51fefba7e9f9ae354dd2d613d61e32aa1b399a9")
 
 
 class TestSharedOutcomeStrings:
