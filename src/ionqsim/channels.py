@@ -37,8 +37,8 @@ class AffineChannel:
     v: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.m, dtype=float)
-        v = np.asarray(self.v, dtype=float)
+        m = np.array(self.m, dtype=float)
+        v = np.array(self.v, dtype=float)
         if m.shape != (3, 3) or v.shape != (3,):
             raise ValueError(f"need a 3x3 matrix and 3-vector, got {m.shape} and {v.shape}")
         object.__setattr__(self, "m", m)
@@ -53,7 +53,7 @@ class AffineChannel:
         s = np.asarray(s, dtype=float)
         out = (self.m @ s[..., None])[..., 0] + self.v
         norm = _row_norm(out)
-        if np.any(norm > 1.0 + _BALL_TOL):
+        if not np.all(norm <= 1.0 + _BALL_TOL):    # NaN fails too
             raise ChannelInvalidError(f"channel output left the Bloch ball: |s'| = {np.max(norm)}")
         return out
 
@@ -168,23 +168,27 @@ _SPEC_KEYS = {
 }
 
 
-def _polar_axis(pair) -> np.ndarray:
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise ValueError("need a [theta, phi] pair")
-    return state_from_angles(float(pair[0]), float(pair[1]))
+def _finite(value, shape):
+    """A JSON number (shape ()) or nested lists of them as floats of that
+    shape; a bool, a string, NaN or an infinity raises ValueError."""
+    items = np.array(value, dtype=object)
+    if items.shape != shape or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool) for x in items.flat):
+        raise ValueError(f"need numbers of shape {shape}")
+    out = items.astype(float)
+    if not np.isfinite(out).all():
+        raise ValueError("need finite numbers")
+    return out[()]
 
 
-def _float_array(value) -> np.ndarray:
-    return np.array(value, dtype=float)
-
-
-def _spec_value(spec: dict, key: str, convert, default=None):
-    """convert(spec[key]), with any failure reported as a ValueError
-    that names the key."""
+def _spec_value(spec: dict, key: str, shape=(), default=None, convert=None):
+    """spec[key] through _finite, then convert(*numbers) if given, with
+    any failure reported as a ValueError that names the key."""
     value = spec.get(key, default)
     try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
+        numbers = _finite(value, shape)
+        return numbers if convert is None else convert(*numbers)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"bad channel spec key {key!r} = {value!r}: {exc}") from None
 
 
@@ -196,7 +200,8 @@ def channel_from_spec(spec: dict) -> AffineChannel:
     composition {parts: [spec, ...]} (applied in list order), and
     raw {m: 3x3, v: 3} which must be completely positive.  The axis
     defaults to +z.  Unknown or missing keys and malformed values raise
-    ValueError naming the key.
+    ValueError naming the key; values must be finite numbers, not bools
+    or strings.
     """
     if not isinstance(spec, dict):
         raise ValueError("channel spec must be a JSON object")
@@ -212,13 +217,13 @@ def channel_from_spec(spec: dict) -> AffineChannel:
         raise ValueError(f"unknown keys in channel spec: {sorted(extra)}")
 
     if variant == "phase_damping":
-        return phase_damping(_spec_value(spec, "lambda", float),
-                             _spec_value(spec, "axis", _polar_axis, [0.0, 0.0]))
+        return phase_damping(_spec_value(spec, "lambda"),
+                             _spec_value(spec, "axis", (2,), [0.0, 0.0], state_from_angles))
     if variant == "depolarizing":
-        return depolarizing(_spec_value(spec, "lambda", float))
+        return depolarizing(_spec_value(spec, "lambda"))
     if variant == "rotation":
-        return rotation_channel(_spec_value(spec, "axis", _polar_axis, [0.0, 0.0]),
-                                _spec_value(spec, "angle", float))
+        return rotation_channel(_spec_value(spec, "axis", (2,), [0.0, 0.0], state_from_angles),
+                                _spec_value(spec, "angle"))
     if variant == "composition":
         parts = spec["parts"]
         if not isinstance(parts, list) or not parts:
@@ -228,8 +233,7 @@ def channel_from_spec(spec: dict) -> AffineChannel:
         for part in parts[1:]:
             channel = compose(channel, channel_from_spec(part))
         return channel
-    channel = AffineChannel(_spec_value(spec, "m", _float_array),
-                            _spec_value(spec, "v", _float_array))
+    channel = AffineChannel(_spec_value(spec, "m", (3, 3)), _spec_value(spec, "v", (3,)))
     if not channel.is_physical():
         raise ChannelInvalidError("raw (m, v) is not completely positive: "
                                   "its Choi matrix has a negative eigenvalue")

@@ -59,7 +59,7 @@ class SphereDistribution:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)
         if v.ndim < 1 or v.shape[-1] != self.grid.size:
             raise ValueError(f"values shape {v.shape} does not match grid size {self.grid.size}")
         # NaN fails both comparisons, -inf the first and +inf the second
@@ -136,7 +136,7 @@ _SIGNS = np.array([1.0, -1.0])[:, None, None]
 _SIGN_KEY = np.array([1.0, 2.0, 4.0])
 
 
-def optimal_next_direction(dist: SphereDistribution, scratch: dict | None = None) -> np.ndarray:
+def optimal_next_direction(dist: SphereDistribution) -> np.ndarray:
     """Measurement axis maximizing the expected mean fidelity, exact to roundoff.
 
     The best axis m of a coarse sweep starts projected Newton steps.  With
@@ -157,20 +157,17 @@ def optimal_next_direction(dist: SphereDistribution, scratch: dict | None = None
     another maximizer; the later axes, and the ensemble's mean fidelity,
     change with it.
 
-    `scratch` is a dict in which the sweep keeps its component-major
-    (2, 3, rows, 400) work array, the components of a and b, between
-    calls, sized for the largest batch it has seen; run_estimation passes
-    one, sized for its whole batch, to every step of a run.  matmul writes
-    Q m into b through its (rows, 3, 400) view, and the norms run in place
-    along contiguous (rows, 400) blocks.
+    The sweep works in one component-major (2, 3, rows, 400) array, the
+    components of a and b: matmul writes Q m into b through its
+    (rows, 3, 400) view, and the norms run in place along contiguous
+    (rows, 400) blocks.
     """
-    scratch = {} if scratch is None else scratch
     batch = dist.values.shape[:-1]
     s_bar, q = dist.mean_vector().reshape(-1, 3), dist.second_moment().reshape(-1, 3, 3)
 
     def objective(dirs):
         # |a| and |b| per row and sweep axis, rounded as np.linalg.norm rounds them
-        ab = _sweep_buffer(scratch, len(q), len(dirs))
+        ab = np.empty((2, 3, len(q), len(dirs)))
         np.matmul(q, dirs.T, out=ab[1].transpose(1, 0, 2))
         np.add(s_bar.T[:, :, None], ab[1], out=ab[0])
         np.subtract(s_bar.T[:, :, None], ab[1], out=ab[1])
@@ -221,14 +218,6 @@ def _upper_hemisphere(axes):
     """Rows flipped to the upper hemisphere: a row is below it if sign(snapped) . (1, 2, 4) < 0."""
     snapped = np.where(np.abs(axes) <= 1e-9, 0.0, axes)
     return np.where((np.sign(snapped) @ _SIGN_KEY < 0)[:, None], -axes, axes)
-
-
-def _sweep_buffer(scratch, rows, points):
-    """The leading rows of the (2, 3, rows, points) array kept in `scratch`, grown as needed."""
-    kept = scratch.get("sweep")
-    if kept is None or kept.shape[2] < rows or kept.shape[3] != points:
-        kept = scratch["sweep"] = np.empty((2, 3, rows, points))
-    return kept[:, :, :rows]
 
 
 STRATEGIES = ("self_learning", "random", "fixed_axes")
@@ -305,12 +294,9 @@ def run_estimation(true_state, n: int, strategy: str = "self_learning",
     random_axes = None if shared else random_direction(uniforms[..., :2])
     directions = np.empty((len(target), n, 3))
     outcomes = np.empty((len(target), n), dtype=int)
-    scratch = {}
-    if strategy == "self_learning":
-        _sweep_buffer(scratch, len(target), SWEEP_POINTS)
     for k in range(n):
         if strategy == "self_learning":
-            axes = optimal_next_direction(dist, scratch)
+            axes = optimal_next_direction(dist)
         elif strategy == "random":
             axes = random_axes[:, k]
         else:
@@ -325,9 +311,8 @@ def run_estimation(true_state, n: int, strategy: str = "self_learning",
         parent, side = np.nonzero(drawn)
         drawn[parent, side] = np.arange(len(parent))
         node = drawn[node, up]
-        parents = object.__new__(SphereDistribution)   # rows of a checked one: no new check
-        vars(parents).update(grid=dist.grid, values=dist.values[parent])
-        dist = bayes_update(parents, axes[parent], 2 * side - 1)
+        dist = bayes_update(SphereDistribution(dist.grid, dist.values[parent]),
+                            axes[parent], 2 * side - 1)
         directions[:, k] = m
         outcomes[:, k] = 2 * up - 1
 

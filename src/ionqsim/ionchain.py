@@ -82,7 +82,7 @@ class CouplingMatrix:
     j: np.ndarray
 
     def __post_init__(self):
-        j = np.asarray(self.j, dtype=float)
+        j = np.array(self.j, dtype=float)
         if j.ndim != 2 or j.shape[0] != j.shape[1]:
             raise ValueError(f"J must be square, got shape {j.shape}")
         if not np.all(np.isfinite(j)):
@@ -321,10 +321,15 @@ def coupling_matrix(modes: ChainModes, eps: np.ndarray) -> CouplingMatrix:
     The diagonal is excluded by convention: the Hamiltonian sums pairs
     i < j only.
     """
-    j = eps.T @ (modes.nu[:, None] * eps)
-    j = 0.5 * (j + j.T)
-    np.fill_diagonal(j, 0.0)
-    return CouplingMatrix(j=j)
+    # the three (N, N) temporaries live until CouplingMatrix has copied sym,
+    # so the copy lands above them on the heap: freed first, they leave room
+    # at the top that glibc trims and the next large chain faults back in
+    weighted = modes.nu[:, None] * eps
+    j = eps.T @ weighted
+    sym = j + j.T
+    sym *= 0.5
+    np.fill_diagonal(sym, 0.0)
+    return CouplingMatrix(j=sym)
 
 
 def spin_spin_couplings(species: Species, trap: TrapConfig,

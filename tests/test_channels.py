@@ -170,6 +170,19 @@ class TestComposeApply:
         with pytest.raises(ChannelInvalidError):
             shift(stack)
 
+    def test_call_flags_a_nan_row(self):
+        nan_out = AffineChannel(np.eye(3), [0.0, 0.0, np.nan])
+        with pytest.raises(ChannelInvalidError):
+            nan_out(np.array([[0.0, 0.0, 0.5], [0.3, 0.0, 0.0]]))
+
+    def test_channel_copies_the_callers_arrays(self):
+        m, v = 0.5 * np.eye(3), np.zeros(3)
+        channel = AffineChannel(m, v)
+        assert m.flags.writeable and v.flags.writeable
+        m[0, 0], v[0] = 9.0, 9.0
+        np.testing.assert_array_equal(channel.m, 0.5 * np.eye(3))
+        np.testing.assert_array_equal(channel.v, np.zeros(3))
+
     def test_tomography_of_a_map_that_leaves_the_ball_raises(self):
         # +x goes to (1.2, 0, 0)
         with pytest.raises(ChannelInvalidError):

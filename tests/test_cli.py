@@ -283,16 +283,26 @@ class TestChannelCommand:
                                     "axis": [4.0, 0.0]}))
         assert run(["channel", "--spec", str(spec)]) == 2
 
+    # json.dumps writes nan and inf as NaN and Infinity, which json.load reads back
     @pytest.mark.parametrize("spec, key", [
         ({"variant": "rotation", "axis": [1.0, 0.0, 0.0], "angle": 1.0}, "'axis'"),
         ({"variant": "depolarizing"}, "'lambda'"),
+        ({"variant": "rotation", "angle": math.nan}, "'angle'"),
+        ({"variant": "rotation", "angle": math.inf}, "'angle'"),
+        ({"variant": "depolarizing", "lambda": False}, "'lambda'"),
+        ({"variant": "depolarizing", "lambda": "0.1"}, "'lambda'"),
+        ({"variant": "depolarizing", "lambda": [0.1]}, "'lambda'"),
+        ({"variant": "rotation", "axis": ["1.0", 0.0], "angle": 1.0}, "'axis'"),
+        ({"variant": "raw", "m": [[True, 0, 0], [0, 1, 0], [0, 0, 1]], "v": [0, 0, 0]}, "'m'"),
+        ({"variant": "raw", "m": np.eye(3).tolist(), "v": [0, 0, -math.inf]}, "'v'"),
     ])
     def test_malformed_spec_names_key(self, tmp_path, capsys, spec, key):
-        path = tmp_path / "spec.json"
+        path, out = tmp_path / "spec.json", tmp_path / "chan.json"
         path.write_text(json.dumps(spec))
-        assert run(["channel", "--spec", str(path)]) == 2
+        assert run(["channel", "--spec", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
+        assert not out.exists()
 
 
 class TestZenoModes:

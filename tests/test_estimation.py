@@ -53,6 +53,13 @@ class TestPriorAndGrid:
         with pytest.raises(ValueError):
             prior.values[0] = 9.0
 
+    def test_snapshot_copies_the_callers_array(self):
+        values = np.full(GRID.size, 1.0 / (4 * math.pi))
+        dist = SphereDistribution(GRID, values)
+        assert values.flags.writeable
+        values[0] = 9.0
+        assert dist.values[0] == 1.0 / (4 * math.pi)
+
     def test_negative_density_rejected(self):
         grid = SphereGrid.build(8, 16)
         values = np.full(grid.size, 1.0)
@@ -286,20 +293,14 @@ class TestOptimalNextDirection:
         batch = self._updated_batch(25, 14)
         lone = np.array([optimal_next_direction(SphereDistribution(batch.grid, row))
                          for row in batch.values])
-        scratch = {}   # reused by every call, as run_estimation reuses it across steps
         for rows in (slice(0, 3), slice(None), slice(22, 25)):
             part = SphereDistribution(batch.grid, batch.values[rows])
-            axes = optimal_next_direction(part, scratch=scratch)
+            axes = optimal_next_direction(part)
             assert axes.shape == (len(part.values), 3)
             np.testing.assert_array_equal(axes, lone[rows])
-        # the sweep's buffer is component-major, (a or b, xyz, rows, axes),
-        # grown for the 25 rows and then reused by every smaller batch
-        kept = scratch["sweep"]
-        assert kept.shape == (2, 3, 25, sphere.SWEEP_POINTS) and kept.flags.c_contiguous
         for row in range(5):
             single = SphereDistribution(batch.grid, batch.values[row])
-            np.testing.assert_array_equal(lone[row], optimal_next_direction(single, scratch=scratch))
-        assert scratch["sweep"] is kept
+            np.testing.assert_array_equal(lone[row], optimal_next_direction(single))
 
     def test_flat_rows_get_z_and_the_others_their_lone_axes(self):
         updated = self._updated_batch(3, 16)

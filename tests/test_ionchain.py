@@ -412,6 +412,13 @@ class TestCouplings:
         with pytest.raises(ValueError):
             CouplingMatrix(j=np.full((2, 2), np.nan))
 
+    def test_coupling_matrix_copies_the_callers_array(self):
+        j = np.array([[0.0, 1.0], [1.0, 0.0]])
+        coupling = CouplingMatrix(j=j)
+        assert j.flags.writeable
+        j[0, 1] = 9.0
+        np.testing.assert_array_equal(coupling.j, [[0.0, 1.0], [1.0, 0.0]])
+
 
 class TestConfigTypes:
     def test_trap_validation(self):
