@@ -60,7 +60,10 @@ class AffineChannel:
     def is_physical(self, tol: float = 1e-9) -> bool:
         """Exact complete-positivity test: the Choi matrix
         1/2 [I (x) (I + v.sigma) + sum_kl M_lk sigma_k^T (x) sigma_l]
-        has no eigenvalue below -tol."""
+        has no eigenvalue below -tol.  A non-finite m or v is not
+        physical."""
+        if not (np.isfinite(self.m).all() and np.isfinite(self.v).all()):
+            return False
         choi = np.kron(np.eye(2), np.eye(2) + np.tensordot(self.v, _PAULIS, 1))
         choi += np.einsum("lk,kab,lcd->acbd", self.m, _PAULIS.transpose(0, 2, 1),
                           _PAULIS).reshape(4, 4)
@@ -75,9 +78,11 @@ def _unit_axis(axis) -> np.ndarray:
     return axis / norm
 
 
-def _check_lambda(lam: float) -> None:
+def _check_lambda(lam: float) -> float:
+    """lam itself, if it lies in [0, 1/2]."""
     if not (0.0 <= lam <= 0.5):
         raise ValueError(f"lam must lie in [0, 1/2], got {lam}")
+    return lam
 
 
 def phase_damping(lam: float, axis=(0.0, 0.0, 1.0)) -> AffineChannel:
@@ -182,14 +187,19 @@ def _finite(value, shape):
 
 
 def _spec_value(spec: dict, key: str, shape=(), default=None, convert=None):
-    """spec[key] through _finite, then convert(*numbers) if given, with
+    """spec[key] through _finite, then convert(numbers) if given, with
     any failure reported as a ValueError that names the key."""
     value = spec.get(key, default)
     try:
         numbers = _finite(value, shape)
-        return numbers if convert is None else convert(*numbers)
+        return numbers if convert is None else convert(numbers)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"bad channel spec key {key!r} = {value!r}: {exc}") from None
+
+
+def _spec_axis(spec: dict) -> np.ndarray:
+    """The unit axis of spec's [theta, phi] "axis" key, +z by default."""
+    return _spec_value(spec, "axis", (2,), [0.0, 0.0], lambda angles: state_from_angles(*angles))
 
 
 def channel_from_spec(spec: dict) -> AffineChannel:
@@ -217,13 +227,12 @@ def channel_from_spec(spec: dict) -> AffineChannel:
         raise ValueError(f"unknown keys in channel spec: {sorted(extra)}")
 
     if variant == "phase_damping":
-        return phase_damping(_spec_value(spec, "lambda"),
-                             _spec_value(spec, "axis", (2,), [0.0, 0.0], state_from_angles))
+        return phase_damping(_spec_value(spec, "lambda", convert=_check_lambda),
+                             _spec_axis(spec))
     if variant == "depolarizing":
-        return depolarizing(_spec_value(spec, "lambda"))
+        return depolarizing(_spec_value(spec, "lambda", convert=_check_lambda))
     if variant == "rotation":
-        return rotation_channel(_spec_value(spec, "axis", (2,), [0.0, 0.0], state_from_angles),
-                                _spec_value(spec, "angle"))
+        return rotation_channel(_spec_axis(spec), _spec_value(spec, "angle"))
     if variant == "composition":
         parts = spec["parts"]
         if not isinstance(parts, list) or not parts:

@@ -175,6 +175,15 @@ class TestComposeApply:
         with pytest.raises(ChannelInvalidError):
             nan_out(np.array([[0.0, 0.0, 0.5], [0.3, 0.0, 0.0]]))
 
+    @pytest.mark.parametrize("m, v", [
+        (np.eye(3), [0.0, 0.0, np.nan]),
+        (np.eye(3), [0.0, np.inf, 0.0]),
+        (np.diag([0.5, np.nan, 0.5]), np.zeros(3)),
+        (np.diag([-np.inf, 0.5, 0.5]), np.zeros(3)),
+    ])
+    def test_non_finite_channel_is_not_physical(self, m, v):
+        assert AffineChannel(m, v).is_physical() is False
+
     def test_channel_copies_the_callers_arrays(self):
         m, v = 0.5 * np.eye(3), np.zeros(3)
         channel = AffineChannel(m, v)
@@ -291,6 +300,12 @@ class TestTrendAndSpec:
                                      "m": np.diag([0.5, 0.5, 0.5]).tolist(),
                                      "v": [0.0, 0.0, 0.3]})
         assert channel.is_physical()
+
+    @pytest.mark.parametrize("variant", ["phase_damping", "depolarizing"])
+    @pytest.mark.parametrize("lam", [-0.1, 0.7])
+    def test_out_of_range_lambda_names_its_key(self, variant, lam):
+        with pytest.raises(ValueError, match="bad channel spec key 'lambda'"):
+            channel_from_spec({"variant": variant, "lambda": lam})
 
     def test_channel_from_spec_rejects_bad_input(self):
         with pytest.raises(ValueError):

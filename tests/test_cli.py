@@ -295,6 +295,8 @@ class TestChannelCommand:
         ({"variant": "rotation", "axis": ["1.0", 0.0], "angle": 1.0}, "'axis'"),
         ({"variant": "raw", "m": [[True, 0, 0], [0, 1, 0], [0, 0, 1]], "v": [0, 0, 0]}, "'m'"),
         ({"variant": "raw", "m": np.eye(3).tolist(), "v": [0, 0, -math.inf]}, "'v'"),
+        ({"variant": "depolarizing", "lambda": 0.7}, "'lambda'"),
+        ({"variant": "phase_damping", "lambda": -0.1, "axis": [0.7, 1.3]}, "'lambda'"),
     ])
     def test_malformed_spec_names_key(self, tmp_path, capsys, spec, key):
         path, out = tmp_path / "spec.json", tmp_path / "chan.json"

@@ -136,6 +136,59 @@ class TestEquilibrium:
             equilibrium_positions(5)
 
 
+def fresh_gradient(u):
+    """The solver's gradient written with fresh arrays, operation by operation."""
+    d = u[:, None] - u[None, :]
+    np.fill_diagonal(d, np.inf)
+    return u - np.sum(np.sign(d) / d**2, axis=1)
+
+
+def fresh_hessian(u):
+    """The solver's Hessian written with fresh arrays, operation by operation."""
+    d = u[:, None] - u[None, :]
+    np.fill_diagonal(d, np.inf)
+    off = -2.0 / np.abs(d) ** 3
+    h = off.copy()
+    np.fill_diagonal(h, 1.0 - np.sum(off, axis=1))
+    return h
+
+
+class TestSharedWorkArrays:
+    """Every gradient and Hessian of one solve is written into one pair of
+    (N, N) work arrays; that must not change a single bit."""
+
+    @pytest.fixture(scope="class", params=[2, 10, 60, 150])
+    def points(self, request):
+        n = request.param
+        start = (np.arange(n) - 0.5 * (n - 1)) * spacing_estimate(n, 1.0)
+        return {"start": start, "equilibrium": equilibrium_positions(n)}
+
+    @pytest.mark.parametrize("where", ["start", "equilibrium"])
+    def test_bits_equal_fresh_arrays(self, points, where):
+        import ionqsim.ionchain as ic
+        u = points[where]
+        work = ic._work_arrays(u.size)
+        for a in work:
+            a.fill(np.nan)      # whatever an earlier call left behind
+        # alternate as the solver does, so each call starts from the other's leftovers
+        for _ in range(2):
+            np.testing.assert_array_equal(ic._hessian(u, work), fresh_hessian(u))
+            np.testing.assert_array_equal(ic._gradient(u, work), fresh_gradient(u))
+        np.testing.assert_array_equal(ic._hessian(u), fresh_hessian(u))
+        np.testing.assert_array_equal(ic._gradient(u), fresh_gradient(u))
+
+    def test_gradient_is_a_fresh_vector(self, points):
+        import ionqsim.ionchain as ic
+        u = points["start"]
+        work = ic._work_arrays(u.size)
+        first = ic._gradient(u, work)
+        kept = first.copy()
+        assert not any(np.shares_memory(first, a) for a in work)
+        ic._gradient(points["equilibrium"], work)
+        ic._hessian(points["equilibrium"], work)
+        np.testing.assert_array_equal(first, kept)
+
+
 class TestNormalModes:
     def test_two_ion_frequencies(self):
         modes = normal_modes(equilibrium_positions(2), NU1)
