@@ -202,15 +202,21 @@ def evolve(state: np.ndarray, pulse: DrivePulse) -> np.ndarray:
 def rabi_excitation_probability(rabi: float, detuning: float, t: float) -> float:
     """P_1(t) = (Omega/Omega_R)^2 sin^2(Omega_R t / 2) from |0>.
 
-    Returns 0 in the degenerate limit Omega = delta = 0.
+    Returns 0 in the degenerate limit Omega = delta = 0, and raises
+    OverflowError when Omega^2 + delta^2 or Omega_R t overflows a float.
     """
     if rabi < 0 or t < 0:
         raise ValueError("rabi and t must be >= 0")
+    # in float arithmetic an overflow gives inf, where numpy scalars would also warn
+    rabi, detuning, t = float(rabi), float(detuning), float(t)
     omega_r_sq = rabi * rabi + detuning * detuning
     if omega_r_sq == 0.0:
         return 0.0
-    omega_r = math.sqrt(omega_r_sq)
-    return (rabi * rabi / omega_r_sq) * math.sin(0.5 * omega_r * t) ** 2
+    half_angle = 0.5 * math.sqrt(omega_r_sq) * t
+    if not math.isfinite(half_angle):
+        raise OverflowError(f"Omega_R t overflows a float (Omega = {rabi:g} rad/s, "
+                            f"delta = {detuning:g} rad/s, t = {t:g} s)")
+    return (rabi * rabi / omega_r_sq) * math.sin(half_angle) ** 2
 
 
 def ramsey_probability(pulse: DrivePulse, precession_time):

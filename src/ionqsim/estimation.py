@@ -152,10 +152,12 @@ def optimal_next_direction(dist: SphereDistribution) -> np.ndarray:
 
     Tie rule: Fbar(m) = Fbar(-m), and the hemisphere rule picks one of each
     antipodal pair.  Of other maximizers the search returns the one Newton
-    reaches from the first sweep axis (in `fibonacci_sphere` order) of
-    largest Fbar.  Another search that reaches the same Fbar may pick
-    another maximizer; the later axes, and the ensemble's mean fidelity,
-    change with it.
+    reaches from the first sweep axis (in `fibonacci_sphere` order) whose
+    Fbar is within 1e-12 of the sweep's largest, so sweep axes that tie in
+    exact arithmetic (the two at +-z of equal |z| after one z result) start
+    Newton from the same axis on every BLAS kernel.  Another search that
+    reaches the same Fbar may pick another maximizer; the later axes, and
+    the ensemble's mean fidelity, change with it.
 
     The sweep works in one component-major (2, 3, rows, 400) array, the
     components of a and b: matmul writes Q m into b through its

@@ -347,10 +347,12 @@ def coupling_matrix(modes: ChainModes, eps: np.ndarray) -> CouplingMatrix:
     """
     # the three (N, N) temporaries live until CouplingMatrix has copied sym,
     # so the copy lands above them on the heap: freed first, they leave room
-    # at the top that glibc trims and the next large chain faults back in
-    weighted = modes.nu[:, None] * eps
-    j = eps.T @ weighted
-    sym = j + j.T
+    # at the top that glibc trims and the next large chain faults back in.
+    # An overflow, or infinities of both signs in eps, raise FloatingPointError
+    with np.errstate(over="raise", invalid="raise"):
+        weighted = modes.nu[:, None] * eps
+        j = eps.T @ weighted
+        sym = j + j.T
     sym *= 0.5
     np.fill_diagonal(sym, 0.0)
     return CouplingMatrix(j=sym)

@@ -136,6 +136,7 @@ def rotate(v, axis, angle):
 
 
 SWEEP_POINTS = 400          # axes in maximize_on_sphere's sweep
+_TIE_TOL = 1e-12            # sweep values this close below a row's maximum tie with it
 
 
 def maximize_on_sphere(objective):
@@ -143,10 +144,13 @@ def maximize_on_sphere(objective):
 
     objective maps the (n, 3) sweep axes, shared by every row and the
     same read-only array on every call, to (..., n) values.  Returns
-    (direction, flat), shaped (..., 3) and (...): each row's best axis,
-    and whether its sweep was constant to within 1e-6.
+    (direction, flat), shaped (..., 3) and (...): each row's first axis
+    whose value is within _TIE_TOL of the row's maximum, and whether its
+    sweep was constant to within 1e-6.  Values that tie in exact
+    arithmetic thus pick the same axis whichever way roundoff orders them.
     """
     pts = fibonacci_sphere(SWEEP_POINTS)
     vals = objective(pts)
-    flat = vals.max(axis=-1) - vals.min(axis=-1) < 1e-6
-    return pts[vals.argmax(axis=-1)], flat
+    top = vals.max(axis=-1, keepdims=True)
+    flat = top[..., 0] - vals.min(axis=-1) < 1e-6
+    return pts[np.argmax(vals >= top - _TIE_TOL, axis=-1)], flat

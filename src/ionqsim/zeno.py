@@ -131,45 +131,28 @@ def simulate_alternating(theta_per_step: float, n_pairs: int, seed,
     return detect(true_on, detection or DetectionModel(), rng)
 
 
-# np.flatnonzero finds the set entries of a bool array with memchr when at
-# most a tenth are set, which near that density is slower than its plain
-# scan (1.25 against 0.71 ns per entry at the README record's 9.6 %).  A
-# tail of _PAD set flags after each block's changes keeps every scan plain.
-_PAD = BLOCK // 8
-
-
 def run_length_distribution(results: np.ndarray) -> tuple[dict[int, float], int]:
     """Normalized distribution U(q) of maximal runs of q equal results,
     and the number of complete runs it was normalized by.
 
     The trailing run is truncated by the end of the record and is
     excluded from the counts.  U(q)/U(1) estimates P_00(q-1).  The
-    record is scanned in blocks, so the working memory is one block of
-    change flags plus the histogram.
+    record is scanned one block at a time, so the working memory is one
+    block's change flags and run ends plus the histogram.
     """
     results = np.asarray(results)
     if results.size == 0:
         raise ValueError("record is empty")
     counts = np.zeros(1, dtype=np.int64)
     last_end = -1
-    changes = np.empty(min(BLOCK, results.size - 1) + _PAD, dtype=bool)
     for start in range(0, results.size - 1, BLOCK):
         stop = min(start + BLOCK, results.size - 1)
-        n = stop - start
         # each change between neighbouring results ends a complete run
-        np.not_equal(results[start + 1:stop + 1], results[start:stop], out=changes[:n])
-        changes[n:n + _PAD] = True
-        ends = np.flatnonzero(changes[:n + _PAD])[:-_PAD]
-        if ends.size == 0:
-            continue
-        # the block's first run may have begun in an earlier block
-        first = start + int(ends[0]) - last_end
-        block = np.bincount(ends[1:] - ends[:-1], minlength=first + 1)
-        block[first] += 1
-        last_end = start + int(ends[-1])
-        if block.size > counts.size:
-            counts, block = block, counts
-        counts[:block.size] += block
+        ends = start + np.flatnonzero(results[start + 1:stop + 1] != results[start:stop])
+        block = np.bincount(np.diff(ends, prepend=last_end), minlength=counts.size)
+        block[:counts.size] += counts
+        counts = block
+        last_end = ends[-1] if ends.size else last_end
     total = int(counts.sum())
     return {int(q): counts[q] / total for q in range(1, counts.size) if counts[q] > 0}, total
 

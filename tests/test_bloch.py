@@ -100,6 +100,13 @@ class TestRabiProbability:
     def test_degenerate_limit(self):
         assert rabi_excitation_probability(0.0, 0.0, 1.0) == 0.0
 
+    @pytest.mark.parametrize("rabi, det, t", [(1e300, 0.0, 0.0), (1.0, 1e300, 1.0),
+                                              (1e200, 0.0, 1e200)])
+    def test_overflow_raises(self, rabi, det, t):
+        # Omega^2 + delta^2 or Omega_R t overflows: an error, not a NaN or a RuntimeWarning
+        with pytest.raises(OverflowError, match="overflows a float"):
+            rabi_excitation_probability(np.float64(rabi), np.float64(det), np.float64(t))
+
     def test_agrees_with_evolve_composition(self):
         rng = np.random.default_rng(14)
         for _ in range(1000):

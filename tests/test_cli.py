@@ -620,7 +620,8 @@ class TestProcessEntryPoint:
 
     # an --out that cannot be opened, an --out on the estimate summary's own
     # path and an empty fractions list are configuration errors; a chain
-    # whose length scale or required gradient overflows is a numerical failure
+    # whose length scale, required gradient or J overflows, and a Rabi scan
+    # whose Omega^2 + delta^2 or Omega_R t overflows, are numerical failures
     @pytest.mark.parametrize("argv, code, message", [
         (["rabi", "--out", "missing/x.csv"], 2, "cannot write missing/x.csv"),
         (["rabi", "--out", "."], 2, "cannot write ."),
@@ -628,6 +629,10 @@ class TestProcessEntryPoint:
         (["chain", "--nu1-khz", "1e300", "--n", "3"], 1, "out of range"),
         (["zeno", "--fractions", ","], 2, "fractions list is empty"),
         (["chain", "--nu1-khz", "1e160", "--n", "3"], 1, "out of range"),
+        (["chain", "--gradient", "1e200", "--n", "3"], 1, "overflow"),
+        (["rabi", "--rabi-khz", "1e300", "--tmax-ms", "1", "--points", "3"], 1, "overflows"),
+        (["rabi", "--detuning-hz", "1e300", "--tmax-ms", "1", "--points", "3"], 1, "overflows"),
+        (["rabi", "--tmax-ms", "1e308", "--points", "3"], 1, "overflows"),
     ])
     def test_failure_prints_one_error_line(self, tmp_path, argv, code, message):
         done = self.call(argv, tmp_path)

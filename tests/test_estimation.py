@@ -359,6 +359,42 @@ class TestOptimalNextDirection:
             assert optimal_next_direction(dist)[2] >= -1e-12
 
 
+class TestSweepPick:
+    """maximize_on_sphere returns each row's first sweep axis within
+    1e-12 of the row's maximum, so that roundoff cannot order a tie."""
+
+    @staticmethod
+    def pick(rows):
+        values = np.array(rows)
+
+        def objective(dirs):
+            assert dirs.shape == (sphere.SWEEP_POINTS, 3)
+            return values
+        direction, flat = sphere.maximize_on_sphere(objective)
+        sweep = fibonacci_sphere(sphere.SWEEP_POINTS)
+        return [int(np.flatnonzero((sweep == d).all(axis=1))[0]) for d in direction], flat
+
+    @staticmethod
+    def row(peaks):
+        values = np.full(sphere.SWEEP_POINTS, 0.6)
+        values[list(peaks)] = list(peaks.values())
+        return values
+
+    def test_first_of_two_axes_within_1e_13_of_the_max(self):
+        rows = [self.row({5: 0.9 - 1e-13, 9: 0.9}), self.row({5: 0.9, 9: 0.9 - 1e-13}),
+                self.row({5: 0.9, 9: 0.9})]
+        picked, flat = self.pick(rows)
+        assert picked == [5, 5, 5] and not flat.any()
+
+    def test_an_earlier_axis_1e_11_below_the_max_is_not_chosen(self):
+        picked, flat = self.pick([self.row({5: 0.9 - 1e-11, 9: 0.9})])
+        assert picked == [9] and not flat.any()
+
+    def test_a_constant_objective_is_flagged_flat(self):
+        picked, flat = self.pick([np.full(sphere.SWEEP_POINTS, 0.75), self.row({3: 0.7})])
+        assert flat.tolist() == [True, False] and picked == [0, 3]
+
+
 class TestHemisphereRule:
     """Which axis of each antipodal pair is returned: the sign of
     sign(snapped) . (1, 2, 4), snapped zeroing components within 1e-9 of

@@ -465,6 +465,14 @@ class TestCouplings:
         with pytest.raises(ValueError):
             CouplingMatrix(j=np.full((2, 2), np.nan))
 
+    @pytest.mark.parametrize("scale, message", [(1e200, "overflow"), (np.inf, "invalid")])
+    def test_coupling_matrix_overflow_raises(self, scale, message):
+        # eps of 1e200 overflows J; an infinite eps sums inf and -inf
+        modes = normal_modes(equilibrium_positions(3), NU1, YB171)
+        eps = epsilon_matrix(modes, qubit_frequency_gradient(YB171, 0.0, 25.0), YB171)
+        with pytest.raises(FloatingPointError, match=message):
+            coupling_matrix(modes, eps * scale)
+
     def test_coupling_matrix_copies_the_callers_array(self):
         j = np.array([[0.0, 1.0], [1.0, 0.0]])
         coupling = CouplingMatrix(j=j)

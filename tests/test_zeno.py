@@ -241,8 +241,9 @@ class TestStreamedDraws:
 
     @pytest.mark.parametrize("density", [0.0, 0.01, 0.05, 0.07, 0.096, 0.12, 0.5, 1.0])
     def test_plain_and_padded_change_scans(self, density):
-        # each block's change flags are scanned with a tail of set flags,
-        # which must not reach the histogram; the last block is short
+        # sparse and dense change flags (np.flatnonzero scans those at most
+        # a tenth set with memchr), runs carried across block edges, and a
+        # short last block
         rng = np.random.default_rng(int(1000 * density))
         results = np.logical_xor.accumulate(rng.random(2 * BLOCK + 11) < density)
         assert run_length_distribution(results) == whole_array_runs(results)
