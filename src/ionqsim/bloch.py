@@ -23,13 +23,6 @@ Z_PLUS = np.array([0.0, 0.0, 1.0])
 BLOCK = 1 << 16
 
 
-def as_generator(seed_or_rng) -> "np.random.Generator":
-    """Coerce an int seed, SeedSequence, or Generator into a Generator."""
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.default_rng(seed_or_rng)
-
-
 @dataclass(frozen=True)
 class DrivePulse:
     """A square drive pulse in the rotating frame.
@@ -264,7 +257,7 @@ def detect(true_on, model: DetectionModel, rng) -> np.ndarray:
     Draws follow true_on in C order, BLOCK at a time, so the stream is
     the same as one whole-array draw.
     """
-    rng = as_generator(rng)
+    rng = np.random.default_rng(rng)
     true_on = np.asarray(true_on, dtype=bool)
     if model.eta0 == 1.0 and model.eta1 == 1.0:
         return true_on

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import as_generator, state_from_angles
+from .bloch import state_from_angles
 from .sphere import _row_norm, rotate
 
 # The inputs +x, +y, +z, -z sent through a box: the rows j of its
@@ -151,7 +151,7 @@ def tomography_sampled(black_box, shots_per_setting: int,
     """
     if shots_per_setting < 1:
         raise ValueError(f"shots_per_setting must be >= 1, got {shots_per_setting}")
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     p = _probabilities(black_box)
     freqs = rng.binomial(shots_per_setting, p) / shots_per_setting
     var = freqs * (1.0 - freqs) / shots_per_setting

@@ -382,12 +382,13 @@ def _cmd_chain(params: dict, out) -> list:
     trap = TrapConfig(nu1=nu1, n_ions=params["n"], b=params["gradient"], b0=params["b0"])
     weak_field = not params["no_weak_field"]
     modes, coupling = spin_spin_couplings(species, trap, weak_field=weak_field)
+    zeta = length_scale(species, nu1)                       # m
     payload = {
         "meta": _meta("chain", params),
         "species": species.name,
         "weak_field_limit": weak_field,
-        "zeta": length_scale(species, nu1),                 # m
-        "positions_um": (modes.z0 * 1e6).tolist(),
+        "zeta": zeta,
+        "positions_um": (modes.u * zeta * 1e6).tolist(),
         "mode_freqs_khz": (modes.nu / (2.0 * math.pi * 1e3)).tolist(),
         "required_gradient": (                              # T/m
             required_gradient(species, nu1, trap.n_ions) if trap.n_ions >= 2 else None),

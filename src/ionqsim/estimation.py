@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bloch import Z_PLUS, as_direction, as_generator, born_probability
+from .bloch import Z_PLUS, as_direction, born_probability
 from .sphere import (SWEEP_POINTS, SphereGrid, _row_dot, _row_norm, maximize_on_sphere,
                      moment_grid)
 if TYPE_CHECKING:
@@ -82,7 +82,7 @@ class SphereDistribution:
         """Second moment Q = <u u^T> of the normalized density, (..., 3, 3)."""
         wv = self.grid.weights * self.values
         u = self.grid.units
-        # w u^T laid out as u^T, whose matmul path fixes the bits, built in (..., K, 3)
+        # w u^T built flat by repeat/ravel: the bits of the broadcast wv[..., :, None] * u, faster
         q = (np.repeat(wv, 3, axis=-1) * u.ravel()).reshape(wv.shape + (3,)).swapaxes(-1, -2) @ u
         return q / np.asarray(self.integral)[..., None, None]
 
@@ -279,7 +279,7 @@ def run_estimation(true_state, n: int, strategy: str = "self_learning",
     """
     _check_strategy(n, strategy)
     single = np.ndim(true_state) < 2
-    rngs = [as_generator(s) for s in ([seed] if single else seed)]
+    rngs = [np.random.default_rng(s) for s in ([seed] if single else seed)]
     target = as_direction(true_state).reshape(-1, 3)
     if len(rngs) != len(target):
         raise ValueError(f"got {len(rngs)} seeds for {len(target)} states")
@@ -337,7 +337,7 @@ def mean_fidelity_experiment(num_states: int, n: int, strategy: str = "self_lear
     if num_states < 1:
         raise ValueError(f"num_states must be >= 1, got {num_states}")
     _check_strategy(n, strategy)
-    master = as_generator(seed)
+    master = np.random.default_rng(seed)
     state_seeds = master.integers(0, 2**63, size=num_states, dtype=np.uint64)
     rngs = [np.random.default_rng(int(s)) for s in state_seeds]
     targets = random_direction(np.array([rng.random(2) for rng in rngs]))

@@ -61,20 +61,16 @@ class TrapConfig:
 class ChainModes:
     """Equilibrium geometry and axial normal modes of the string.
 
-    u are dimensionless positions (ascending), z0 = u * zeta in meters,
-    nu the mode angular frequencies (ascending, nu[0] is the COM), and
-    s_matrix the orthonormal mode matrix with S[n, j] the amplitude of
-    ion j in mode n (first nonzero component of each row positive).
+    u are dimensionless positions (ascending), in meters
+    u * length_scale(species, nu1); nu the mode angular frequencies
+    (ascending, nu[0] is the COM), and s_matrix the orthonormal mode
+    matrix with S[n, j] the amplitude of ion j in mode n (first nonzero
+    component of each row positive).
     """
 
     u: np.ndarray
-    z0: np.ndarray
     nu: np.ndarray
     s_matrix: np.ndarray
-
-    @property
-    def n_ions(self) -> int:
-        return self.u.size
 
 
 @dataclass(frozen=True)
@@ -214,12 +210,10 @@ def _coordinate_sweep(u: np.ndarray, sweeps: int = 5) -> np.ndarray:
     return u
 
 
-def normal_modes(u: np.ndarray, nu1: float, species: Species | None = None) -> ChainModes:
+def normal_modes(u: np.ndarray, nu1: float) -> ChainModes:
     """Axial normal modes from the Hessian of V at equilibrium u.
 
     Raises NotAMinimumError if the configuration is not a local minimum.
-    species (with nu1) fixes the physical length scale for z0; without
-    it z0 is reported in units of zeta.
     """
     u = np.asarray(u, dtype=float)
     if u.size > 1 and np.any(np.diff(u) <= 0):
@@ -231,8 +225,7 @@ def normal_modes(u: np.ndarray, nu1: float, species: Species | None = None) -> C
     # each row is a unit vector, so it has an entry above 1e-8
     lead = s[np.arange(s.shape[0]), np.argmax(np.abs(s) > 1e-8, axis=1)]
     s[lead < 0] *= -1.0
-    zeta = length_scale(species, nu1) if species is not None else 1.0
-    return ChainModes(u=u, z0=u * zeta, nu=nu1 * np.sqrt(lam), s_matrix=s)
+    return ChainModes(u=u, nu=nu1 * np.sqrt(lam), s_matrix=s)
 
 
 def ground_state_width(species: Species, nu) -> np.ndarray:
@@ -298,13 +291,16 @@ def qubit_frequency_gradient(species: Species, b_at_ion, b: float) -> np.ndarray
     """Spatial derivative of the qubit resonance, rad s^-1 m^-1.
 
     dw01/dz = (g_J mu_B b / 2 hbar) (1 + chi / sqrt(1 + chi^2)) for the
-    m_q = 0 clock pair, evaluated at the local field.
+    m_q = 0 clock pair, at the local field (hypot keeps a huge chi^2 from
+    overflowing).  Raises OverflowError when dw01/dz is not finite.
     """
     if b < 0:
         raise ValueError(f"gradient b must be >= 0, got {b}")
     chi = chi_parameter(species, b_at_ion)
-    factor = 1.0 + chi / np.sqrt(1.0 + chi * chi)
-    return 0.5 * species.g_j * const.MU_B * b / const.HBAR * factor
+    grad = 0.5 * species.g_j * const.MU_B * b / const.HBAR * (1.0 + chi / np.hypot(1.0, chi))
+    if not np.all(np.isfinite(grad)):
+        raise OverflowError(f"dw01/dz is out of range for gradient b = {b:.6g} T/m")
+    return grad
 
 
 def required_gradient(species: Species, nu1: float, n_ions: int) -> float:
@@ -334,7 +330,7 @@ def epsilon_matrix(modes: ChainModes, gradients, species: Species) -> np.ndarray
     photon-recoil part eta_n is left out: it is ~1e-5 at microwave
     wavelengths (see lamb_dicke).
     """
-    grad = np.broadcast_to(np.asarray(gradients, dtype=float), (modes.n_ions,))
+    grad = np.broadcast_to(np.asarray(gradients, dtype=float), (modes.u.size,))
     nu = modes.nu
     return modes.s_matrix * (ground_state_width(species, nu) / nu)[:, None] * grad[None, :]
 
@@ -366,9 +362,10 @@ def spin_spin_couplings(species: Species, trap: TrapConfig,
     (chi -> 0), i.e. the offset field is assumed negligible; otherwise
     the local field b0 + b z_j at each equilibrium position is used.
     """
-    modes = normal_modes(equilibrium_positions(trap.n_ions), trap.nu1, species)
+    modes = normal_modes(equilibrium_positions(trap.n_ions), trap.nu1)
     if weak_field:
         grads = qubit_frequency_gradient(species, 0.0, trap.b)
     else:
-        grads = qubit_frequency_gradient(species, trap.b0 + trap.b * modes.z0, trap.b)
+        z = modes.u * length_scale(species, trap.nu1)
+        grads = qubit_frequency_gradient(species, trap.b0 + trap.b * z, trap.b)
     return modes, coupling_matrix(modes, epsilon_matrix(modes, grads, species))

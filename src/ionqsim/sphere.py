@@ -34,7 +34,8 @@ GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
 @dataclass(frozen=True)
 class SphereGrid:
-    """Product quadrature grid on the unit sphere.
+    """Product quadrature grid on the unit sphere, n_theta Gauss-Legendre
+    nodes in cos(theta) times n_phi = 2 n_theta uniform nodes in phi.
 
     Nodes are ordered row-major with theta ascending (outer index) and
     phi ascending (inner index), so node 0 is the lexicographically
@@ -45,8 +46,9 @@ class SphereGrid:
     units: np.ndarray = field(repr=False)  # (K, 3) node unit vectors
 
     @classmethod
-    def build(cls, n_theta: int, n_phi: int) -> "SphereGrid":
-        if n_theta * n_phi < 8:
+    def build(cls, n_theta: int) -> "SphereGrid":
+        n_phi = 2 * n_theta
+        if n_theta < 2:
             raise ValueError(f"grid too coarse: {n_theta}x{n_phi} nodes (need >= 8)")
         x, w = np.polynomial.legendre.leggauss(n_theta)
         order = np.argsort(-x)            # cos(theta) descending => theta ascending
@@ -98,7 +100,7 @@ def moment_grid(n_updates: int) -> SphereGrid:
     n_theta = (n_updates + 4) // 2          # ceil((n_updates + 3) / 2)
     grid = _kept_grids.get(n_theta)
     if grid is None:
-        grid = SphereGrid.build(n_theta, 2 * n_theta)
+        grid = SphereGrid.build(n_theta)
         if grid.size <= _KEPT_POINTS:
             _kept_grids[n_theta] = grid
     return grid

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .bloch import BLOCK, DetectionModel, as_generator, detect
+from .bloch import BLOCK, DetectionModel, detect
 
 
 def survival_probability(theta_per_step: float, q) -> float:
@@ -80,7 +80,7 @@ def simulate_fractionated_pi(n_fractions: int, sequences: int, seed,
     _check_protocol(n_fractions, prep_efficiency)
     if sequences < 1:
         raise ValueError(f"sequences must be >= 1, got {sequences}")
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     p_flip = _flip_probability(total_area / n_fractions)
 
     # draw order: preparation, drive flips, detection
@@ -126,7 +126,7 @@ def simulate_alternating(theta_per_step: float, n_pairs: int, seed,
     """
     if n_pairs < 1:
         raise ValueError(f"n_pairs must be >= 1, got {n_pairs}")
-    rng = as_generator(seed)
+    rng = np.random.default_rng(seed)
     true_on = _true_states(rng, n_pairs, _flip_probability(theta_per_step))
     return detect(true_on, detection or DetectionModel(), rng)
 

@@ -32,7 +32,7 @@ from test_cli import read_artifact
 from ionqsim.cli import run as cli_run
 
 NU1 = 2 * math.pi * 100e3
-GRID = SphereGrid.build(64, 128)
+GRID = SphereGrid.build(64)
 
 TABLE_1_HZ = {
     (2, 1): 54.61,

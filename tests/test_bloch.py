@@ -357,8 +357,9 @@ class TestDetectionModel:
         # seeds in deviance form, re-seeded near the mean: 1.3e-11, 6.6e-10
         # and 2.4e-8 off with the log form.  scipy's own cdf is 1.3e-12
         # (1e6) and 8.9e-9 (1e7) off a 30-digit reference at mean + 5 sd,
-        # so no threshold sits between 4.5 and 6.5 sd
-        for mean in (1e4, 1e6, 1e7):
+        # so no threshold sits between 4.5 and 6.5 sd.  Means 700-1500 start
+        # below 1e-300 and seed through _stirling_error's lgamma branch
+        for mean in (700.0, 1000.0, 1500.0, 1e4, 1e6, 1e7):
             sd = math.sqrt(mean)
             thresholds = [int(mean + f * sd) for f in (-41, -8, -5, -3, -1, 0, 1, 3, 4, 8)]
             got = [bloch._poisson_cdf(mean, k) for k in thresholds]

@@ -620,7 +620,7 @@ class TestProcessEntryPoint:
 
     # an --out that cannot be opened, an --out on the estimate summary's own
     # path and an empty fractions list are configuration errors; a chain
-    # whose length scale, required gradient or J overflows, and a Rabi scan
+    # whose length scale, required gradient, dw01/dz or J overflows, and a Rabi scan
     # whose Omega^2 + delta^2 or Omega_R t overflows, are numerical failures
     @pytest.mark.parametrize("argv, code, message", [
         (["rabi", "--out", "missing/x.csv"], 2, "cannot write missing/x.csv"),
@@ -633,6 +633,9 @@ class TestProcessEntryPoint:
         (["rabi", "--rabi-khz", "1e300", "--tmax-ms", "1", "--points", "3"], 1, "overflows"),
         (["rabi", "--detuning-hz", "1e300", "--tmax-ms", "1", "--points", "3"], 1, "overflows"),
         (["rabi", "--tmax-ms", "1e308", "--points", "3"], 1, "overflows"),
+        (["chain", "--gradient", "1e300", "--n", "3"], 1, "gradient b = 1e+300"),
+        (["chain", "--no-weak-field", "--b0", "0.1", "--gradient", "1e300", "--n", "3"], 1,
+         "gradient b = 1e+300"),
     ])
     def test_failure_prints_one_error_line(self, tmp_path, argv, code, message):
         done = self.call(argv, tmp_path)

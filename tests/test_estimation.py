@@ -20,7 +20,7 @@ from ionqsim.sphere import SphereGrid, fibonacci_sphere, moment_grid, rotate
 from oracles import expected_mean_fidelity, imperfection_oracle
 
 # reference quadrature for densities not tied to one measurement count
-GRID = SphereGrid.build(64, 128)
+GRID = SphereGrid.build(64)
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
@@ -45,8 +45,8 @@ class TestPriorAndGrid:
 
     def test_degenerate_grid_rejected(self):
         with pytest.raises(ValueError):
-            uniform_prior(SphereGrid.build(2, 2))
-        uniform_prior(SphereGrid.build(2, 4))   # 8 nodes is the smallest legal grid
+            uniform_prior(SphereGrid.build(1))
+        uniform_prior(SphereGrid.build(2))   # 8 nodes is the smallest legal grid
 
     def test_values_are_immutable_snapshots(self):
         prior = uniform_prior(GRID)
@@ -61,7 +61,7 @@ class TestPriorAndGrid:
         assert dist.values[0] == 1.0 / (4 * math.pi)
 
     def test_negative_density_rejected(self):
-        grid = SphereGrid.build(8, 16)
+        grid = SphereGrid.build(8)
         values = np.full(grid.size, 1.0)
         values[0] = -1.0
         with pytest.raises(ValueError):
@@ -69,7 +69,7 @@ class TestPriorAndGrid:
 
     @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
     def test_one_bad_row_rejects_the_batch(self, bad):
-        grid = SphereGrid.build(8, 16)
+        grid = SphereGrid.build(8)
         values = np.full((3, grid.size), 1.0)
         values[1, 5] = bad
         with pytest.raises(ValueError):
@@ -165,7 +165,7 @@ class TestBayesUpdate:
             bayes_update(uniform_prior(GRID), Z, 0)
 
     def test_zero_probability_row_fails_the_batch(self):
-        grid = SphereGrid.build(8, 16)
+        grid = SphereGrid.build(8)
         values = np.full((3, grid.size), 1.0 / (4.0 * math.pi))
         values[2] = 0.0
         with pytest.raises(DegenerateUpdateError):
@@ -458,7 +458,7 @@ class TestKeptSweepsAndGrids:
         monkeypatch.setattr(sphere, "_kept_grids", {})
         fresh = moment_grid(12)
         assert fresh is not grid
-        built = SphereGrid.build(8, 16)
+        built = SphereGrid.build(8)
         for other in (fresh, built):
             np.testing.assert_array_equal(other.weights, grid.weights)
             np.testing.assert_array_equal(other.units, grid.units)
@@ -689,7 +689,7 @@ class TestEnsembleProperties:
 
 def _per_state_reference(num_states, n, strategy, channel, seed):
     """mean_fidelity_experiment's seeding, one run_estimation per state, on 64x128."""
-    grid = SphereGrid.build(64, 128)
+    grid = SphereGrid.build(64)
     fidelities = []
     for state_seed in np.random.default_rng(seed).integers(0, 2**63, size=num_states,
                                                            dtype=np.uint64):
@@ -717,7 +717,7 @@ class TestBatchedEnsemble:
     def test_chunks_on_a_fine_grid_match_lone_runs(self):
         # 64x128 nodes make mean_fidelity_experiment split 30 states into many chunks
         _, _, batched = mean_fidelity_experiment(30, 12, "self_learning", seed=790,
-                                                 grid=SphereGrid.build(64, 128))
+                                                 grid=SphereGrid.build(64))
         np.testing.assert_array_equal(batched, _per_state_reference(30, 12, "self_learning",
                                                                     None, 790))
 

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -342,12 +344,21 @@ class TestFrequencyGradient:
         assert got == pytest.approx(2.199e12, rel=1e-3)
 
     def test_strong_field_doubles(self):
+        # chi^2 used to overflow from B ~ 1e155 T, which made the factor 1 again
         weak = qubit_frequency_gradient(YB171, 0.0, 25.0)
-        strong = qubit_frequency_gradient(YB171, 500.0, 25.0)
-        assert strong / weak == pytest.approx(2.0, abs=1e-4)
+        for b0 in (500.0, 1e100, 1e200):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                strong = qubit_frequency_gradient(YB171, b0, 25.0)
+            assert strong / weak == pytest.approx(2.0, abs=1e-4)
 
     def test_zero_gradient(self):
         assert qubit_frequency_gradient(YB171, 0.0, 0.0) == 0.0
+
+    @pytest.mark.parametrize("b_at_ion", [0.0, 0.1, np.array([0.0, 1e300])])
+    def test_overflow_raises(self, b_at_ion):
+        with pytest.raises(OverflowError, match="gradient b = 1e\\+300"):
+            qubit_frequency_gradient(YB171, b_at_ion, 1e300)
 
 
 class TestRequiredGradient:
@@ -390,7 +401,7 @@ class TestCouplings:
 
     def test_com_epsilon_value(self):
         trap = TrapConfig(nu1=NU1, n_ions=10, b=25.0)
-        modes = normal_modes(equilibrium_positions(trap.n_ions), trap.nu1, YB171)
+        modes = normal_modes(equilibrium_positions(trap.n_ions), trap.nu1)
         grad = qubit_frequency_gradient(YB171, 0.0, 25.0)
         eps = epsilon_matrix(modes, grad, YB171)
         want = (1 / math.sqrt(10)) * ground_state_width(YB171, NU1) * grad / NU1
@@ -402,12 +413,21 @@ class TestCouplings:
 
     def test_microwave_epsilon_dominates(self):
         # the photon-recoil part epsilon_matrix leaves out is < 1e-3 of eps
-        modes = normal_modes(equilibrium_positions(5), NU1, YB171)
+        modes = normal_modes(equilibrium_positions(5), NU1)
         grad = qubit_frequency_gradient(YB171, 0.0, 25.0)
         eps = epsilon_matrix(modes, grad, YB171)
         recoil_part = np.abs(lamb_dicke(0.024, YB171, modes.nu)[0][:, None]
                              * modes.s_matrix)
         assert np.max(recoil_part / np.abs(eps)) < 1e-3
+
+    def test_huge_offset_field_gives_the_saturated_j(self):
+        # with b0 >> the field where chi = 1, dw01/dz is twice its weak-field value
+        traps = [TrapConfig(nu1=NU1, n_ions=2, b=25.0, b0=b0) for b0 in (1e100, 1e200)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            j100, j200 = (spin_spin_couplings(YB171, t, weak_field=False)[1].j for t in traps)
+        np.testing.assert_array_equal(j200, j100)
+        assert j100[0, 1] / (2 * math.pi) == pytest.approx(482.64, abs=0.01)
 
     def test_table_one_spot_values(self):
         trap = TrapConfig(nu1=NU1, n_ions=10, b=25.0)
@@ -468,7 +488,7 @@ class TestCouplings:
     @pytest.mark.parametrize("scale, message", [(1e200, "overflow"), (np.inf, "invalid")])
     def test_coupling_matrix_overflow_raises(self, scale, message):
         # eps of 1e200 overflows J; an infinite eps sums inf and -inf
-        modes = normal_modes(equilibrium_positions(3), NU1, YB171)
+        modes = normal_modes(equilibrium_positions(3), NU1)
         eps = epsilon_matrix(modes, qubit_frequency_gradient(YB171, 0.0, 25.0), YB171)
         with pytest.raises(FloatingPointError, match=message):
             coupling_matrix(modes, eps * scale)
@@ -497,7 +517,9 @@ class TestConfigTypes:
             Species(mass=1.0, g_j=2.0, g_i=0.0, e_hfs=-1.0, i_nuc=0.5)
 
     def test_normal_modes_carry_physical_positions(self):
-        modes = normal_modes(equilibrium_positions(2), NU1, YB171)
+        # positions are kept in units of zeta only: u * zeta is in meters
+        modes = normal_modes(equilibrium_positions(2), NU1)
         assert isinstance(modes, ChainModes)
+        assert [f.name for f in dataclasses.fields(modes)] == ["u", "nu", "s_matrix"]
         zeta = length_scale(YB171, NU1)
-        np.testing.assert_allclose(modes.z0, modes.u * zeta, atol=1e-20)
+        np.testing.assert_allclose(np.diff(modes.u * zeta), 2 ** (1 / 3) * zeta, rtol=1e-12)
