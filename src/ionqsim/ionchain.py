@@ -11,10 +11,10 @@ nu1 sqrt(lambda_n), with the center-of-mass mode at lambda = 1.
 
 An axial field gradient b makes the qubit splitting position dependent
 (Breit-Rabi), displaces the per-state equilibria, and thereby couples
-spins pairwise through the modes:
+spins pairwise through the modes (James 1998; Mintert and Wunderlich
+2001): with g_j = dw01_j/dz and A the Hessian at equilibrium, for i != j
 
-    eps(n,j)   = S_nj Delta_z_n (dw01_j/dz) / nu_n
-    J_ij       = sum_n nu_n eps(n,i) eps(n,j)
+    J_ij = (hbar / 2 m) g_i g_j sum_n S_ni S_nj / nu_n^2 = hbar g_i g_j [A^-1]_ij / (2 m nu1^2)
 """
 
 import math
@@ -253,9 +253,13 @@ def _field_moment(species: Species) -> float:
 
 
 def chi_parameter(species: Species, b_field) -> np.ndarray:
-    """Scaled field chi = (g_J + g_I m_e/m_p) mu_B B / E_HFS."""
+    """Scaled field chi = (g_J + g_I m_e/m_p) mu_B B / E_HFS, or OverflowError naming B."""
     b = np.abs(np.asarray(b_field, dtype=float))
-    return _field_moment(species) * b / species.e_hfs
+    with np.errstate(over="ignore"):
+        chi = _field_moment(species) * b / species.e_hfs
+    if not np.all(np.isfinite(chi)):
+        raise OverflowError(f"chi is out of range for field B = {np.max(b):.6g} T")
+    return chi
 
 
 def field_for_chi(species: Species, chi: float = 1.0) -> float:
@@ -322,36 +326,18 @@ def required_gradient(species: Species, nu1: float, n_ions: int) -> float:
     )
 
 
-def epsilon_matrix(modes: ChainModes, gradients, species: Species) -> np.ndarray:
-    """eps[n, j], the gradient part of the effective Lamb-Dicke parameter
-    of every (mode, ion) pair.
-
-    gradients is dw01/dz per ion (scalar broadcasts to all ions).  The
-    photon-recoil part eta_n is left out: it is ~1e-5 at microwave
-    wavelengths (see lamb_dicke).
-    """
+def coupling_matrix(modes: ChainModes, gradients, species: Species) -> CouplingMatrix:
+    """J_ij = (hbar / 2 m) g_i g_j sum_n S_ni S_nj / nu_n^2 in rad/s, g_j the dw01/dz
+    of ion j (a scalar broadcasts), without the photon recoil (~1e-5 at microwave
+    wavelengths) and with a zero diagonal, as the Hamiltonian sums i < j only."""
     grad = np.broadcast_to(np.asarray(gradients, dtype=float), (modes.u.size,))
-    nu = modes.nu
-    return modes.s_matrix * (ground_state_width(species, nu) / nu)[:, None] * grad[None, :]
-
-
-def coupling_matrix(modes: ChainModes, eps: np.ndarray) -> CouplingMatrix:
-    """J_ij = sum_n nu_n eps_ni eps_nj (rad/s), zero diagonal.
-
-    The diagonal is excluded by convention: the Hamiltonian sums pairs
-    i < j only.
-    """
-    # the three (N, N) temporaries live until CouplingMatrix has copied sym,
-    # so the copy lands above them on the heap: freed first, they leave room
-    # at the top that glibc trims and the next large chain faults back in.
-    # An overflow, or infinities of both signs in eps, raise FloatingPointError
+    # y.T @ y is one syrk call, mirrored, so J is exactly symmetric
     with np.errstate(over="raise", invalid="raise"):
-        weighted = modes.nu[:, None] * eps
-        j = eps.T @ weighted
-        sym = j + j.T
-    sym *= 0.5
-    np.fill_diagonal(sym, 0.0)
-    return CouplingMatrix(j=sym)
+        y = modes.s_matrix * (math.sqrt(const.HBAR / (2.0 * species.mass)) * grad)
+        y /= modes.nu[:, None]
+        j = y.T @ y
+    np.fill_diagonal(j, 0.0)
+    return CouplingMatrix(j=j)
 
 
 def spin_spin_couplings(species: Species, trap: TrapConfig,
@@ -363,9 +349,7 @@ def spin_spin_couplings(species: Species, trap: TrapConfig,
     the local field b0 + b z_j at each equilibrium position is used.
     """
     modes = normal_modes(equilibrium_positions(trap.n_ions), trap.nu1)
-    if weak_field:
-        grads = qubit_frequency_gradient(species, 0.0, trap.b)
-    else:
-        z = modes.u * length_scale(species, trap.nu1)
-        grads = qubit_frequency_gradient(species, trap.b0 + trap.b * z, trap.b)
-    return modes, coupling_matrix(modes, epsilon_matrix(modes, grads, species))
+    b_at_ion = (0.0 if weak_field
+                else trap.b0 + trap.b * (modes.u * length_scale(species, trap.nu1)))
+    return modes, coupling_matrix(
+        modes, qubit_frequency_gradient(species, b_at_ion, trap.b), species)

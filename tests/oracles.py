@@ -3,12 +3,16 @@
 Everything here works in the 2x2 complex density-matrix picture (or
 with scipy primitives, or from a quantity's definition) so the package's
 real-3-vector code paths are checked against a genuinely different route.
+The chain couplings are rebuilt through the Lamb-Dicke parameters eps and
+through the inverse Hessian, neither of which the package forms.
 """
 
 import numpy as np
 from scipy.linalg import expm
 
+from ionqsim.constants import HBAR
 from ionqsim.estimation import bayes_update, estimate_state
+from ionqsim.ionchain import _hessian
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -75,3 +79,27 @@ def expected_mean_fidelity(dist, m):
         p = dist.grid.integrate(dist.values * 0.5 * (1.0 + outcome * (dist.grid.units @ m)))
         fbar += p * estimate_state(bayes_update(dist, m, outcome))[1]
     return fbar
+
+
+def epsilon_oracle(modes, gradients, species):
+    """eps[n, j] = S_nj Delta_z_n (dw01_j/dz) / nu_n, the gradient part of the
+    effective Lamb-Dicke parameter of mode n and ion j, from its definition
+    with Delta_z_n = sqrt(hbar / 2 m nu_n)."""
+    delta_z = np.sqrt(HBAR / (2.0 * species.mass * modes.nu))
+    return modes.s_matrix * (delta_z / modes.nu)[:, None] * np.asarray(gradients)
+
+
+def epsilon_coupling_oracle(modes, eps):
+    """J_ij = sum_n nu_n eps_ni eps_nj with a zero diagonal, term by term."""
+    j = np.einsum("n,ni,nj->ij", modes.nu, eps, eps)
+    np.fill_diagonal(j, 0.0)
+    return j
+
+
+def inverse_hessian_coupling_oracle(u, gradients, species, nu1):
+    """J = hbar / (2 m nu1^2) G A^-1 G with a zero diagonal, G = diag(dw01/dz)
+    and A the dimensionless Hessian at the equilibrium u: no mode sum."""
+    g = np.broadcast_to(np.asarray(gradients, dtype=float), u.shape)
+    j = HBAR / (2.0 * species.mass * nu1**2) * np.linalg.inv(_hessian(u)) * np.outer(g, g)
+    np.fill_diagonal(j, 0.0)
+    return j

@@ -620,7 +620,7 @@ class TestProcessEntryPoint:
 
     # an --out that cannot be opened, an --out on the estimate summary's own
     # path and an empty fractions list are configuration errors; a chain
-    # whose length scale, required gradient, dw01/dz or J overflows, and a Rabi scan
+    # whose length scale, required gradient, chi, dw01/dz or J overflows, and a Rabi scan
     # whose Omega^2 + delta^2 or Omega_R t overflows, are numerical failures
     @pytest.mark.parametrize("argv, code, message", [
         (["rabi", "--out", "missing/x.csv"], 2, "cannot write missing/x.csv"),
@@ -636,6 +636,7 @@ class TestProcessEntryPoint:
         (["chain", "--gradient", "1e300", "--n", "3"], 1, "gradient b = 1e+300"),
         (["chain", "--no-weak-field", "--b0", "0.1", "--gradient", "1e300", "--n", "3"], 1,
          "gradient b = 1e+300"),
+        (["chain", "--no-weak-field", "--b0", "1e308", "--n", "2"], 1, "field B = 1e+308 T"),
     ])
     def test_failure_prints_one_error_line(self, tmp_path, argv, code, message):
         done = self.call(argv, tmp_path)
@@ -731,13 +732,16 @@ class TestGoldenArtifacts:
     # sha256 of the chain JSON and the --table print of the README call,
     # and of the JSON at N = 60, where the solver falls back to coordinate
     # sweeps (it prints nothing: the sha256 of no bytes); a change here means
-    # the artifacts drifted and must be explained
+    # the artifacts drifted and must be explained.  Both JSON digests were
+    # recorded again when J became y^T y with y = S sqrt(hbar/2m) g / nu in
+    # place of the eps route: J_hz moved by <= 2.6e-16 (N = 10) and 5.8e-16
+    # (N = 60) of max|J|, and the printed table did not change
     @pytest.mark.parametrize("argv, digest, table_digest", [
         (["--species", "yb171", "--nu1-khz", "100", "--n", "10", "--gradient", "25", "--table"],
-         "43c9d06af9ec663d502122b03faa13b9cd4ff8ad352177880d545e4fdbf7d88e",
+         "32f159a6b3bd5ff23d85ffaf271f2da5b73ad1d442c3bc2864cdb6d6a2628fab",
          "4e369ca19d5ab78be7dd35a7756eaa4fa66e9f7fb38aba7b803f8a44753d9778"),
         (["--n", "60"],
-         "a2f74c91b76f58b0a5629eacfc7af27ce1e2010f48a9db3f1c0abe3f5aace1f6",
+         "030097741b5e5b3f69b3d9017d6d83d915ca94d3d2c829a836f8922b040ce33c",
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ])
     def test_chain_artifact_digest(self, tmp_path, capsys, argv, digest, table_digest):

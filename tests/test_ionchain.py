@@ -9,12 +9,12 @@ from scipy import constants as sc
 from ionqsim.constants import AMU, YB171, Species
 from ionqsim.ionchain import (ChainModes, ConvergenceError, CouplingMatrix,
                               NotAMinimumError, TrapConfig, breit_rabi_energy,
-                              chi_parameter, coupling_matrix,
-                              epsilon_matrix, equilibrium_positions,
+                              chi_parameter, coupling_matrix, equilibrium_positions,
                               field_for_chi, ground_state_width, lamb_dicke,
                               length_scale, normal_modes,
                               qubit_frequency_gradient, required_gradient,
                               spacing_estimate, spin_spin_couplings)
+from oracles import epsilon_coupling_oracle, epsilon_oracle, inverse_hessian_coupling_oracle
 
 NU1 = 2 * math.pi * 100e3
 MU_B_SC = sc.physical_constants["Bohr magneton"][0]
@@ -295,6 +295,14 @@ class TestBreitRabi:
         assert chi_parameter(YB171, b) == pytest.approx(1.0, rel=1e-12)
         assert b == pytest.approx(0.45, rel=0.02)
 
+    @pytest.mark.parametrize("b_field", [1e308, -1e308, np.array([0.1, 1e308])])
+    def test_chi_overflow_names_the_field(self, b_field):
+        # chi = 2.21 B/T for 171Yb+ leaves the float range above ~8.1e307 T
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="field B = 1e\\+308 T"):
+                chi_parameter(YB171, b_field)
+
     def test_strong_field_asymptote(self):
         # slope of the m_q = 0 levels approaches +/- g_J mu_B / 2
         b = 50.0
@@ -403,19 +411,19 @@ class TestCouplings:
         trap = TrapConfig(nu1=NU1, n_ions=10, b=25.0)
         modes = normal_modes(equilibrium_positions(trap.n_ions), trap.nu1)
         grad = qubit_frequency_gradient(YB171, 0.0, 25.0)
-        eps = epsilon_matrix(modes, grad, YB171)
+        eps = epsilon_oracle(modes, grad, YB171)
         want = (1 / math.sqrt(10)) * ground_state_width(YB171, NU1) * grad / NU1
         np.testing.assert_allclose(eps[0], np.full(10, want), atol=1e-6)
         assert want == pytest.approx(0.019, rel=0.01)
-        # the weak-field pipeline is exactly these two steps
-        np.testing.assert_array_equal(coupling_matrix(modes, eps).j,
-                                      spin_spin_couplings(YB171, trap)[1].j)
+        # the weak-field J is sum_n nu_n eps_ni eps_nj
+        j = spin_spin_couplings(YB171, trap)[1].j
+        assert np.max(np.abs(j - epsilon_coupling_oracle(modes, eps))) <= 1e-14 * np.max(np.abs(j))
 
     def test_microwave_epsilon_dominates(self):
-        # the photon-recoil part epsilon_matrix leaves out is < 1e-3 of eps
+        # the photon-recoil part coupling_matrix leaves out is < 1e-3 of eps
         modes = normal_modes(equilibrium_positions(5), NU1)
         grad = qubit_frequency_gradient(YB171, 0.0, 25.0)
-        eps = epsilon_matrix(modes, grad, YB171)
+        eps = epsilon_oracle(modes, grad, YB171)
         recoil_part = np.abs(lamb_dicke(0.024, YB171, modes.nu)[0][:, None]
                              * modes.s_matrix)
         assert np.max(recoil_part / np.abs(eps)) < 1e-3
@@ -479,6 +487,21 @@ class TestCouplings:
         mask = ~np.eye(n, dtype=bool)
         np.testing.assert_allclose(j.j[mask], want[mask], rtol=1e-3)
 
+    @pytest.mark.parametrize("n, weak_field", [(2, True), (10, True), (60, True), (150, True),
+                                               (10, False)])
+    def test_closed_form_inverse_hessian_oracle(self, n, weak_field):
+        # J = hbar g_i g_j [A^-1]_ij / (2 m nu1^2) with the analytic Hessian A:
+        # no mode decomposition on the oracle's side.  Off the weak-field
+        # limit the 0.3 T offset field gives each ion its own g
+        trap = TrapConfig(nu1=NU1, n_ions=n, b=25.0, b0=0.3)
+        modes, j = spin_spin_couplings(YB171, trap, weak_field)
+        b_at_ion = 0.0 if weak_field else 0.3 + 25.0 * modes.u * length_scale(YB171, NU1)
+        grad = qubit_frequency_gradient(YB171, b_at_ion, 25.0)
+        want = inverse_hessian_coupling_oracle(modes.u, grad, YB171, NU1)
+        assert np.max(np.abs(j.j - want)) <= 1e-13 * np.max(np.abs(j.j))
+        assert np.array_equal(j.j, j.j.T)
+        assert np.array_equal(np.diag(j.j), np.zeros(n))
+
     def test_coupling_matrix_validation(self):
         with pytest.raises(ValueError):
             CouplingMatrix(j=np.array([[0.0, 1.0], [2.0, 0.0]]))
@@ -487,11 +510,12 @@ class TestCouplings:
 
     @pytest.mark.parametrize("scale, message", [(1e200, "overflow"), (np.inf, "invalid")])
     def test_coupling_matrix_overflow_raises(self, scale, message):
-        # eps of 1e200 overflows J; an infinite eps sums inf and -inf
+        # a gradient 1e200 times too large overflows J; an infinite one
+        # sums inf and -inf
         modes = normal_modes(equilibrium_positions(3), NU1)
-        eps = epsilon_matrix(modes, qubit_frequency_gradient(YB171, 0.0, 25.0), YB171)
+        grad = qubit_frequency_gradient(YB171, 0.0, 25.0)
         with pytest.raises(FloatingPointError, match=message):
-            coupling_matrix(modes, eps * scale)
+            coupling_matrix(modes, grad * scale, YB171)
 
     def test_coupling_matrix_copies_the_callers_array(self):
         j = np.array([[0.0, 1.0], [1.0, 0.0]])
