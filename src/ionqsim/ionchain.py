@@ -225,6 +225,14 @@ def normal_modes(u: np.ndarray, nu1: float) -> ChainModes:
     # each row is a unit vector, so it has an entry above 1e-8
     lead = s[np.arange(s.shape[0]), np.argmax(np.abs(s) > 1e-8, axis=1)]
     s[lead < 0] *= -1.0
+    # eigh's eigenvalues are off by ~eps |A| (3e-13 on the COM's exact 1 at
+    # N = 150), which J's 1/nu^2 weights pass on.  The Rayleigh quotient
+    # 1 + sum_{i<j} 2 (S_ni - S_nj)^2 / (u_j - u_i)^3, one diagonal of pairs
+    # at a time, adds only positive terms: a few eps relative
+    lam = np.ones(u.size)
+    for k in range(1, u.size):
+        diff = s[:, k:] - s[:, :-k]
+        lam += np.square(diff, out=diff) @ (2.0 / (u[k:] - u[:-k]) ** 3)
     return ChainModes(u=u, nu=nu1 * np.sqrt(lam), s_matrix=s)
 
 

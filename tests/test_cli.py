@@ -734,14 +734,16 @@ class TestGoldenArtifacts:
     # sweeps (it prints nothing: the sha256 of no bytes); a change here means
     # the artifacts drifted and must be explained.  Both JSON digests were
     # recorded again when J became y^T y with y = S sqrt(hbar/2m) g / nu in
-    # place of the eps route: J_hz moved by <= 2.6e-16 (N = 10) and 5.8e-16
-    # (N = 60) of max|J|, and the printed table did not change
+    # place of the eps route and nu^2 the Laplacian-form Rayleigh quotient in
+    # place of eigh's eigenvalues: J_hz moved by <= 2.5e-15 (N = 10) and
+    # 1.2e-14 (N = 60) of max|J|, the mode frequencies by <= 1.2e-15 of the
+    # largest, and the printed table did not change
     @pytest.mark.parametrize("argv, digest, table_digest", [
         (["--species", "yb171", "--nu1-khz", "100", "--n", "10", "--gradient", "25", "--table"],
-         "32f159a6b3bd5ff23d85ffaf271f2da5b73ad1d442c3bc2864cdb6d6a2628fab",
+         "13d2c1622b5669573a0564b8b0cc3b34c9b6cb6656e1214508cf85966d1c87ed",
          "4e369ca19d5ab78be7dd35a7756eaa4fa66e9f7fb38aba7b803f8a44753d9778"),
         (["--n", "60"],
-         "030097741b5e5b3f69b3d9017d6d83d915ca94d3d2c829a836f8922b040ce33c",
+         "655d36a1ba6c41a2d24520e17d7f4a6022d6c477795db9752451827ace7857a3",
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ])
     def test_chain_artifact_digest(self, tmp_path, capsys, argv, digest, table_digest):

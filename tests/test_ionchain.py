@@ -214,6 +214,14 @@ class TestNormalModes:
         np.testing.assert_allclose(modes.s_matrix @ modes.s_matrix.T, np.eye(n),
                                    atol=1e-10)
 
+    @pytest.mark.parametrize("n", [60, 150])
+    def test_com_and_breathing_to_roundoff(self, n):
+        # A 1 = 1 for any u and the breathing mode has lam = 3 at the
+        # equilibrium; eigh alone misses both by ~2e-13 at N = 150
+        lam = (normal_modes(equilibrium_positions(n), NU1).nu / NU1) ** 2
+        assert abs(lam[0] - 1.0) <= 4e-16
+        assert abs(lam[1] - 3.0) <= 1e-14
+
     def test_mode_decomposition_reconstructs_hessian(self):
         u = equilibrium_positions(8)
         modes = normal_modes(u, NU1)
