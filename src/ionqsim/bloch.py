@@ -49,71 +49,22 @@ class DrivePulse:
         return math.hypot(self.rabi, self.detuning)
 
 
-_HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def _stirling_error(n: int) -> float:
-    """log(n!) - log(sqrt(2 pi n) (n/e)^n) for n >= 1: lgamma up to 15,
-    then the asymptotic series, which is exact to roundoff there."""
-    if n <= 15:
-        return math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - _HALF_LOG_2PI
-    nn = float(n) * n
-    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / (1188 * nn)) / nn) / nn) / nn) / n
-
-
-def _deviance(x: int, mean: float) -> float:
-    """x log(x/mean) + mean - x.  Near x = mean the two sides cancel, so
-    there it is summed as (x - mean) v + 2 x (v^3/3 + v^5/5 + ...) with
-    v = (x - mean)/(x + mean)."""
-    d = x - mean
-    if abs(d) >= 0.1 * (x + mean):
-        return x * math.log(x / mean) + mean - x
-    v = d / (x + mean)
-    total, odd, v2, j = d * v, 2.0 * x * v, v * v, 3
-    while True:
-        odd *= v2
-        nxt = total + odd / j
-        if nxt == total:
-            return total
-        total, j = nxt, j + 2
-
-
-def _poisson_pmf(j: int, mean: float) -> float:
-    """P(count = j) in deviance form, exp(-stirling - deviance)/sqrt(2 pi j);
-    its relative error is a few ulp of the exponent, not of j log(mean)."""
-    if j == 0:
-        return math.exp(-mean)
-    return math.exp(-_stirling_error(j) - _deviance(j, mean)) / math.sqrt(2.0 * math.pi * j)
+# Largest photon-count mean accepted: exp(-690) > 1e-300, so every
+# accepted mean starts its pmf recursion from a normal float.
+MAX_COUNT_MEAN = 690.0
 
 
 def _poisson_cdf(mean: float, k: int) -> float:
-    """P(count <= k) for a Poisson count of the given mean.
+    """P(count <= k) for a Poisson count of mean in [0, MAX_COUNT_MEAN].
 
-    Sums the pmf with math.fsum.  Terms come from `_poisson_pmf` until one
-    exceeds 1e-300, then follow p_j = p_{j-1} mean / j, which stays within
-    a few ulp.  A recursion seeded at j > 0 carries its seed's error (a few
-    ulp of an exponent near 690), so it is seeded again from `_poisson_pmf`
-    at 3 standard deviations below the mean, where the terms start to
-    count.  Means up to ~690 start at j = 0 with exp(-mean) and are never
-    re-seeded.  The sum starts 40 standard deviations below the mean (the
-    mass below is < 1e-300) and stops past the mean at a term below 1e-17
-    of the total, so its cost grows with sqrt(mean), not with k.
+    Sums p_0 = exp(-mean), p_j = p_{j-1} mean / j with math.fsum, and
+    stops past the mean at a term below 1e-17 of the total, so its cost
+    grows with the mean, not with k.
     """
-    if mean == 0.0:
-        return 1.0
-    sd = math.sqrt(mean)
-    start = max(0, math.floor(mean - 40.0 * sd))
-    terms = []
-    total = term = 0.0
-    seeded_late = False
-    for j in range(start, k + 1):
-        if term < 1e-300:
-            term = _poisson_pmf(j, mean)
-            seeded_late = j > 0
-        else:
+    terms, total, term = [], 0.0, math.exp(-mean)
+    for j in range(k + 1):
+        if j > 0:
             term *= mean / j
-            if seeded_late and j >= mean - 3.0 * sd:
-                term, seeded_late = _poisson_pmf(j, mean), False
         terms.append(term)
         total += term
         if j > mean and term < 1e-17 * total:
@@ -143,11 +94,13 @@ class DetectionModel:
         """Efficiencies of a photon-counting read-out: Poisson counts of
         the given means against a cutoff, "on" meaning count > threshold.
         Only the on/off result is kept, so the two tail masses are the
-        whole read-out."""
+        whole read-out.  Both means must lie in [0, MAX_COUNT_MEAN], far
+        above the paper's ~5 ("on") and ~0.2 ("off"); anything else,
+        NaN and inf included, is a ValueError naming both."""
         if not isinstance(threshold, (int, np.integer)) or threshold < 0:
             raise ValueError(f"threshold must be an integer >= 0, got {threshold!r}")
-        if not all(math.isfinite(m) and m >= 0 for m in (on_mean, off_mean)):
-            raise ValueError("photon count means must be finite and >= 0, got "
+        if not all(0 <= m <= MAX_COUNT_MEAN for m in (on_mean, off_mean)):
+            raise ValueError(f"photon count means must lie in [0, {MAX_COUNT_MEAN:g}], got "
                              f"on_mean={on_mean!r}, off_mean={off_mean!r}")
         return cls(_poisson_cdf(off_mean, threshold), 1.0 - _poisson_cdf(on_mean, threshold))
 

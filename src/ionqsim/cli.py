@@ -381,8 +381,8 @@ def _cmd_chain(params: dict, out) -> list:
     nu1 = 2.0 * math.pi * params["nu1_khz"] * 1e3
     trap = TrapConfig(nu1=nu1, n_ions=params["n"], b=params["gradient"], b0=params["b0"])
     weak_field = not params["no_weak_field"]
+    zeta = length_scale(species, nu1)                       # m, or OverflowError naming nu1
     modes, coupling = spin_spin_couplings(species, trap, weak_field=weak_field)
-    zeta = length_scale(species, nu1)                       # m
     payload = {
         "meta": _meta("chain", params),
         "species": species.name,

@@ -291,11 +291,14 @@ def breit_rabi_energy(species: Species, b_field: float, m_q: float, branch: int)
     if abs((m_q + f_max) - round(m_q + f_max)) > 1e-9:
         raise ValueError(f"m_q = {m_q} is not a valid magnetic quantum number for I = {i_nuc}")
     chi = chi_parameter(species, b_field)
-    radicand = 1.0 + 4.0 * m_q * chi / (2.0 * i_nuc + 1.0) + chi * chi
+    # sqrt(1 + 2 a chi + chi^2) as a hypot, which cannot overflow on chi^2;
+    # the clamp covers the 1e-9 slack allowed on |m_q|
+    a = 2.0 * m_q / (2.0 * i_nuc + 1.0)
+    root = math.hypot(chi + a, math.sqrt(max(0.0, 1.0 - a * a)))
     return (
         species.e_hfs / (2.0 * (2.0 * i_nuc + 1.0))
         - species.g_i * const.MU_N * b_field * m_q
-        + branch * 0.5 * species.e_hfs * math.sqrt(radicand)
+        + branch * 0.5 * species.e_hfs * root
     )
 
 

@@ -322,8 +322,11 @@ class TestDetectionModel:
             DetectionModel.from_counts(on_mean=5.0, off_mean=0.2, threshold=10)
 
     def test_count_inputs_checked_before_summing(self):
-        for on_mean, off_mean, threshold in ((math.nan, 0.2, 3), (5.0, math.inf, 3),
-                                             (5.0, -0.1, 3), (5.0, 0.2, 1.5)):
+        # means above 690 start their pmf below 1e-300 and are refused
+        cases = [(math.nan, 0.2, 3), (5.0, math.inf, 3), (5.0, -0.1, 3), (5.0, 0.2, 1.5)]
+        for big in (691.0, 700.0, 1e4, 1e7):
+            cases += [(big, 0.2, 3), (5.0, big, 3)]
+        for on_mean, off_mean, threshold in cases:
             with pytest.raises(ValueError):
                 DetectionModel.from_counts(on_mean, off_mean, threshold)
 
@@ -345,7 +348,7 @@ class TestDetectionModel:
     def test_poisson_cdf_matches_scipy_at_large_means(self):
         # the bound of the earlier log-form exponent, which cancelled terms
         # of size mean*log(mean); thresholds 41 sigma below the mean give 0
-        for mean in (1e4, 1e5, 1e6, 1e7):
+        for mean in (200.0, 450.0, 690.0):
             sd = math.sqrt(mean)
             thresholds = [int(mean + f * sd) for f in (-41, -5, -1, 0, 1, 5)]
             got = [bloch._poisson_cdf(mean, k) for k in thresholds]
@@ -353,13 +356,10 @@ class TestDetectionModel:
             np.testing.assert_allclose(got, stats.poisson.cdf(thresholds, mean), rtol=0, atol=tol)
             assert got[0] == 0.0
 
-    def test_poisson_cdf_deviance_form_at_large_means(self):
-        # seeds in deviance form, re-seeded near the mean: 1.3e-11, 6.6e-10
-        # and 2.4e-8 off with the log form.  scipy's own cdf is 1.3e-12
-        # (1e6) and 8.9e-9 (1e7) off a 30-digit reference at mean + 5 sd,
-        # so no threshold sits between 4.5 and 6.5 sd.  Means 700-1500 start
-        # below 1e-300 and seed through _stirling_error's lgamma branch
-        for mean in (700.0, 1000.0, 1500.0, 1e4, 1e6, 1e7):
+    def test_poisson_cdf_near_the_mean_at_large_means(self):
+        # the plain recursion up to the 690 cap, from 8 sd below the mean
+        # to 8 sd above it
+        for mean in (200.0, 450.0, 690.0):
             sd = math.sqrt(mean)
             thresholds = [int(mean + f * sd) for f in (-41, -8, -5, -3, -1, 0, 1, 3, 4, 8)]
             got = [bloch._poisson_cdf(mean, k) for k in thresholds]
@@ -367,9 +367,9 @@ class TestDetectionModel:
                                        rtol=0, atol=1e-13)
 
     def test_small_means_sum_the_plain_recursion(self):
-        # means up to ~690 start at exp(-mean) and are never re-seeded, so
-        # the paper's read-out means keep the earlier sums bit for bit
-        for mean in (0.2, 5.0, 5.3, 100.0, 600.0):
+        # every accepted mean, the 690 cap included, sums the plain
+        # recursion from exp(-mean) bit for bit
+        for mean in (0.2, 5.0, 5.3, 100.0, 600.0, 690.0):
             terms = [math.exp(-mean)]
             last = int(mean + 5.0 * math.sqrt(mean))
             for j in range(1, last + 1):

@@ -619,9 +619,10 @@ class TestProcessEntryPoint:
         assert message in done.stderr
 
     # an --out that cannot be opened, an --out on the estimate summary's own
-    # path and an empty fractions list are configuration errors; a chain
-    # whose length scale, required gradient, chi, dw01/dz or J overflows, and a Rabi scan
-    # whose Omega^2 + delta^2 or Omega_R t overflows, are numerical failures
+    # path, an empty fractions list and a count mean above 690 are
+    # configuration errors; a chain whose length scale, required gradient,
+    # chi, dw01/dz or J overflows, and a Rabi scan whose Omega^2 + delta^2
+    # or Omega_R t overflows, are numerical failures
     @pytest.mark.parametrize("argv, code, message", [
         (["rabi", "--out", "missing/x.csv"], 2, "cannot write missing/x.csv"),
         (["rabi", "--out", "."], 2, "cannot write ."),
@@ -637,6 +638,9 @@ class TestProcessEntryPoint:
         (["chain", "--no-weak-field", "--b0", "0.1", "--gradient", "1e300", "--n", "3"], 1,
          "gradient b = 1e+300"),
         (["chain", "--no-weak-field", "--b0", "1e308", "--n", "2"], 1, "field B = 1e+308 T"),
+        (["chain", "--nu1-khz", "1e-300", "--n", "3"], 1, "zeta is out of range for nu1"),
+        (["zeno", "--on-mean", "1000", "--off-mean", "0.2", "--threshold", "1"], 2,
+         "on_mean=1000.0"),
     ])
     def test_failure_prints_one_error_line(self, tmp_path, argv, code, message):
         done = self.call(argv, tmp_path)

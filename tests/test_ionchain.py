@@ -311,6 +311,14 @@ class TestBreitRabi:
             with pytest.raises(OverflowError, match="field B = 1e\\+308 T"):
                 chi_parameter(YB171, b_field)
 
+    def test_energy_finite_up_to_chi_overflow(self):
+        # E ~ B mu_B is finite, without a warning, up to chi's own limit (~8e307 T)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            energies = {b: breit_rabi_energy(YB171, b, 0.0, +1) for b in (1e150, 1e154, 1e300)}
+        assert all(math.isfinite(e) for e in energies.values())
+        assert energies[1e300] / energies[1e150] == pytest.approx(1e150, rel=1e-12)
+
     def test_strong_field_asymptote(self):
         # slope of the m_q = 0 levels approaches +/- g_J mu_B / 2
         b = 50.0
