@@ -38,6 +38,9 @@ class DrivePulse:
     phase: float = 0.0
 
     def __post_init__(self):
+        for name in ("rabi", "detuning", "duration", "phase"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.rabi < 0:
             raise ValueError(f"rabi frequency must be >= 0, got {self.rabi}")
         if self.duration < 0:

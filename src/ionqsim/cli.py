@@ -245,10 +245,20 @@ def _cmd_rabi(params: dict, out) -> list:
     times = np.linspace(0.0, params["tmax_ms"] * 1e-3, params["points"])
     omega = 2.0 * math.pi * params["rabi_khz"] * 1e3
     delta = 2.0 * math.pi * params["detuning_hz"]
+    # the flags are finite, so only the 2 pi (x 1e3) scaling can overflow
+    if not math.isfinite(omega):
+        raise OverflowError(f"Rabi frequency Omega = 2 pi x {params['rabi_khz']:g} kHz "
+                            "overflows a float")
+    if not math.isfinite(delta):
+        raise OverflowError(f"detuning delta = 2 pi x {params['detuning_hz']:g} Hz "
+                            "overflows a float")
     if params["ramsey"]:
         if omega <= 0:
             raise ConfigError("ramsey mode needs a positive Rabi frequency")
-        pulse = DrivePulse(rabi=omega, detuning=delta, duration=0.5 * math.pi / omega)
+        half_pi = 0.5 * math.pi / omega
+        if not math.isfinite(half_pi):
+            raise OverflowError(f"pi/2 pulse length overflows a float (Omega = {omega:g} rad/s)")
+        pulse = DrivePulse(rabi=omega, detuning=delta, duration=half_pi)
         rows = list(zip(times, ramsey_probability(pulse, times)))
         columns = ["precession_time_s", "p1"]
     else:

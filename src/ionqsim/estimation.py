@@ -41,6 +41,10 @@ FOUR_PI = 4.0 * math.pi
 # mean_fidelity_experiment estimates at most this many states x max(grid
 # nodes, coarse search axes) at once, which bounds its working memory.
 _CHUNK_SIZE = 1 << 14
+# the six node monomials u_i u_j, i <= j, that second_moment tables, and which
+# of them each entry (i, j) of Q takes
+_PAIR_ROW, _PAIR_COL = np.array([0, 0, 0, 1, 1, 2]), np.array([0, 1, 2, 1, 2, 2])
+_PAIR_OF = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
 
 
 class DegenerateUpdateError(ArithmeticError):
@@ -80,10 +84,11 @@ class SphereDistribution:
 
     def second_moment(self) -> np.ndarray:
         """Second moment Q = <u u^T> of the normalized density, (..., 3, 3)."""
-        wv = self.grid.weights * self.values
         u = self.grid.units
-        # w u^T built flat by repeat/ravel: the bits of the broadcast wv[..., :, None] * u, faster
-        q = (np.repeat(wv, 3, axis=-1) * u.ravel()).reshape(wv.shape + (3,)).swapaxes(-1, -2) @ u
+        # the six distinct entries from one stacked (1, K) @ (K, 6) product per
+        # row, so that a batch row rounds as it would on its own
+        monomials = self.grid.weights[:, None] * u[:, _PAIR_ROW] * u[:, _PAIR_COL]
+        q = (self.values[..., None, :] @ monomials)[..., 0, _PAIR_OF]
         return q / np.asarray(self.integral)[..., None, None]
 
 
@@ -142,11 +147,14 @@ def optimal_next_direction(dist: SphereDistribution) -> np.ndarray:
     The best axis m of a coarse sweep starts projected Newton steps.  With
     a = S + Q m, b = S - Q m and ^ for unit vectors, Fbar has gradient
     g = Q^T (a^ - b^)/4 and Hessian Q^T [(I - a^ a^T)/|a| + (I - b^ b^T)/|b|]
-    Q/4 = H, on the sphere P H P - (m.g) P with P = I - m m^T.  Steps follow
-    only its eigendirections of negative curvature, so a ring of optima (as
-    after one z result) is not travelled on roundoff.  A flat objective
-    (fresh uniform prior) returns +z.  Antipodal ties go to the upper
-    hemisphere: the first of z, y, x not within 1e-9 of zero is positive.
+    Q/4 = H, on the sphere M = P H P - (m.g) P with P = I - m m^T.  As m is
+    M's null vector, its two tangent curvatures follow in closed form from
+    its trace and Frobenius norm, and so does the step (`_newton_step`); no
+    eigensolver runs.  Steps follow only the directions of curvature below
+    -1e-9, so a ring of optima (as after one z result) is not travelled on
+    roundoff.  A flat objective (fresh uniform prior) returns +z.
+    Antipodal ties go to the upper hemisphere: the first of z, y, x not
+    within 1e-9 of zero is positive.
     A batch gets one (B, 3) row of axes per density, each equal to its lone
     search: a row that has stopped, or is flat, is not touched again.
 
@@ -200,20 +208,45 @@ def optimal_next_direction(dist: SphereDistribution) -> np.ndarray:
         grad = q_t4 @ (ab[0] - ab[1])[:, :, None]
         curve = (_EYE - ab[..., :, None] * ab[..., None, :]) / lengths[..., None]
         hess = q_t4 @ (curve[0] + curve[1]) @ q_a
-        proj = _EYE - m[:, :, None] * m[:, None, :]
-        curv, vecs = np.linalg.eigh(proj @ hess @ proj - (m[:, None, :] @ grad) * proj)
-        along = (vecs.swapaxes(-1, -2) @ grad)[..., 0]
-        along = np.divide(-along, curv, out=np.zeros(along.shape), where=curv < _CURVATURE)
-        step = vecs @ along[:, :, None]
-        length = np.sqrt(step.swapaxes(-1, -2) @ step)[:, 0]
-        m = m + (step * (_TRUST_RADIUS / np.maximum(length, _TRUST_RADIUS))[:, None])[..., 0]
-        m /= np.sqrt(m[:, None, :] @ m[:, :, None])[:, 0]
-        going = length[:, 0] >= _STOP_STEP
+        step = _newton_step(m, grad, hess)
+        length = _row_norm(step)
+        m = m + step * (_TRUST_RADIUS / np.maximum(length, _TRUST_RADIUS))[:, None]
+        m /= _row_norm(m)[:, None]
+        going = length >= _STOP_STEP
         if not going.all():
             best[active[~going]] = m[~going]
             active, m, q_a, q_t4, s_a = (x[going] for x in (active, m, q_a, q_t4, s_a))
     best[active] = m
     return np.where(flat[:, None], Z_PLUS, _upper_hemisphere(best)).reshape(batch + (3,))
+
+
+def _newton_step(m, grad, hess):
+    """Newton step (rows, 3) on the sphere at the unit rows m, from Fbar's
+    gradient (rows, 3, 1) and Hessian (rows, 3, 3) in R^3.
+
+    M = P H P - (m.g) P has the null vector m, so its tangent curvatures
+    lo <= hi follow from t = tr M and f = |M|_F^2 as t/2 -+ sqrt(f/2 - t^2/4).
+    The step is -sum v v^T g / c over M's eigendirections v whose curvature
+    c is below _CURVATURE: (M - t P) P g / (lo hi) when both are (M's
+    inverse on the tangent plane), (M - hi P) P g / ((hi - lo) lo) when only
+    lo is (the projector on lo's direction), and zero when neither is.
+    """
+    mg = m[:, None, :] @ grad
+    proj = _EYE - m[:, :, None] * m[:, None, :]
+    tangent = proj @ hess @ proj - mg * proj
+    flat = tangent.reshape(-1, 9)
+    trace = flat[:, 0] + flat[:, 4] + flat[:, 8]
+    mid = 0.5 * trace
+    # summed elementwise: under some BLAS kernels a dot rounds a batch row by its
+    # memory alignment, and so not as the lone row
+    half_gap = np.sqrt(np.maximum(0.5 * (flat * flat).sum(axis=-1) - mid * mid, 0.0))
+    lo, hi = mid - half_gap, mid + half_gap
+    both = hi < _CURVATURE
+    shift = np.where(both, trace, hi)
+    scale = np.divide(1.0, lo * np.where(both, hi, hi - lo), out=np.zeros(lo.shape),
+                      where=lo < _CURVATURE)
+    pg = grad[..., 0] - m * mg[:, 0]
+    return ((tangent @ pg[:, :, None])[..., 0] - shift[:, None] * pg) * scale[:, None]
 
 
 def _upper_hemisphere(axes):

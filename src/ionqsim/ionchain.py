@@ -279,7 +279,8 @@ def breit_rabi_energy(species: Species, b_field: float, m_q: float, branch: int)
     """Hyperfine level energy at field B for a J = 1/2 ion, in J.
 
     branch +1 selects levels from F = I + 1/2, -1 those from F = I - 1/2;
-    m_q is the magnetic quantum number of the level.
+    m_q is the magnetic quantum number of the level.  chi takes the sign
+    of B, as the nuclear term does, so that E(-B, m_q) = E(B, -m_q).
     """
     if branch not in (+1, -1):
         raise ValueError(f"branch must be +1 or -1, got {branch}")
@@ -290,7 +291,7 @@ def breit_rabi_energy(species: Species, b_field: float, m_q: float, branch: int)
         raise ValueError(f"|m_q| = {abs(m_q)} exceeds {limit} for branch {branch:+d}")
     if abs((m_q + f_max) - round(m_q + f_max)) > 1e-9:
         raise ValueError(f"m_q = {m_q} is not a valid magnetic quantum number for I = {i_nuc}")
-    chi = chi_parameter(species, b_field)
+    chi = math.copysign(chi_parameter(species, b_field), b_field)
     # sqrt(1 + 2 a chi + chi^2) as a hypot, which cannot overflow on chi^2;
     # the clamp covers the 1e-9 slack allowed on |m_q|
     a = 2.0 * m_q / (2.0 * i_nuc + 1.0)

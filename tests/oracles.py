@@ -11,7 +11,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from ionqsim.constants import HBAR
-from ionqsim.estimation import bayes_update, estimate_state
+from ionqsim.estimation import _CURVATURE, bayes_update, estimate_state
 from ionqsim.ionchain import _hessian
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -79,6 +79,19 @@ def expected_mean_fidelity(dist, m):
         p = dist.grid.integrate(dist.values * 0.5 * (1.0 + outcome * (dist.grid.units @ m)))
         fbar += p * estimate_state(bayes_update(dist, m, outcome))[1]
     return fbar
+
+
+def newton_step_oracle(m, grad, hess):
+    """The axis search's Newton step on the sphere from an eigendecomposition,
+    for (rows, 3) unit axes m, (rows, 3, 1) gradients g and (rows, 3, 3)
+    Hessians H: -sum v v^T g / c over the eigenvectors v of P H P - (m.g) P,
+    P = I - m m^T, whose eigenvalue c is below the search's curvature cut.
+    Returns the (rows, 3) steps and the (rows, 3) ascending eigenvalues."""
+    proj = np.eye(3) - m[:, :, None] * m[:, None, :]
+    curv, vecs = np.linalg.eigh(proj @ hess @ proj - (m[:, None, :] @ grad) * proj)
+    along = (vecs.swapaxes(-1, -2) @ grad)[..., 0]
+    along = np.divide(-along, curv, out=np.zeros(along.shape), where=curv < _CURVATURE)
+    return (vecs @ along[:, :, None])[..., 0], curv
 
 
 def epsilon_oracle(modes, gradients, species):

@@ -86,6 +86,13 @@ class TestEvolve:
         with pytest.raises(ValueError):
             DrivePulse(rabi=1.0, duration=-1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["rabi", "detuning", "duration", "phase"])
+    def test_non_finite_field_named(self, field, value):
+        # a NaN or infinite field would make evolve return NaN or its input
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            DrivePulse(**{"rabi": 1.0, "duration": 1.0, field: value})
+
 
 class TestRabiProbability:
     def test_resonant_pulses(self):

@@ -17,7 +17,7 @@ from ionqsim.estimation import (STRATEGIES, DegenerateUpdateError, SphereDistrib
                                 optimal_fidelity_bound, optimal_next_direction,
                                 random_direction, run_estimation, uniform_prior)
 from ionqsim.sphere import SphereGrid, fibonacci_sphere, moment_grid, rotate
-from oracles import expected_mean_fidelity, imperfection_oracle
+from oracles import expected_mean_fidelity, imperfection_oracle, newton_step_oracle
 
 # reference quadrature for densities not tied to one measurement count
 GRID = SphereGrid.build(64)
@@ -357,6 +357,93 @@ class TestOptimalNextDirection:
         for _ in range(6):
             dist = bayes_update(dist, random_direction(rng.random(2)), int(rng.choice([-1, 1])))
             assert optimal_next_direction(dist)[2] >= -1e-12
+
+
+class TestNewtonStepOracle:
+    """The axis search's closed-form Newton step against the eigh-based step
+    (oracles.newton_step_oracle), on the (m, g, H) of every Newton iterate
+    of the searches: the same step and the same stop decisions.
+
+    Near an optimum the tangent gradient P g is a small difference of the
+    whole gradient g, which either route rounds only to ~eps |g|.  So a
+    step is compared to 1e-12 of |g| / |c|, the step the whole gradient
+    would take along the flattest curvature c the row uses: 1e-12 relative
+    for a step that large, and exactly zero for a row that uses none."""
+
+    @staticmethod
+    def iterates(monkeypatch, searches):
+        """(m, g, H) of every Newton iterate of the searches, stacked by row."""
+        seen = []
+        step = estimation._newton_step
+
+        def recording(m, grad, hess):
+            seen.append((m.copy(), grad.copy(), hess.copy()))
+            return step(m, grad, hess)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(estimation, "_newton_step", recording)
+            for dist in searches:
+                optimal_next_direction(dist)
+        return tuple(np.concatenate(part) for part in zip(*seen))
+
+    @staticmethod
+    def assert_same_steps(m, grad, hess):
+        """Returns each row's stop decision and tangent curvatures."""
+        got = estimation._newton_step(m, grad, hess)
+        want, curv = newton_step_oracle(m, grad, hess)
+        flattest = np.where(curv < estimation._CURVATURE, curv, -np.inf).max(axis=1)
+        tolerance = 1e-12 * np.linalg.norm(grad[..., 0], axis=1) / np.abs(flattest)
+        gap = np.linalg.norm(got - want, axis=1)
+        assert (gap <= tolerance).all(), np.max(gap / np.maximum(tolerance, 1e-300))
+        going = np.linalg.norm(got, axis=1) >= estimation._STOP_STEP
+        np.testing.assert_array_equal(
+            going, np.linalg.norm(want, axis=1) >= estimation._STOP_STEP)
+        return going, curv
+
+    @pytest.mark.parametrize("seed", [3, 14, 16])
+    def test_random_batches_match_the_eigh_step(self, monkeypatch, seed):
+        batch = TestOptimalNextDirection._updated_batch(25, seed)
+        going, _ = self.assert_same_steps(*self.iterates(monkeypatch, [batch]))
+        assert going.any() and not going.all()
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_self_learning_trees_match_the_eigh_step(self, monkeypatch, n):
+        # every posterior of the n-step tree, one batch per depth: both
+        # outcomes of each row's axis (the N = 1 tree searches only the
+        # flat prior, which takes no Newton step)
+        prior = uniform_prior(moment_grid(n))
+        level = SphereDistribution(prior.grid, prior.values[None])
+        searches = []
+        for _ in range(n):
+            searches.append(level)
+            axes = np.repeat(optimal_next_direction(level), 2, axis=0)
+            level = bayes_update(SphereDistribution(level.grid, np.repeat(level.values, 2, axis=0)),
+                                 axes, np.tile([1, -1], len(axes) // 2))
+        going, _ = self.assert_same_steps(*self.iterates(monkeypatch, searches))
+        assert going.any() and not going.all()
+
+    @pytest.mark.parametrize("outcome", [1, -1])
+    def test_ring_after_one_z_result_matches_the_eigh_step(self, monkeypatch, outcome):
+        # the optima form the equator: one tangent curvature is ~0 and unused
+        searches = [bayes_update(uniform_prior(grid), Z, outcome)
+                    for grid in (moment_grid(12), GRID)]
+        going, curv = self.assert_same_steps(*self.iterates(monkeypatch, searches))
+        assert going.any()
+        np.testing.assert_array_equal((curv < estimation._CURVATURE).sum(axis=1), 1)
+        assert np.sort(np.abs(curv), axis=1)[:, :2].max() < 1e-6
+
+    @pytest.mark.parametrize("spread", [0.0, 1e-14, 1e-10, 1e-6])
+    @pytest.mark.parametrize("curvature", [-0.3, 0.3])
+    def test_near_isotropic_hessian_matches_the_eigh_step(self, curvature, spread):
+        # both tangent curvatures within ~spread of `curvature`: both used or neither
+        rng = np.random.default_rng(17)
+        m = random_direction(rng.random((50, 2)))
+        grad = 0.1 * rng.normal(size=(50, 3, 1))
+        sym = rng.normal(size=(50, 3, 3))
+        hess = (curvature + m[:, None, :] @ grad) * np.eye(3) + spread * (sym + sym.swapaxes(1, 2))
+        going, curv = self.assert_same_steps(m, grad, hess)
+        assert going.all() if curvature < 0 else not going.any()
+        assert np.sort(np.abs(curv - curvature), axis=1)[:, 1].max() < 1e-5
 
 
 class TestSweepPick:
@@ -727,7 +814,7 @@ class TestBatchedEnsemble:
         # fidelities, however small, fails here and not only there
         fidelities = mean_fidelity_experiment(400, 12, seed=501)[2]
         assert hashlib.sha256(fidelities.tobytes()).hexdigest() == (
-            "ea8b5c2f4071fbfca5a305aeb51fefba7e9f9ae354dd2d613d61e32aa1b399a9")
+            "e8e4f810c80ba5ec9b121a80cfee601fc4101848b46e3f94e71fa5fb125944ce")
 
 
 class TestSharedOutcomeStrings:

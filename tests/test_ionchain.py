@@ -319,6 +319,13 @@ class TestBreitRabi:
         assert all(math.isfinite(e) for e in energies.values())
         assert energies[1e300] / energies[1e150] == pytest.approx(1e150, rel=1e-12)
 
+    @pytest.mark.parametrize("b_field", [1e-4, 0.2, 5.0])
+    @pytest.mark.parametrize("branch, m_q", [(+1, -1.0), (+1, 0.0), (+1, 1.0), (-1, 0.0)])
+    def test_negative_field_mirrors_m_q(self, branch, m_q, b_field):
+        # E(-B, m_q) = E(B, -m_q): chi takes B's sign, as the nuclear term does
+        assert (breit_rabi_energy(YB171, -b_field, m_q, branch)
+                == breit_rabi_energy(YB171, b_field, -m_q, branch))
+
     def test_strong_field_asymptote(self):
         # slope of the m_q = 0 levels approaches +/- g_J mu_B / 2
         b = 50.0
