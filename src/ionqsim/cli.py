@@ -30,6 +30,7 @@ from .zeno import (corrected_survival, run_length_distribution, run_length_ratio
 # ArithmeticError covers overflow, FloatingPointError and estimation's DegenerateUpdateError
 NUMERICAL_ERRORS = (ConvergenceError, NotAMinimumError, ChannelInvalidError,
                     ArithmeticError, np.linalg.LinAlgError)
+MAX_POINTS = 10**6          # rabi scan points; a full scan writes ~40 MB of CSV
 
 
 class ConfigError(ValueError):
@@ -43,7 +44,7 @@ _SPECS = {
         "rabi_khz": (float, 2.9165, "Rabi frequency Omega/2pi in kHz"),
         "detuning_hz": (float, 0.0, "detuning delta/2pi in Hz"),
         "tmax_ms": (float, 2.0, "scan end time in ms"),
-        "points": (int, 200, "number of scan points"),
+        "points": (int, 200, f"number of scan points, 1 to {MAX_POINTS}"),
         "ramsey": (bool, False, "scan Ramsey precession time instead of pulse length"),
     },
     "zeno": {
@@ -241,7 +242,8 @@ def _require_at_least(params: dict, name: str, low: int) -> None:
 
 
 def _cmd_rabi(params: dict, out) -> list:
-    _require_at_least(params, "points", 1)
+    if not 1 <= params["points"] <= MAX_POINTS:
+        raise ConfigError(f"'points' must lie in [1, {MAX_POINTS}], got {params['points']}")
     times = np.linspace(0.0, params["tmax_ms"] * 1e-3, params["points"])
     omega = 2.0 * math.pi * params["rabi_khz"] * 1e3
     delta = 2.0 * math.pi * params["detuning_hz"]
@@ -297,6 +299,9 @@ def _cmd_zeno(params: dict, out) -> list:
             rows.append((n, theory, corrected, stderr))
     elif params["mode"] == "runlength":
         _require_at_least(params, "qmax", 1)
+        if params["qmax"] > params["pairs"] > 1:      # one result: no complete run, exit 1
+            raise ConfigError(f"'qmax' = {params['qmax']} exceeds 'pairs' = {params['pairs']}: "
+                              "no complete run is longer than the record")
         results = simulate_alternating(params["theta"], params["pairs"], seed=params["seed"],
                                        detection=detection)
         dist, total_runs = run_length_distribution(results)

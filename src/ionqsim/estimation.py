@@ -72,6 +72,14 @@ class SphereDistribution:
         object.__setattr__(self, "values", v)
         v.flags.writeable = False
 
+    @classmethod
+    def _own(cls, grid: SphereGrid, values: np.ndarray) -> "SphereDistribution":
+        """Read-only snapshot of values just computed from checked ones: no copy, no check."""
+        values.flags.writeable = False
+        snapshot = object.__new__(cls)
+        snapshot.__dict__.update(grid=grid, values=values)
+        return snapshot
+
     @property
     def integral(self):
         return self.grid.integrate(self.values)
@@ -113,7 +121,7 @@ def bayes_update(dist: SphereDistribution, direction, outcome) -> SphereDistribu
     norm = np.asarray(dist.grid.integrate(posterior))
     if (norm <= 1e-300).any():
         raise DegenerateUpdateError("observed outcome has zero probability under the prior")
-    return SphereDistribution(dist.grid, posterior / norm[..., None])
+    return SphereDistribution._own(dist.grid, posterior / norm[..., None])
 
 
 def estimate_state(dist: SphereDistribution) -> tuple[np.ndarray, float]:
@@ -167,25 +175,22 @@ def optimal_next_direction(dist: SphereDistribution) -> np.ndarray:
     reaches the same Fbar may pick another maximizer; the later axes, and
     the ensemble's mean fidelity, change with it.
 
-    The sweep works in one component-major (2, 3, rows, 400) array, the
-    components of a and b: matmul writes Q m into b through its
-    (rows, 3, 400) view, and the norms run in place along contiguous
-    (rows, 400) blocks.
+    The sweep takes |a|^2 and |b|^2 as |S|^2 + m.Q^2 m +- 2 QS.m: one
+    (rows, 6) @ (6, 400) product of Q^2's distinct entries with the axes'
+    monomials m_i m_j, and one (rows, 3) @ (3, 400) product for 2 QS.m.
     """
     batch = dist.values.shape[:-1]
     s_bar, q = dist.mean_vector().reshape(-1, 3), dist.second_moment().reshape(-1, 3, 3)
+    # Q^2's six distinct entries, the off-diagonal ones doubled, and 2 QS
+    q2 = (q @ q)[:, _PAIR_ROW, _PAIR_COL] * (1.0 + (_PAIR_ROW != _PAIR_COL))
+    qs2, s2 = 2.0 * (q @ s_bar[:, :, None])[..., 0], _row_dot(s_bar, s_bar)[:, None]
 
     def objective(dirs):
-        # |a| and |b| per row and sweep axis, rounded as np.linalg.norm rounds them
-        ab = np.empty((2, 3, len(q), len(dirs)))
-        np.matmul(q, dirs.T, out=ab[1].transpose(1, 0, 2))
-        np.add(s_bar.T[:, :, None], ab[1], out=ab[0])
-        np.subtract(s_bar.T[:, :, None], ab[1], out=ab[1])
-        ab *= ab
-        lengths = np.add(ab[:, 0], ab[:, 1], out=ab[:, 0])
-        lengths += ab[:, 2]
-        fbar = np.sqrt(lengths, out=lengths)[0]
-        fbar += lengths[1]
+        square = q2 @ (dirs[:, _PAIR_ROW] * dirs[:, _PAIR_COL]).T + s2
+        cross = qs2 @ dirs.T
+        # |a| and |b|; abs turns a roundoff below an exact zero into one above it
+        fbar = np.sqrt(np.abs(square + cross))
+        fbar += np.sqrt(np.abs(np.subtract(square, cross, out=square), out=square), out=square)
         fbar *= 0.25
         fbar += 0.5
         return fbar
@@ -346,7 +351,7 @@ def run_estimation(true_state, n: int, strategy: str = "self_learning",
         parent, side = np.nonzero(drawn)
         drawn[parent, side] = np.arange(len(parent))
         node = drawn[node, up]
-        dist = bayes_update(SphereDistribution(dist.grid, dist.values[parent]),
+        dist = bayes_update(SphereDistribution._own(dist.grid, dist.values[parent]),
                             axes[parent], 2 * side - 1)
         directions[:, k] = m
         outcomes[:, k] = 2 * up - 1

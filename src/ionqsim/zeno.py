@@ -101,11 +101,16 @@ def corrected_survival(raw_frequency: float, n_fractions: int,
     correctly and every one of its n true "off" results was read
     correctly, so the raw frequency is rescaled by
     1 / (prep_efficiency * eta0^n).  False-"off" read-outs of escaped
-    sequences are neglected (they enter at order 1 - eta1).
+    sequences are neglected (they enter at order 1 - eta1).  Raises
+    OverflowError, naming the losses, when the result is not a finite float.
     """
     _check_protocol(n_fractions, prep_efficiency)
     eta0 = (detection or DetectionModel()).eta0
-    return raw_frequency / (prep_efficiency * eta0**n_fractions)
+    scale = prep_efficiency * eta0**n_fractions
+    if not (scale and math.isfinite(raw_frequency / scale)):
+        raise OverflowError(f"corrected survival overflows a float: prep_efficiency = "
+                            f"{prep_efficiency:g}, eta0 = {eta0:g}, n = {n_fractions}")
+    return raw_frequency / scale
 
 
 def simulate_alternating(theta_per_step: float, n_pairs: int, seed,

@@ -81,6 +81,20 @@ def expected_mean_fidelity(dist, m):
     return fbar
 
 
+def sweep_objective_oracle(dist):
+    """The axis search's sweep objective in component form: for (n, 3) axes,
+    Fbar = 1/2 + (|a| + |b|)/4 per row of the density batch, with
+    a = S + Q m and b = S - Q m built component by component (not from
+    |S|^2, m.Q^2 m and QS.m, as the search has them)."""
+    s_bar, q = dist.mean_vector().reshape(-1, 3), dist.second_moment().reshape(-1, 3, 3)
+
+    def objective(dirs):
+        qm = q @ dirs.T                                      # (rows, 3, n)
+        a, b = s_bar[:, :, None] + qm, s_bar[:, :, None] - qm
+        return 0.5 + 0.25 * (np.sqrt((a * a).sum(axis=1)) + np.sqrt((b * b).sum(axis=1)))
+    return objective
+
+
 def newton_step_oracle(m, grad, hess):
     """The axis search's Newton step on the sphere from an eigendecomposition,
     for (rows, 3) unit axes m, (rows, 3, 1) gradients g and (rows, 3, 3)

@@ -421,6 +421,20 @@ class TestLowerBounds:
         assert key in capsys.readouterr().err
         assert not out.exists()
 
+    def test_points_above_the_documented_bound_rejected(self, tmp_path, capsys):
+        assert run(["rabi", "--help"]) == 0
+        assert f"1 to {cli.MAX_POINTS}" in capsys.readouterr().out
+        out = tmp_path / "out.csv"
+        assert run(["rabi", "--points", str(cli.MAX_POINTS + 1), "--out", str(out)]) == 2
+        assert f"'points' must lie in [1, {cli.MAX_POINTS}]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_qmax_equal_to_pairs_accepted(self, tmp_path):
+        out = tmp_path / "runs.csv"
+        assert run(["zeno", "--mode", "runlength", "--theta", "1.5", "--pairs", "40",
+                    "--qmax", "40", "--out", str(out)]) == 0
+        assert len(read_artifact(out)[2]) == 40
+
     def test_negative_shots_rejected(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps({"variant": "depolarizing", "lambda": 0.2}))
@@ -648,6 +662,19 @@ class TestProcessEntryPoint:
          "detuning delta = 2 pi x 1e+308 Hz overflows"),
         (["rabi", "--ramsey", "--rabi-khz", "1e-320", "--tmax-ms", "1", "--points", "3"], 1,
          "pi/2 pulse length overflows"),
+        # a scan longer than MAX_POINTS, and a run length no complete run of
+        # the record can reach, are configuration errors, caught before any
+        # array is made or any pair drawn
+        (["rabi", "--points=9223372036854775807", "--out", "rabi.csv"], 2,
+         "'points' must lie in [1, 1000000], got 9223372036854775807"),
+        (["zeno", "--mode", "runlength", "--pairs", "1000", "--qmax", "100000000",
+          "--out", "runs.csv"], 2, "'qmax' = 100000000 exceeds 'pairs' = 1000"),
+        # a one-result record has no complete run at all: numerical, and at once
+        (["zeno", "--mode", "runlength", "--pairs", "1", "--qmax", "100000000"], 1,
+         "no complete run of length 1"),
+        # a subnormal preparation efficiency overflows the corrected survival
+        (["zeno", "--fractions", "1,2", "--sequences", "50", "--prep-efficiency=5e-324",
+          "--out", "zeno.csv"], 1, "prep_efficiency = 4.94066e-324"),
     ])
     def test_failure_prints_one_error_line(self, tmp_path, argv, code, message):
         done = self.call(argv, tmp_path)

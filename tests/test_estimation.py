@@ -17,7 +17,8 @@ from ionqsim.estimation import (STRATEGIES, DegenerateUpdateError, SphereDistrib
                                 optimal_fidelity_bound, optimal_next_direction,
                                 random_direction, run_estimation, uniform_prior)
 from ionqsim.sphere import SphereGrid, fibonacci_sphere, moment_grid, rotate
-from oracles import expected_mean_fidelity, imperfection_oracle, newton_step_oracle
+from oracles import (expected_mean_fidelity, imperfection_oracle, newton_step_oracle,
+                     sweep_objective_oracle)
 
 # reference quadrature for densities not tied to one measurement count
 GRID = SphereGrid.build(64)
@@ -35,6 +36,18 @@ def _imperfect(lam, delta_eta=0.0):
 def _grid_cos_half_sq(grid):
     """cos^2(theta/2) = (1 + cos theta)/2 evaluated on every grid node."""
     return 0.5 * (1.0 + grid.units[:, 2])
+
+
+def _self_learning_levels(n):
+    """Every posterior the n-step self-learning tree searches, one batch per
+    depth: both outcomes of each row's axis."""
+    prior = uniform_prior(moment_grid(n))
+    level = SphereDistribution(prior.grid, prior.values[None])
+    for _ in range(n):
+        yield level
+        axes = np.repeat(optimal_next_direction(level), 2, axis=0)
+        level = bayes_update(SphereDistribution(level.grid, np.repeat(level.values, 2, axis=0)),
+                             axes, np.tile([1, -1], len(axes) // 2))
 
 
 class TestPriorAndGrid:
@@ -59,6 +72,29 @@ class TestPriorAndGrid:
         assert values.flags.writeable
         values[0] = 9.0
         assert dist.values[0] == 1.0 / (4 * math.pi)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_library_snapshots_are_read_only_and_pass_the_checks(self, monkeypatch, strategy):
+        # the per-string rows run_estimation gathers and bayes_update's
+        # posteriors are taken without a copy or a check: they must still be
+        # read-only, and equal what the checked constructor makes of them
+        snapshots = [bayes_update(uniform_prior(GRID), Z, -1)]
+        update = estimation.bayes_update
+
+        def recording(dist, direction, outcome):
+            snapshots.append(dist)
+            snapshots.append(update(dist, direction, outcome))
+            return snapshots[-1]
+
+        monkeypatch.setattr(estimation, "bayes_update", recording)
+        run_estimation(np.array([Z, X, Y, -Z]), 4, strategy, seed=[1, 2, 3, 4])
+        assert len(snapshots) == 9
+        for snapshot in snapshots:
+            assert not snapshot.values.flags.writeable
+            with pytest.raises(ValueError):
+                snapshot.values[..., 0] = 1.0
+            checked = SphereDistribution(snapshot.grid, snapshot.values)
+            np.testing.assert_array_equal(checked.values, snapshot.values)
 
     def test_negative_density_rejected(self):
         grid = SphereGrid.build(8)
@@ -280,11 +316,11 @@ class TestOptimalNextDirection:
         assert expected_mean_fidelity(post, m3) == pytest.approx(want, abs=5e-3)
 
     @staticmethod
-    def _updated_batch(rows, seed):
+    def _updated_batch(rows, seed, updates=3):
         rng = np.random.default_rng(seed)
         prior = uniform_prior(moment_grid(12))
         batch = SphereDistribution(prior.grid, np.tile(prior.values, (rows, 1)))
-        for _ in range(3):
+        for _ in range(updates):
             batch = bayes_update(batch, random_direction(rng.random((rows, 2))),
                                  rng.choice([-1, 1], size=rows))
         return batch
@@ -408,17 +444,9 @@ class TestNewtonStepOracle:
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_self_learning_trees_match_the_eigh_step(self, monkeypatch, n):
-        # every posterior of the n-step tree, one batch per depth: both
-        # outcomes of each row's axis (the N = 1 tree searches only the
-        # flat prior, which takes no Newton step)
-        prior = uniform_prior(moment_grid(n))
-        level = SphereDistribution(prior.grid, prior.values[None])
-        searches = []
-        for _ in range(n):
-            searches.append(level)
-            axes = np.repeat(optimal_next_direction(level), 2, axis=0)
-            level = bayes_update(SphereDistribution(level.grid, np.repeat(level.values, 2, axis=0)),
-                                 axes, np.tile([1, -1], len(axes) // 2))
+        # every posterior of the n-step tree (the N = 1 tree searches only
+        # the flat prior, which takes no Newton step)
+        searches = list(_self_learning_levels(n))
         going, _ = self.assert_same_steps(*self.iterates(monkeypatch, searches))
         assert going.any() and not going.all()
 
@@ -444,6 +472,52 @@ class TestNewtonStepOracle:
         going, curv = self.assert_same_steps(m, grad, hess)
         assert going.all() if curvature < 0 else not going.any()
         assert np.sort(np.abs(curv - curvature), axis=1)[:, 1].max() < 1e-5
+
+
+class TestSweepObjectiveOracle:
+    """The axis search's sweep objective, built from |S|^2, m.Q^2 m and
+    QS.m, against its component form (oracles.sweep_objective_oracle):
+    within 2e-15 at every sweep axis, and maximize_on_sphere picks the same
+    axis and flat flag from both."""
+
+    @staticmethod
+    def assert_same_sweep(monkeypatch, dist):
+        objectives = []
+        search = estimation.maximize_on_sphere
+
+        def capturing(objective):
+            objectives.append(objective)
+            return search(objective)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(estimation, "maximize_on_sphere", capturing)
+            optimal_next_direction(dist)
+        got, want = objectives[0], sweep_objective_oracle(dist)
+        dirs = fibonacci_sphere(sphere.SWEEP_POINTS)
+        np.testing.assert_allclose(got(dirs), want(dirs), rtol=0, atol=2e-15)
+        for picked, oracle_picked in zip(search(got), search(want)):
+            np.testing.assert_array_equal(picked, oracle_picked)
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_self_learning_trees_match_the_component_form(self, monkeypatch, n):
+        for level in _self_learning_levels(n):
+            self.assert_same_sweep(monkeypatch, level)
+
+    @pytest.mark.parametrize("updates", [1, 3, 12])
+    @pytest.mark.parametrize("seed", [3, 14])
+    def test_random_batches_match_the_component_form(self, monkeypatch, updates, seed):
+        # random axes and outcomes, which the trees' searched axes do not cover
+        batch = TestOptimalNextDirection._updated_batch(25, seed, updates)
+        self.assert_same_sweep(monkeypatch, batch)
+
+    def test_point_mass_on_a_sweep_axis_is_flat(self):
+        # at m = u0, |S - Q m|^2 = |S|^2 + m.Q^2 m - 2 QS.m is 1 + 1 - 2 in
+        # roundoff, and may round below zero; Fbar = 1 at every axis
+        sweep = fibonacci_sphere(sphere.SWEEP_POINTS)
+        grid = SphereGrid(weights=np.full(len(sweep), 4 * math.pi / len(sweep)), units=sweep)
+        with np.errstate(all="raise"):
+            axes = optimal_next_direction(SphereDistribution(grid, np.eye(len(sweep))))
+        np.testing.assert_array_equal(axes, np.broadcast_to(Z, axes.shape))
 
 
 class TestSweepPick:

@@ -115,6 +115,20 @@ class TestFractionatedPi:
         with pytest.raises(ValueError):
             corrected_survival(0.5, 2, prep_efficiency=0.0)
 
+    @pytest.mark.parametrize("raw, n, losses", [
+        (0.5, 2, {"prep_efficiency": 5e-324}),
+        (1.0, 1, {"prep_efficiency": 1e-310}),
+        # eta0^n underflows to zero
+        (0.5, 2000, {"detection": DetectionModel(0.5, 1.0), "prep_efficiency": 0.9}),
+    ])
+    def test_correction_that_overflows_is_numerical(self, raw, n, losses):
+        with pytest.raises(OverflowError, match="prep_efficiency"):
+            corrected_survival(raw, n, **losses)
+
+    def test_correction_of_zero_stays_zero_at_tiny_efficiency(self):
+        assert corrected_survival(0.0, 2, prep_efficiency=5e-324) == 0.0
+        assert corrected_survival(5e-324, 1, prep_efficiency=0.5) == 1e-323
+
 
 class TestAlternating:
     def test_full_rotation_gives_constant_off(self):
