@@ -127,7 +127,7 @@ def as_direction(direction) -> np.ndarray:
     if arr.ndim not in (1, 2) or arr.shape[-1] != 3:
         raise ValueError(f"direction must be a 3-vector or (B, 3) array, got shape {arr.shape}")
     norm = _row_norm(arr)[..., None]
-    if not np.all((0.99 < norm) & (norm < 1.01)):
+    if not ((0.99 < norm) & (norm < 1.01)).all():
         raise ValueError(f"direction vector must be unit length, got |m|={norm.ravel()}")
     return arr / norm
 
@@ -196,11 +196,15 @@ def born_probability(state: np.ndarray, direction):
     Equals |<theta_m, phi_m | theta, phi>|^2 when the state is pure.
     A float for one state and one axis; (B, 3) states or axes give (B,)
     probabilities, one per row, each rounded as that pair on its own.
+    The axis is checked here; `run_estimation` calls `_born` on its own unit axes.
     """
-    p = 0.5 * (1.0 + _row_dot(state, as_direction(direction)))
-    # clamp float noise at the endpoints
-    p = np.minimum(1.0, np.maximum(0.0, p))
+    p = _born(state, as_direction(direction))
     return float(p) if p.ndim == 0 else p
+
+
+def _born(state, unit):
+    """(1 + s . m)/2 for unit axes m, clamped to [0, 1] against float noise; no check."""
+    return np.minimum(1.0, np.maximum(0.0, 0.5 * (1.0 + _row_dot(state, unit))))
 
 
 def detect(true_on, model: DetectionModel, rng) -> np.ndarray:

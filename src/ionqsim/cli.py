@@ -145,7 +145,7 @@ def _read_json(path: str, what: str):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:   # nesting too deep
         raise ConfigError(f"cannot read {what} {path}: {exc}")
 
 
@@ -358,7 +358,7 @@ def _cmd_channel(params: dict, out) -> list:
     spec = _read_json(params["spec"], "channel spec")
     try:
         channel = channel_from_spec(spec)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(str(exc))
     if params["shots"] > 0:
         estimate, m_err, v_err = tomography_sampled(channel, params["shots"], seed=params["seed"])

@@ -27,13 +27,14 @@ posterior: there the batch rows are the distinct outcome strings so far.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bloch import Z_PLUS, as_direction, born_probability
-from .sphere import (SWEEP_POINTS, SphereGrid, _row_dot, _row_norm, maximize_on_sphere,
-                     moment_grid)
+from .bloch import Z_PLUS, _born, as_direction
+from .sphere import (_PAIR_COL, _PAIR_ROW, SWEEP_POINTS, SphereGrid, _row_dot, _row_norm,
+                     maximize_on_sphere, moment_grid)
 if TYPE_CHECKING:
     from .channels import AffineChannel     # for annotations only
 
@@ -41,10 +42,9 @@ FOUR_PI = 4.0 * math.pi
 # mean_fidelity_experiment estimates at most this many states x max(grid
 # nodes, coarse search axes) at once, which bounds its working memory.
 _CHUNK_SIZE = 1 << 14
-# the six node monomials u_i u_j, i <= j, that second_moment tables, and which
-# of them each entry (i, j) of Q takes
-_PAIR_ROW, _PAIR_COL = np.array([0, 0, 0, 1, 1, 2]), np.array([0, 1, 2, 1, 2, 2])
+# grid monomial u_i u_j of Q's entry (i, j); the sweep counts Q^2's off-diagonal entries twice
 _PAIR_OF = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
+_PAIR_DOUBLE = 1.0 + (_PAIR_ROW != _PAIR_COL)
 
 
 class DegenerateUpdateError(ArithmeticError):
@@ -80,9 +80,12 @@ class SphereDistribution:
         snapshot.__dict__.update(grid=grid, values=values)
         return snapshot
 
-    @property
+    @cached_property
     def integral(self):
-        return self.grid.integrate(self.values)
+        """Quadrature of the values, computed once per snapshot and shared by the moments."""
+        total = self.grid.integrate(self.values)
+        np.asarray(total).flags.writeable = False     # a batch's array; a float is immutable
+        return total
 
     def mean_vector(self) -> np.ndarray:
         """First moment S = <u> of the normalized density, (..., 3)."""
@@ -91,12 +94,10 @@ class SphereDistribution:
         return s / np.asarray(self.integral)[..., None]
 
     def second_moment(self) -> np.ndarray:
-        """Second moment Q = <u u^T> of the normalized density, (..., 3, 3)."""
-        u = self.grid.units
-        # the six distinct entries from one stacked (1, K) @ (K, 6) product per
-        # row, so that a batch row rounds as it would on its own
-        monomials = self.grid.weights[:, None] * u[:, _PAIR_ROW] * u[:, _PAIR_COL]
-        q = (self.values[..., None, :] @ monomials)[..., 0, _PAIR_OF]
+        """Second moment Q = <u u^T> of the normalized density, (..., 3, 3), from
+        the grid's kept `monomials` table and the snapshot's shared `integral`."""
+        # one stacked (1, K) @ (K, 6) product per row: a batch row rounds as on its own
+        q = (self.values[..., None, :] @ self.grid.monomials)[..., 0, _PAIR_OF]
         return q / np.asarray(self.integral)[..., None, None]
 
 
@@ -182,7 +183,7 @@ def optimal_next_direction(dist: SphereDistribution) -> np.ndarray:
     batch = dist.values.shape[:-1]
     s_bar, q = dist.mean_vector().reshape(-1, 3), dist.second_moment().reshape(-1, 3, 3)
     # Q^2's six distinct entries, the off-diagonal ones doubled, and 2 QS
-    q2 = (q @ q)[:, _PAIR_ROW, _PAIR_COL] * (1.0 + (_PAIR_ROW != _PAIR_COL))
+    q2 = (q @ q)[:, _PAIR_ROW, _PAIR_COL] * _PAIR_DOUBLE
     qs2, s2 = 2.0 * (q @ s_bar[:, :, None])[..., 0], _row_dot(s_bar, s_bar)[:, None]
 
     def objective(dirs):
@@ -222,7 +223,8 @@ def optimal_next_direction(dist: SphereDistribution) -> np.ndarray:
             best[active[~going]] = m[~going]
             active, m, q_a, q_t4, s_a = (x[going] for x in (active, m, q_a, q_t4, s_a))
     best[active] = m
-    return np.where(flat[:, None], Z_PLUS, _upper_hemisphere(best)).reshape(batch + (3,))
+    axes = _upper_hemisphere(best)
+    return (np.where(flat[:, None], Z_PLUS, axes) if flat.any() else axes).reshape(batch + (3,))
 
 
 def _newton_step(m, grad, hess):
@@ -342,7 +344,7 @@ def run_estimation(true_state, n: int, strategy: str = "self_learning",
         else:
             axes = np.broadcast_to(_FIXED_AXES[k % 3], dist.values.shape[:-1] + (3,))
         m = axes[node]
-        up = (uniforms[:, k, -1] < born_probability(transmitted, m)).astype(int)
+        up = (uniforms[:, k, -1] < _born(transmitted, m)).astype(int)
         # one density per string drawn, ordered by (parent row, outcome);
         # np.unique would do, but pages in numpy's sort code.  Under
         # `random` every row has one child, so the rows stay the states.

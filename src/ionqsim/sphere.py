@@ -26,10 +26,12 @@ the same row would be on its own.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
+_PAIR_ROW, _PAIR_COL = np.array([0, 0, 0, 1, 1, 2]), np.array([0, 1, 2, 1, 2, 2])
 
 
 @dataclass(frozen=True)
@@ -66,6 +68,13 @@ class SphereGrid:
     @property
     def size(self) -> int:
         return self.weights.size
+
+    @cached_property
+    def monomials(self) -> np.ndarray:
+        """(K, 6) read-only weighted node monomials w u_i u_j, i <= j, built on first use."""
+        table = self.weights[:, None] * self.units[:, _PAIR_ROW] * self.units[:, _PAIR_COL]
+        table.flags.writeable = False
+        return table
 
     def integrate(self, values: np.ndarray):
         """Quadrature of (..., K) node values; a float for a single density."""

@@ -127,6 +127,16 @@ class TestRabi:
         assert columns == ["precession_time_s", "p1"]
         assert float(rows[0][1]) == pytest.approx(1.0, abs=1e-4)
 
+    # the README's form for a negative value in exponent form, which some
+    # Python versions do not accept after a space
+    @pytest.mark.parametrize("mode", [[], ["--ramsey"]])
+    def test_negative_exponent_value_in_equals_form(self, tmp_path, mode):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        argv = ["rabi"] + mode + ["--tmax-ms", "2", "--points", "30"]
+        assert run(argv + ["--detuning-hz=-1e3", "--out", str(a)]) == 0
+        assert run(argv + ["--detuning-hz", "-1000.0", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
 
 class TestEstimateExample:
     def test_self_learning_summary_matches_paper_band(self, tmp_path, capsys):
@@ -264,6 +274,19 @@ class TestChannelCommand:
 
     def test_missing_spec_is_config_error(self):
         assert run(["channel"]) == 2
+
+    def test_spec_too_deep_to_build_is_config_error(self, tmp_path, monkeypatch, capsys):
+        # a JSON parser that nests deeper than Python's recursion limit
+        # leaves the overflow to channel_from_spec's own recursion
+        def too_deep(spec):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        spec, out = tmp_path / "spec.json", tmp_path / "chan.json"
+        spec.write_text(json.dumps({"variant": "depolarizing", "lambda": 0.2}))
+        monkeypatch.setattr(cli, "channel_from_spec", too_deep)
+        assert run(["channel", "--spec", str(spec), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: maximum recursion depth exceeded\n"
+        assert not out.exists()
 
     def test_unphysical_spec_is_config_error(self, tmp_path):
         spec = tmp_path / "spec.json"
@@ -693,6 +716,16 @@ class TestProcessEntryPoint:
         (["chain", "--config", "cfg.json"], {"cfg.json": "[1, 2]"}, "must hold a JSON object"),
         (["rabi", "--config", "cfg.json"], {"cfg.json": '{"rabi_khz": 1' + "0" * 400 + "}"},
          "bad config value"),
+        # JSON nested past the parser's recursion limit: a channel spec fails
+        # from ~495 compositions under Python 3.11, and 20 000 are past the
+        # larger C recursion limits of later Pythons too
+        (["chain", "--config", "cfg.json", "--out", "chain.json"],
+         {"cfg.json": '{"n": ' + "[" * 100_000 + "]" * 100_000 + "}"},
+         "cannot read config file cfg.json"),
+        (["channel", "--spec", "spec.json", "--out", "out.json"],
+         {"spec.json": '{"variant": "composition", "parts": [' * 20_000
+          + '{"variant": "depolarizing", "lambda": 0.1}' + "]}" * 20_000},
+         "maximum recursion depth exceeded"),
     ])
     def test_config_error_leaves_only_its_inputs(self, tmp_path, argv, inputs, message):
         for name, text in inputs.items():

@@ -624,6 +624,42 @@ class TestKeptSweepsAndGrids:
             np.testing.assert_array_equal(other.weights, grid.weights)
             np.testing.assert_array_equal(other.units, grid.units)
 
+    @pytest.mark.parametrize("direct", [False, True])
+    def test_grid_monomials_kept_read_only(self, direct):
+        grid = moment_grid(12)
+        if direct:      # a grid built without SphereGrid.build gets the table too
+            grid = SphereGrid(np.array(grid.weights), np.array(grid.units))
+        table = grid.monomials
+        assert grid.monomials is table and not table.flags.writeable
+        w, u = grid.weights, grid.units
+        pairs = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+        expected = np.stack([w * u[:, i] * u[:, j] for i, j in pairs], axis=-1)
+        assert table.shape == (grid.size, 6) and table.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("rows", [None, 5])
+    def test_integral_evaluated_once_per_snapshot(self, monkeypatch, rows):
+        batch = TestOptimalNextDirection._updated_batch(5, 8)
+        values = batch.values[0] if rows is None else batch.values
+        integrate, calls = SphereGrid.integrate, []
+
+        def counted(grid, v):
+            calls.append(v)
+            return integrate(grid, v)
+
+        monkeypatch.setattr(SphereGrid, "integrate", counted)
+        for dist in (SphereDistribution(batch.grid, values),
+                     SphereDistribution._own(batch.grid, values.copy())):
+            calls.clear()
+            optimal_next_direction(dist)
+            dist.mean_vector(), dist.second_moment()
+            assert len(calls) == 1 and calls[0] is dist.values
+            assert np.asarray(dist.integral).tobytes() == \
+                np.asarray(integrate(dist.grid, dist.values)).tobytes()
+            if rows is None:
+                assert isinstance(dist.integral, float)
+            else:
+                assert dist.integral.shape == (rows,) and not dist.integral.flags.writeable
+
     def test_large_one_off_builds_not_kept(self):
         # the 200 000-point sweep of test_gap_to_dense_sweep, and a grid
         # above 4096 nodes, are freed once their caller drops them
@@ -727,6 +763,22 @@ class TestImperfections:
 
 
 class TestRunEstimation:
+    # run_estimation applies Born's rule to its own unit axes without the
+    # public check; the public born_probability must draw the same outcomes
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("channel", [None, _imperfect(0.1, 0.05)], ids=["ideal", "noisy"])
+    def test_outcomes_follow_public_born_probability(self, strategy, channel):
+        n, seeds = 9, list(range(40, 52))
+        targets = random_direction(np.random.default_rng(3).random((len(seeds), 2)))
+        _, _, directions, outcomes = run_estimation(targets, n, strategy, channel, seed=seeds)
+        transmitted = targets if channel is None else channel(targets)
+        draws = 3 if strategy == "random" else 1
+        for state, seed in enumerate(seeds):
+            uniforms = np.random.default_rng(seed).random((n, draws))[:, -1]
+            expected = [1 if u < born_probability(transmitted[state], m) else -1
+                        for u, m in zip(uniforms, directions[state])]
+            assert outcomes[state].tolist() == expected
+
     def test_returns_consistent_record(self):
         estimate, fidelity, directions, outcomes = run_estimation(
             state_from_angles(3 * math.pi / 4, math.pi / 4), n=12, strategy="self_learning",
