@@ -31,25 +31,32 @@ from .zeno import (corrected_survival, run_length_distribution, run_length_ratio
 NUMERICAL_ERRORS = (ConvergenceError, NotAMinimumError, ChannelInvalidError,
                     ArithmeticError, np.linalg.LinAlgError)
 MAX_POINTS = 10**6          # rabi scan points; a full scan writes ~40 MB of CSV
+INT64_MAX = 2**63 - 1
+_SEEDS = (0, INT64_MAX)
+_UNBOUNDED = {int: (-INT64_MAX - 1, INT64_MAX), float: (-sys.float_info.max, sys.float_info.max)}
+
+_STRATEGY_ALIASES = {"self": "self_learning", "random": "random", "fixed": "fixed_axes"}
 
 
 class ConfigError(ValueError):
     pass
 
 
-# flag name -> (type, default, help); None defaults mean "required"
+# flag name -> (type, default, help[, accepted]); None defaults mean "required".
+# accepted is a (low, high) range for numbers or the allowed names for text;
+# without one an int must fit int64 and a float must be finite
 _SPECS = {
     "rabi": {
-        "seed": (int, 0, "RNG seed (unused; kept for uniform artifacts)"),
+        "seed": (int, 0, "RNG seed (unused; kept for uniform artifacts)", _SEEDS),
         "rabi_khz": (float, 2.9165, "Rabi frequency Omega/2pi in kHz"),
         "detuning_hz": (float, 0.0, "detuning delta/2pi in Hz"),
         "tmax_ms": (float, 2.0, "scan end time in ms"),
-        "points": (int, 200, f"number of scan points, 1 to {MAX_POINTS}"),
+        "points": (int, 200, "number of scan points", (1, MAX_POINTS)),
         "ramsey": (bool, False, "scan Ramsey precession time instead of pulse length"),
     },
     "zeno": {
-        "seed": (int, 0, "RNG seed"),
-        "mode": (str, "survival", "survival | runlength"),
+        "seed": (int, 0, "RNG seed", _SEEDS),
+        "mode": (str, "survival", "protocol", ("survival", "runlength")),
         "fractions": (str, "1,2,3,4,10", "comma-separated N values (survival mode)"),
         "sequences": (int, 2000, "sequences per N (survival mode)"),
         "theta_total": (float, math.pi, "total pulse area in rad"),
@@ -61,23 +68,23 @@ _SPECS = {
         "threshold": (int, None, "count cutoff: on means count > threshold"),
         "theta": (float, math.pi / 5.0, "drive area per pair in rad (runlength mode)"),
         "pairs": (int, 10000, "drive/probe pairs (runlength mode)"),
-        "qmax": (int, 10, "largest run length reported (runlength mode)"),
+        "qmax": (int, 10, "largest run length reported (runlength mode)", (1, INT64_MAX)),
     },
     "estimate": {
-        "seed": (int, 0, "RNG seed"),
-        "strategy": (str, "self", "self | random | fixed"),
+        "seed": (int, 0, "RNG seed", _SEEDS),
+        "strategy": (str, "self", "measurement strategy", tuple(_STRATEGY_ALIASES)),
         "n": (int, 12, "measurements per state"),
         "states": (int, 1000, "number of random true states"),
-        "lambda": (float, 0.0, "depolarization strength in [0, 1/2]"),
-        "delta_eta": (float, 0.0, "detection bias (eta1-eta0)/2"),
+        "lambda": (float, 0.0, "depolarization strength", (0, 0.5)),
+        "delta_eta": (float, 0.0, "detection bias (eta1-eta0)/2", (-0.25, 0.25)),
     },
     "channel": {
-        "seed": (int, 0, "RNG seed"),
+        "seed": (int, 0, "RNG seed", _SEEDS),
         "spec": (str, None, "path to channel spec JSON (required)"),
-        "shots": (int, 0, "shots per tomography setting; 0 = exact"),
+        "shots": (int, 0, "shots per tomography setting; 0 = exact", (0, INT64_MAX)),
     },
     "chain": {
-        "seed": (int, 0, "RNG seed (unused; kept for uniform artifacts)"),
+        "seed": (int, 0, "RNG seed (unused; kept for uniform artifacts)", _SEEDS),
         "species": (str, "yb171", "ion species key"),
         "nu1_khz": (float, 100.0, "COM mode frequency nu1/2pi in kHz"),
         "n": (int, 10, "number of ions"),
@@ -87,8 +94,6 @@ _SPECS = {
         "table": (bool, False, "also print the J table in the standard layout"),
     },
 }
-
-_STRATEGY_ALIASES = {"self": "self_learning", "random": "random", "fixed": "fixed_axes"}
 
 # per command: (when, the condition on the merged parameters, the keys the
 # command does not read while it holds); a key given then is rejected
@@ -131,14 +136,20 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", type=str, default=None,
                        help="JSON file with parameter defaults (flags win)")
         p.add_argument("--out", type=str, default=None, help="output artifact path")
-        for name, (typ, _default, helptext) in spec.items():
+        for name, (typ, _default, helptext, *accepted) in spec.items():
             flag = "--" + name.replace("_", "-")
+            if accepted:
+                helptext += f"; accepted: {_accepted_text(typ, accepted[0])}"
             if typ is bool:
                 p.add_argument(flag, action="store_const", const=True,
                                default=None, help=helptext)
             else:
                 p.add_argument(flag, type=typ, default=None, help=helptext)
     return parser
+
+
+def _accepted_text(typ, accepted) -> str:
+    return " | ".join(accepted) if typ is str else f"[{accepted[0]!r}, {accepted[1]!r}]"
 
 
 def _read_json(path: str, what: str):
@@ -161,7 +172,7 @@ def _merge_params(command: str, args: argparse.Namespace) -> dict:
         if unknown:
             raise ConfigError(f"unknown config keys for {command}: {sorted(unknown)}")
     params, given = {}, set()
-    for name, (typ, default, _help) in spec.items():
+    for name, (typ, default, _help, *accepted) in spec.items():
         cli_value = getattr(args, name)
         if cli_value is not None:
             params[name] = cli_value
@@ -171,8 +182,12 @@ def _merge_params(command: str, args: argparse.Namespace) -> dict:
             params[name] = default
             continue
         given.add(name)
-        if typ is float and not math.isfinite(params[name]):
-            raise ConfigError(f"{name!r} must be a finite number, got {params[name]!r}")
+        value, accepted = params[name], accepted[0] if accepted else _UNBOUNDED.get(typ)
+        if typ is str and accepted and value not in accepted:
+            raise ConfigError(f"{name!r} = {value!r}; choose from {_accepted_text(typ, accepted)}")
+        if typ is not str and accepted and not accepted[0] <= value <= accepted[1]:
+            raise ConfigError(f"{name!r} must lie in {_accepted_text(typ, accepted)}, "
+                              f"got {value!r}")
     for when, holds, keys in _UNREAD.get(command, ()):
         if given & keys and holds(params):
             raise ConfigError(f"{command} {when} does not use {sorted(given & keys)}")
@@ -236,14 +251,7 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _require_at_least(params: dict, name: str, low: int) -> None:
-    if params[name] < low:
-        raise ConfigError(f"{name!r} must be >= {low}, got {params[name]}")
-
-
 def _cmd_rabi(params: dict, out) -> list:
-    if not 1 <= params["points"] <= MAX_POINTS:
-        raise ConfigError(f"'points' must lie in [1, {MAX_POINTS}], got {params['points']}")
     times = np.linspace(0.0, params["tmax_ms"] * 1e-3, params["points"])
     omega = 2.0 * math.pi * params["rabi_khz"] * 1e3
     delta = 2.0 * math.pi * params["detuning_hz"]
@@ -297,8 +305,7 @@ def _cmd_zeno(params: dict, out) -> list:
             stderr = corrected_survival(raw_stderr, n, **losses)
             theory = survival_probability(params["theta_total"] / n, n)
             rows.append((n, theory, corrected, stderr))
-    elif params["mode"] == "runlength":
-        _require_at_least(params, "qmax", 1)
+    else:
         if params["qmax"] > params["pairs"] > 1:      # one result: no complete run, exit 1
             raise ConfigError(f"'qmax' = {params['qmax']} exceeds 'pairs' = {params['pairs']}: "
                               "no complete run is longer than the record")
@@ -314,21 +321,14 @@ def _cmd_zeno(params: dict, out) -> list:
             # of the delta method cancel, leaving exactly 1/n_q + 1/n_1
             stderr = ratio * math.sqrt(1.0 / n_q + 1.0 / n_1) if q > 1 and n_q and n_1 else 0.0
             rows.append((q, theory, ratio, stderr))
-    else:
-        raise ConfigError(f"unknown zeno mode {params['mode']!r}")
     return [(out, _csv_text(_meta("zeno", params), ["N_or_q", "theory", "simulated", "stderr"],
                             rows))]
 
 
 def _cmd_estimate(params: dict, out) -> list:
-    if params["strategy"] not in _STRATEGY_ALIASES:
-        raise ConfigError(f"unknown strategy {params['strategy']!r}; "
-                          f"choose from {' | '.join(_STRATEGY_ALIASES)}")
     kind = _STRATEGY_ALIASES[params["strategy"]]
     channel = compose(depolarizing(params["lambda"]),
                       affine_shift([0.0, 0.0, 2.0 * params["delta_eta"]]))
-    if abs(params["delta_eta"]) > 0.25:
-        raise ConfigError(f"'delta_eta' must lie in [-1/4, 1/4], got {params['delta_eta']}")
     # the smallest Choi eigenvalue is lambda - |delta_eta|: this tolerance is
     # the ball rule |1 - 2 lambda| + 2 |delta_eta| <= 1 + 1e-12, and it keeps
     # every accepted channel inside the ball guard of a channel call
@@ -354,7 +354,6 @@ def _cmd_estimate(params: dict, out) -> list:
 def _cmd_channel(params: dict, out) -> list:
     if params["spec"] is None:
         raise ConfigError("channel requires --spec pointing to a JSON file")
-    _require_at_least(params, "shots", 0)
     spec = _read_json(params["spec"], "channel spec")
     try:
         channel = channel_from_spec(spec)

@@ -446,7 +446,7 @@ class TestLowerBounds:
 
     def test_points_above_the_documented_bound_rejected(self, tmp_path, capsys):
         assert run(["rabi", "--help"]) == 0
-        assert f"1 to {cli.MAX_POINTS}" in capsys.readouterr().out
+        assert f"accepted: [1, {cli.MAX_POINTS}]" in " ".join(capsys.readouterr().out.split())
         out = tmp_path / "out.csv"
         assert run(["rabi", "--points", str(cli.MAX_POINTS + 1), "--out", str(out)]) == 2
         assert f"'points' must lie in [1, {cli.MAX_POINTS}]" in capsys.readouterr().err
@@ -698,6 +698,12 @@ class TestProcessEntryPoint:
         # a subnormal preparation efficiency overflows the corrected survival
         (["zeno", "--fractions", "1,2", "--sequences", "50", "--prep-efficiency=5e-324",
           "--out", "zeno.csv"], 1, "prep_efficiency = 4.94066e-324"),
+        # counts past int64, which numpy cannot take
+        (["channel", "--shots", "9223372036854775808", "--out", "out.json"], 2,
+         "'shots' must lie in [0, 9223372036854775807], got 9223372036854775808"),
+        (["estimate", "--n", "18446744073709551616", "--out", "fid.csv"], 2,
+         "'n' must lie in [-9223372036854775808, 9223372036854775807], "
+         "got 18446744073709551616"),
     ])
     def test_failure_prints_one_error_line(self, tmp_path, argv, code, message):
         done = self.call(argv, tmp_path)
