@@ -186,8 +186,10 @@ def _merge_params(command: str, args: argparse.Namespace) -> dict:
         if typ is str and accepted and value not in accepted:
             raise ConfigError(f"{name!r} = {value!r}; choose from {_accepted_text(typ, accepted)}")
         if typ is not str and accepted and not accepted[0] <= value <= accepted[1]:
-            raise ConfigError(f"{name!r} must lie in {_accepted_text(typ, accepted)}, "
-                              f"got {value!r}")
+            # a float without a table range is out of it only as NaN or +-inf
+            rule = ("be finite" if accepted is _UNBOUNDED[float]
+                    else f"lie in {_accepted_text(typ, accepted)}")
+            raise ConfigError(f"{name!r} must {rule}, got {value!r}")
     for when, holds, keys in _UNREAD.get(command, ()):
         if given & keys and holds(params):
             raise ConfigError(f"{command} {when} does not use {sorted(given & keys)}")

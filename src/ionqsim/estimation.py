@@ -34,7 +34,7 @@ import numpy as np
 
 from .bloch import Z_PLUS, _born, as_direction
 from .sphere import (_PAIR_COL, _PAIR_ROW, SWEEP_POINTS, SphereGrid, _row_dot, _row_norm,
-                     maximize_on_sphere, moment_grid)
+                     maximize_on_sphere, moment_grid, sweep_monomials)
 if TYPE_CHECKING:
     from .channels import AffineChannel     # for annotations only
 
@@ -165,7 +165,8 @@ def optimal_next_direction(dist: SphereDistribution) -> np.ndarray:
     Antipodal ties go to the upper hemisphere: the first of z, y, x not
     within 1e-9 of zero is positive.
     A batch gets one (B, 3) row of axes per density, each equal to its lone
-    search: a row that has stopped, or is flat, is not touched again.
+    search: a flat row takes no step, and a row that has stopped is masked,
+    so that it keeps its axis while the others step.
 
     Tie rule: Fbar(m) = Fbar(-m), and the hemisphere rule picks one of each
     antipodal pair.  Of other maximizers the search returns the one Newton
@@ -178,7 +179,8 @@ def optimal_next_direction(dist: SphereDistribution) -> np.ndarray:
 
     The sweep takes |a|^2 and |b|^2 as |S|^2 + m.Q^2 m +- 2 QS.m: one
     (rows, 6) @ (6, 400) product of Q^2's distinct entries with the axes'
-    monomials m_i m_j, and one (rows, 3) @ (3, 400) product for 2 QS.m.
+    monomials m_i m_j (kept with the sweep), and one (rows, 3) @ (3, 400)
+    product for 2 QS.m.
     """
     batch = dist.values.shape[:-1]
     s_bar, q = dist.mean_vector().reshape(-1, 3), dist.second_moment().reshape(-1, 3, 3)
@@ -187,7 +189,7 @@ def optimal_next_direction(dist: SphereDistribution) -> np.ndarray:
     qs2, s2 = 2.0 * (q @ s_bar[:, :, None])[..., 0], _row_dot(s_bar, s_bar)[:, None]
 
     def objective(dirs):
-        square = q2 @ (dirs[:, _PAIR_ROW] * dirs[:, _PAIR_COL]).T + s2
+        square = q2 @ sweep_monomials(dirs) + s2
         cross = qs2 @ dirs.T
         # |a| and |b|; abs turns a roundoff below an exact zero into one above it
         fbar = np.sqrt(np.abs(square + cross))
@@ -197,32 +199,37 @@ def optimal_next_direction(dist: SphereDistribution) -> np.ndarray:
         return fbar
 
     best, flat = maximize_on_sphere(objective)
-    active = np.flatnonzero(~flat)      # flat rows become +z below
-    # the rows still stepping, each written to best once, when it stops.
+    # Flat rows (+z below) never enter the Newton arithmetic: a point mass
+    # on a sweep axis has |S - Q m| = 0 there.  The other rows are packed
+    # only when some row is flat; otherwise the sweep's picks are stepped in
+    # place.  Q is copied contiguous either way: second_moment returns it
+    # strided, and a stacked product on that layout rounds a row's axis
+    # ~1 ulp off its lone search.
     # q^T/4 keeps the memory layout of q's transpose, and with it the
     # products' rounding; a power-of-two factor scales every rounded partial
     # sum exactly, so grad and the Hessian round as with the 1/4 applied after
-    m, q_a, s_a = best[active], q[active], s_bar[active]
-    q_t4 = 0.25 * q_a.swapaxes(-1, -2)
+    rows = np.flatnonzero(~flat) if flat.any() else slice(None)
+    m, q, s_bar = best[rows], np.ascontiguousarray(q[rows]), s_bar[rows]
+    q_t4 = 0.25 * q.swapaxes(-1, -2)
+    # every row keeps its place; one whose step fell below _STOP_STEP keeps its axis
+    going = np.ones(len(m), dtype=bool)
     for _ in range(_NEWTON_STEPS):
-        if not active.size:
+        if not going.any():
             break
         # a and b stacked (2, rows, 3); S + (-Qm) rounds as S - Qm
-        ab = s_a + _SIGNS * (q_a @ m[:, :, None])[..., 0]
+        ab = s_bar + _SIGNS * (q @ m[:, :, None])[..., 0]
         lengths = np.sqrt(ab[..., None, :] @ ab[..., :, None])[..., 0]
         ab /= lengths
         grad = q_t4 @ (ab[0] - ab[1])[:, :, None]
         curve = (_EYE - ab[..., :, None] * ab[..., None, :]) / lengths[..., None]
-        hess = q_t4 @ (curve[0] + curve[1]) @ q_a
+        hess = q_t4 @ (curve[0] + curve[1]) @ q
         step = _newton_step(m, grad, hess)
         length = _row_norm(step)
-        m = m + step * (_TRUST_RADIUS / np.maximum(length, _TRUST_RADIUS))[:, None]
-        m /= _row_norm(m)[:, None]
-        going = length >= _STOP_STEP
-        if not going.all():
-            best[active[~going]] = m[~going]
-            active, m, q_a, q_t4, s_a = (x[going] for x in (active, m, q_a, q_t4, s_a))
-    best[active] = m
+        moved = m + step * (_TRUST_RADIUS / np.maximum(length, _TRUST_RADIUS))[:, None]
+        moved /= _row_norm(moved)[:, None]
+        m = np.where(going[:, None], moved, m)
+        going &= length >= _STOP_STEP
+    best[rows] = m
     axes = _upper_hemisphere(best)
     return (np.where(flat[:, None], Z_PLUS, axes) if flat.any() else axes).reshape(batch + (3,))
 

@@ -16,8 +16,9 @@ n_phi = 2 n_theta (8x16 at N = 12).
 Grid and sweep arrays are read-only.  `moment_grid` and
 `fibonacci_sphere` build a grid or sweep of at most 4096 nodes once per
 process and hand out the same arrays after that, so the axis search
-rebuilds neither its 400 sweep axes nor the moment grid on every step;
-larger one-off builds are not kept.
+rebuilds neither its 400 sweep axes, nor their monomials
+(`sweep_monomials`), nor the moment grid on every step; larger one-off
+builds are not kept.
 
 Functions here take a leading batch axis where noted, so that many
 densities can be swept at once; each batch row is rounded exactly as
@@ -98,7 +99,7 @@ def _row_norm(a) -> np.ndarray:
 
 _KEPT_POINTS = 4096          # grids and sweeps up to this many nodes are built once
 _kept_grids: dict[int, SphereGrid] = {}
-_kept_sweeps: dict[int, np.ndarray] = {}
+_kept_sweeps: dict[int, tuple[np.ndarray, np.ndarray]] = {}    # n -> (axes, their monomials)
 
 
 def moment_grid(n_updates: int) -> SphereGrid:
@@ -119,17 +120,31 @@ def fibonacci_sphere(n: int) -> np.ndarray:
     """n roughly equidistributed unit vectors (golden-angle spiral), as a
     read-only (n, 3) array; a sweep of at most _KEPT_POINTS axes is built
     once and shared."""
-    pts = _kept_sweeps.get(n)
-    if pts is None:
-        i = np.arange(n)
-        z = 1.0 - (2.0 * i + 1.0) / n
-        r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        phi = i * GOLDEN_ANGLE
-        pts = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
-        pts.flags.writeable = False
-        if n <= _KEPT_POINTS:
-            _kept_sweeps[n] = pts
+    if n in _kept_sweeps:
+        return _kept_sweeps[n][0]
+    i = np.arange(n)
+    z = 1.0 - (2.0 * i + 1.0) / n
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    phi = i * GOLDEN_ANGLE
+    pts = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
+    pts.flags.writeable = False
+    if n <= _KEPT_POINTS:
+        table = _monomials(pts)
+        table.flags.writeable = False
+        _kept_sweeps[n] = pts, table
     return pts
+
+
+def _monomials(dirs) -> np.ndarray:
+    """(6, n) monomials m_i m_j, i <= j, of (n, 3) axes: the transpose of an (n, 6) array."""
+    return (dirs[:, _PAIR_ROW] * dirs[:, _PAIR_COL]).T
+
+
+def sweep_monomials(dirs) -> np.ndarray:
+    """`_monomials(dirs)`, read-only and built once when dirs is a kept
+    `fibonacci_sphere` array itself; built afresh for any other array."""
+    kept, table = _kept_sweeps.get(len(dirs), (None, None))
+    return table if kept is dirs else _monomials(dirs)
 
 
 def rotate(v, axis, angle):

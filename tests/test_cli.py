@@ -704,6 +704,9 @@ class TestProcessEntryPoint:
         (["estimate", "--n", "18446744073709551616", "--out", "fid.csv"], 2,
          "'n' must lie in [-9223372036854775808, 9223372036854775807], "
          "got 18446744073709551616"),
+        # a NaN or infinite float that has no table range
+        (["rabi", "--rabi-khz=nan", "--out", "rabi.csv"], 2, "'rabi_khz' must be finite, got nan"),
+        (["chain", "--gradient=-inf", "--n", "3"], 2, "'gradient' must be finite, got -inf"),
     ])
     def test_failure_prints_one_error_line(self, tmp_path, argv, code, message):
         done = self.call(argv, tmp_path)

@@ -173,6 +173,9 @@ def test_exit_code_contract(tmp_path, monkeypatch, capsys, command, base, key):
                 (tmp_path / name).unlink()
         if inside is False:
             assert code == 2 and repr(key) in captured.err, (call, captured.err)
+        if typ is float and accepted is _UNBOUNDED[float] and not math.isfinite(value):
+            assert code == 2 and f"error: {key!r} must be finite, got {value!r}" in captured.err, \
+                (call, captured.err)
 
 
 @pytest.mark.parametrize("command", list(cli._SPECS))

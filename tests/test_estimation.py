@@ -350,6 +350,40 @@ class TestOptimalNextDirection:
             single = SphereDistribution(updated.grid, updated.values[source])
             np.testing.assert_array_equal(axes[row], optimal_next_direction(single))
 
+    @pytest.mark.parametrize("with_flat_rows", [False, True])
+    def test_stopped_rows_keep_their_axis(self, monkeypatch, with_flat_rows):
+        # the rows stop after different numbers of Newton steps; a stopped
+        # row stays in the batch, masked, and its axis must not move again.
+        # Flat rows take no step, so the recorded rows are the others
+        updated = self._updated_batch(25, 14)
+        values = updated.values
+        if with_flat_rows:
+            flat = uniform_prior(updated.grid).values
+            values = np.insert(values, [0, 7, 25], flat, axis=0)
+        seen, newton = [], estimation._newton_step
+
+        def recording(m, grad, hess):
+            step = newton(m, grad, hess)
+            seen.append((m.copy(), np.linalg.norm(step, axis=1)))
+            return step
+
+        monkeypatch.setattr(estimation, "_newton_step", recording)
+        axes = optimal_next_direction(SphereDistribution(updated.grid, values))
+        if with_flat_rows:
+            np.testing.assert_array_equal(axes[[0, 8, 27]], np.broadcast_to(Z, (3, 3)))
+            axes = np.delete(axes, [0, 8, 27], axis=0)
+        m = np.array([iterate for iterate, _ in seen])          # (iterates, rows, 3)
+        short = np.array([length for _, length in seen]) < estimation._STOP_STEP
+        assert m.shape[1] == len(axes)
+        # the iterate whose step is a row's last
+        last = np.where(short.any(axis=0), short.argmax(axis=0), len(seen))
+        checked = last + 1 < len(seen)
+        assert len(set(last[checked])) >= 2, last
+        for row in np.flatnonzero(checked):
+            kept = m[last[row] + 1:, row]
+            assert kept.tobytes() == np.tile(kept[0], (len(kept), 1)).tobytes(), row
+            assert axes[row].tobytes() == estimation._upper_hemisphere(kept[:1]).tobytes(), row
+
     def test_gap_to_dense_sweep(self):
         # Fbar reached by the sweep-plus-Newton search against the best of a
         # 200 000-point Fibonacci sweep, over 10 states x 12 adaptive steps
@@ -635,6 +669,28 @@ class TestKeptSweepsAndGrids:
         pairs = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
         expected = np.stack([w * u[:, i] * u[:, j] for i, j in pairs], axis=-1)
         assert table.shape == (grid.size, 6) and table.tobytes() == expected.tobytes()
+
+    def test_sweep_monomials_kept_read_only(self, monkeypatch):
+        pts = fibonacci_sphere(sphere.SWEEP_POINTS)
+        table = sphere.sweep_monomials(pts)
+        assert sphere.sweep_monomials(pts) is table and not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 0.0
+        pairs = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
+        expected = np.stack([pts[:, i] * pts[:, j] for i, j in pairs])
+        assert table.shape == (6, len(pts)) and table.tobytes() == expected.tobytes()
+        # the memory layout of the per-search build, so that products with it round alike
+        layout = (pts[:, [0, 0, 0, 1, 1, 2]] * pts[:, [0, 1, 2, 1, 2, 2]]).T.strides
+        assert table.strides == layout
+        # an equal array that is not the kept sweep gets a table of its own
+        fresh = sphere.sweep_monomials(np.array(pts))
+        assert fresh is not table and fresh.tobytes() == table.tobytes()
+        assert fresh.strides == layout
+        # a search builds no table: the sweep it is handed is the kept one
+        built = []
+        monkeypatch.setattr(sphere, "_monomials", lambda dirs: built.append(dirs))
+        optimal_next_direction(TestOptimalNextDirection._updated_batch(3, 8))
+        assert built == []
 
     @pytest.mark.parametrize("rows", [None, 5])
     def test_integral_evaluated_once_per_snapshot(self, monkeypatch, rows):
