@@ -199,37 +199,34 @@ def optimal_next_direction(dist: SphereDistribution) -> np.ndarray:
         return fbar
 
     best, flat = maximize_on_sphere(objective)
-    # Flat rows (+z below) never enter the Newton arithmetic: a point mass
-    # on a sweep axis has |S - Q m| = 0 there.  The other rows are packed
-    # only when some row is flat; otherwise the sweep's picks are stepped in
-    # place.  Q is copied contiguous either way: second_moment returns it
-    # strided, and a stacked product on that layout rounds a row's axis
-    # ~1 ulp off its lone search.
+    active = np.flatnonzero(~flat)      # flat rows become +z below
+    # Indexing by active copies the rows in C order, as the stacked products
+    # need: Q from second_moment is strided, and a product on that layout
+    # rounds a row's axis ~1 ulp off its lone search.
     # q^T/4 keeps the memory layout of q's transpose, and with it the
     # products' rounding; a power-of-two factor scales every rounded partial
     # sum exactly, so grad and the Hessian round as with the 1/4 applied after
-    rows = np.flatnonzero(~flat) if flat.any() else slice(None)
-    m, q, s_bar = best[rows], np.ascontiguousarray(q[rows]), s_bar[rows]
-    q_t4 = 0.25 * q.swapaxes(-1, -2)
+    m, q_a, s_a = best[active], q[active], s_bar[active]
+    q_t4 = 0.25 * q_a.swapaxes(-1, -2)
     # every row keeps its place; one whose step fell below _STOP_STEP keeps its axis
     going = np.ones(len(m), dtype=bool)
     for _ in range(_NEWTON_STEPS):
         if not going.any():
             break
         # a and b stacked (2, rows, 3); S + (-Qm) rounds as S - Qm
-        ab = s_bar + _SIGNS * (q @ m[:, :, None])[..., 0]
+        ab = s_a + _SIGNS * (q_a @ m[:, :, None])[..., 0]
         lengths = np.sqrt(ab[..., None, :] @ ab[..., :, None])[..., 0]
         ab /= lengths
         grad = q_t4 @ (ab[0] - ab[1])[:, :, None]
         curve = (_EYE - ab[..., :, None] * ab[..., None, :]) / lengths[..., None]
-        hess = q_t4 @ (curve[0] + curve[1]) @ q
+        hess = q_t4 @ (curve[0] + curve[1]) @ q_a
         step = _newton_step(m, grad, hess)
         length = _row_norm(step)
         moved = m + step * (_TRUST_RADIUS / np.maximum(length, _TRUST_RADIUS))[:, None]
         moved /= _row_norm(moved)[:, None]
         m = np.where(going[:, None], moved, m)
         going &= length >= _STOP_STEP
-    best[rows] = m
+    best[active] = m
     axes = _upper_hemisphere(best)
     return (np.where(flat[:, None], Z_PLUS, axes) if flat.any() else axes).reshape(batch + (3,))
 

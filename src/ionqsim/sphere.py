@@ -142,7 +142,9 @@ def _monomials(dirs) -> np.ndarray:
 
 def sweep_monomials(dirs) -> np.ndarray:
     """`_monomials(dirs)`, read-only and built once when dirs is a kept
-    `fibonacci_sphere` array itself; built afresh for any other array."""
+    `fibonacci_sphere` array itself.  Any other array, such as a sweep of
+    more than _KEPT_POINTS axes (which is not kept), gets a table built
+    afresh on each call."""
     kept, table = _kept_sweeps.get(len(dirs), (None, None))
     return table if kept is dirs else _monomials(dirs)
 
