@@ -10,8 +10,8 @@ CONSTANTS_PROVENANCE = "CODATA-2018"
 
 E_CHARGE = 1.602176634e-19      # elementary charge, C (exact)
 EPSILON_0 = 8.8541878128e-12    # vacuum permittivity, F/m
-HBAR = 1.054571817e-34          # reduced Planck constant, J s
 PLANCK_H = 6.62607015e-34       # Planck constant, J s (exact)
+HBAR = PLANCK_H / (2.0 * 3.141592653589793)  # reduced Planck constant, J s (exact)
 MU_B = 9.2740100783e-24         # Bohr magneton, J/T
 MU_N = 5.0507837461e-27         # nuclear magneton, J/T
 M_ELECTRON = 9.1093837015e-31   # electron mass, kg

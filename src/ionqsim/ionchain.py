@@ -12,9 +12,10 @@ nu1 sqrt(lambda_n), with the center-of-mass mode at lambda = 1.
 An axial field gradient b makes the qubit splitting position dependent
 (Breit-Rabi), displaces the per-state equilibria, and thereby couples
 spins pairwise through the modes (James 1998; Mintert and Wunderlich
-2001): with g_j = dw01_j/dz and A the Hessian at equilibrium, for i != j
+2001): with g_j = dw01_j/dz and A = L L^T the Hessian at equilibrium, for i != j
 
     J_ij = (hbar / 2 m) g_i g_j sum_n S_ni S_nj / nu_n^2 = hbar g_i g_j [A^-1]_ij / (2 m nu1^2)
+         = [W^T W]_ij with W = L^-1 G sqrt(hbar / 2 m) / nu1, from the positions alone.
 """
 
 import math
@@ -225,10 +226,9 @@ def normal_modes(u: np.ndarray, nu1: float) -> ChainModes:
     # each row is a unit vector, so it has an entry above 1e-8
     lead = s[np.arange(s.shape[0]), np.argmax(np.abs(s) > 1e-8, axis=1)]
     s[lead < 0] *= -1.0
-    # eigh's eigenvalues are off by ~eps |A| (3e-13 on the COM's exact 1 at
-    # N = 150), which J's 1/nu^2 weights pass on.  The Rayleigh quotient
-    # 1 + sum_{i<j} 2 (S_ni - S_nj)^2 / (u_j - u_i)^3, one diagonal of pairs
-    # at a time, adds only positive terms: a few eps relative
+    # eigh's eigenvalues are off by ~eps |A| (3e-13 on the COM's exact 1 at N = 150); the
+    # Rayleigh quotient 1 + sum_{i<j} 2 (S_ni - S_nj)^2 / (u_j - u_i)^3, one diagonal of pairs
+    # at a time, adds only positive terms: a few eps relative, for the mode frequencies only
     lam = np.ones(u.size)
     for k in range(1, u.size):
         diff = s[:, k:] - s[:, :-k]
@@ -322,11 +322,10 @@ def qubit_frequency_gradient(species: Species, b_at_ion, b: float) -> np.ndarray
 def required_gradient(species: Species, nu1: float, n_ions: int) -> float:
     """Weak-field gradient needed to resolve neighboring qubits, T/m.
 
-    Resolving carriers against all first-order sidebands requires the
-    frequency shift across one spacing to exceed 2 nu_N + nu_1, which
-    with the spacing fit gives
-    (hbar / 2 mu_B)(4 pi eps0 m / e^2)^(1/3) nu1^(5/3)
-    (4.7 N^0.56 + 0.5 N^1.56).
+    Resolving carriers against all first-order sidebands requires the frequency shift across
+    one spacing to exceed 2 nu_N + nu_1, which with the spacing fit gives (hbar / 2 mu_B)
+    (4 pi eps0 m / e^2)^(1/3) nu1^(5/3) (4.7 N^0.56 + 0.5 N^1.56).  The fit implies nu_N / nu1
+    = 1.85 + 0.25 N, 4.35 at N = 10; the solved chain's top mode is 6.58 there, 71.5 at N = 150.
     """
     if n_ions < 2:
         raise ValueError(f"need at least 2 ions to address, got {n_ions}")
@@ -338,16 +337,16 @@ def required_gradient(species: Species, nu1: float, n_ions: int) -> float:
     )
 
 
-def coupling_matrix(modes: ChainModes, gradients, species: Species) -> CouplingMatrix:
-    """J_ij = (hbar / 2 m) g_i g_j sum_n S_ni S_nj / nu_n^2 in rad/s, g_j the dw01/dz
-    of ion j (a scalar broadcasts), without the photon recoil (~1e-5 at microwave
-    wavelengths) and with a zero diagonal, as the Hamiltonian sums i < j only."""
-    grad = np.broadcast_to(np.asarray(gradients, dtype=float), (modes.u.size,))
-    # y.T @ y is one syrk call, mirrored, so J is exactly symmetric
+def coupling_matrix(u: np.ndarray, gradients, species: Species, nu1: float) -> CouplingMatrix:
+    """J_ij = hbar g_i g_j [A^-1]_ij / (2 m nu1^2) in rad/s at the equilibrium u, g_j
+    the dw01/dz of ion j (a scalar broadcasts), without the photon recoil (~1e-5 at
+    microwave wavelengths) and with a zero diagonal, as the Hamiltonian sums i < j only."""
+    grad = np.broadcast_to(np.asarray(gradients, dtype=float), (u.size,))
+    # J = W^T W with W = L^-1 G sqrt(hbar / 2 m) / nu1, A = L L^T: one syrk, so exactly symmetric
     with np.errstate(over="raise", invalid="raise"):
-        y = modes.s_matrix * (math.sqrt(const.HBAR / (2.0 * species.mass)) * grad)
-        y /= modes.nu[:, None]
-        j = y.T @ y
+        w = np.linalg.inv(np.linalg.cholesky(_hessian(u)))
+        w *= math.sqrt(const.HBAR / (2.0 * species.mass)) / nu1 * grad
+        j = w.T @ w
     np.fill_diagonal(j, 0.0)
     return CouplingMatrix(j=j)
 
@@ -364,4 +363,4 @@ def spin_spin_couplings(species: Species, trap: TrapConfig,
     b_at_ion = (0.0 if weak_field
                 else trap.b0 + trap.b * (modes.u * length_scale(species, trap.nu1)))
     return modes, coupling_matrix(
-        modes, qubit_frequency_gradient(species, b_at_ion, trap.b), species)
+        modes.u, qubit_frequency_gradient(species, b_at_ion, trap.b), species, trap.nu1)

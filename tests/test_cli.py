@@ -813,17 +813,19 @@ class TestGoldenArtifacts:
     # and of the JSON at N = 60, where the solver falls back to coordinate
     # sweeps (it prints nothing: the sha256 of no bytes); a change here means
     # the artifacts drifted and must be explained.  Both JSON digests were
-    # recorded again when J became y^T y with y = S sqrt(hbar/2m) g / nu in
-    # place of the eps route and nu^2 the Laplacian-form Rayleigh quotient in
-    # place of eigh's eigenvalues: J_hz moved by <= 2.5e-15 (N = 10) and
-    # 1.2e-14 (N = 60) of max|J|, the mode frequencies by <= 1.2e-15 of the
-    # largest, and the printed table did not change
+    # recorded again when J became c W^T W with W from the Cholesky factor of
+    # the Hessian in place of the mode sum y^T y, y = S sqrt(hbar/2m) g / nu,
+    # and hbar became h / 2 pi, exact under the 2019 SI, in place of CODATA's
+    # rounded 1.054571817e-34: J_hz moved by 1.7e-15 (N = 10) and 1.8e-14
+    # (N = 60) of max|J| from the Cholesky route and by 6.1e-10 relative from
+    # hbar, as did required_gradient; the positions, the mode frequencies and
+    # the printed table did not change
     @pytest.mark.parametrize("argv, digest, table_digest", [
         (["--species", "yb171", "--nu1-khz", "100", "--n", "10", "--gradient", "25", "--table"],
-         "13d2c1622b5669573a0564b8b0cc3b34c9b6cb6656e1214508cf85966d1c87ed",
+         "26064341f15d5f751f300472bddc9d82d1b2819a0db7b72cd2d876e288431aeb",
          "4e369ca19d5ab78be7dd35a7756eaa4fa66e9f7fb38aba7b803f8a44753d9778"),
         (["--n", "60"],
-         "655d36a1ba6c41a2d24520e17d7f4a6022d6c477795db9752451827ace7857a3",
+         "71740eeb28fed38cd9a10e4d71e348d850f1dd9b7c084f4e70e1e1bc177816ae",
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     ])
     def test_chain_artifact_digest(self, tmp_path, capsys, argv, digest, table_digest):
