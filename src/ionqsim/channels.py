@@ -21,7 +21,9 @@ from .sphere import _row_norm, rotate
 # probability table P[j, i], whose columns are the read-out axes x, y, z.
 _INPUTS = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]])
 _PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-_BALL_TOL = 1e-9    # a channel call rejects an output longer than 1 + _BALL_TOL
+# a physical channel's Choi matrix has no eigenvalue below -_CHOI_TOL, a bound
+# well above eigvalsh's ~1e-14 rounding on a 4x4 Choi matrix of norm <= 2
+_CHOI_TOL = 5e-13
 
 
 class ChannelInvalidError(ValueError):
@@ -53,21 +55,22 @@ class AffineChannel:
         s = np.asarray(s, dtype=float)
         out = (self.m @ s[..., None])[..., 0] + self.v
         norm = _row_norm(out)
-        if not np.all(norm <= 1.0 + _BALL_TOL):    # NaN fails too
+        # a physical channel's pure-state image <psi*|C|psi*> has eigenvalues (1 -+ |s'|)/2
+        # >= -_CHOI_TOL, so |s'| <= 1 + 2 _CHOI_TOL; as much again is slack for rounding
+        if not np.all(norm <= 1.0 + 4.0 * _CHOI_TOL):    # NaN fails too
             raise ChannelInvalidError(f"channel output left the Bloch ball: |s'| = {np.max(norm)}")
         return out
 
-    def is_physical(self, tol: float = 1e-9) -> bool:
+    def is_physical(self) -> bool:
         """Exact complete-positivity test: the Choi matrix
         1/2 [I (x) (I + v.sigma) + sum_kl M_lk sigma_k^T (x) sigma_l]
-        has no eigenvalue below -tol.  A non-finite m or v is not
-        physical."""
+        has no eigenvalue below -_CHOI_TOL.  A non-finite m or v is not physical."""
         if not (np.isfinite(self.m).all() and np.isfinite(self.v).all()):
             return False
         choi = np.kron(np.eye(2), np.eye(2) + np.tensordot(self.v, _PAULIS, 1))
         choi += np.einsum("lk,kab,lcd->acbd", self.m, _PAULIS.transpose(0, 2, 1),
                           _PAULIS).reshape(4, 4)
-        return bool(np.linalg.eigvalsh(0.5 * choi)[0] >= -tol)
+        return bool(np.linalg.eigvalsh(0.5 * choi)[0] >= -_CHOI_TOL)
 
 
 def _unit_axis(axis) -> np.ndarray:
@@ -143,17 +146,17 @@ def tomography_sampled(black_box, shots_per_setting: int,
                        seed) -> tuple[AffineChannel, np.ndarray, np.ndarray]:
     """Tomography from finite counts: (estimate, m_err, v_err).
 
-    Each of the 12 (input, read-out axis) settings is sampled
-    shots_per_setting times, in the row-major order of P[j, i];
-    probabilities become relative frequencies, and the 1-sigma errors
-    m_err (3, 3) and v_err (3,) of each reconstructed entry follow from
-    binomial propagation through the linear reconstruction formulas.
+    Each of the 12 (input, read-out axis) settings is sampled shots_per_setting
+    times, in the row-major order of P[j, i], at P clipped to [0, 1] (a physical
+    channel's P may pass 1 by the ball guard's rounding slack); probabilities become
+    relative frequencies, and the 1-sigma errors m_err (3, 3) and v_err (3,) of each
+    reconstructed entry follow from binomial propagation through the linear formulas.
     """
     if shots_per_setting < 1:
         raise ValueError(f"shots_per_setting must be >= 1, got {shots_per_setting}")
     rng = np.random.default_rng(seed)
     p = _probabilities(black_box)
-    freqs = rng.binomial(shots_per_setting, p) / shots_per_setting
+    freqs = rng.binomial(shots_per_setting, np.clip(p, 0.0, 1.0)) / shots_per_setting
     var = freqs * (1.0 - freqs) / shots_per_setting
     pole_var = var[2] + var[3]
     m_var = 4.0 * var[:3].T + pole_var[:, None]

@@ -331,10 +331,7 @@ def _cmd_estimate(params: dict, out) -> list:
     kind = _STRATEGY_ALIASES[params["strategy"]]
     channel = compose(depolarizing(params["lambda"]),
                       affine_shift([0.0, 0.0, 2.0 * params["delta_eta"]]))
-    # the smallest Choi eigenvalue is lambda - |delta_eta|: this tolerance is
-    # the ball rule |1 - 2 lambda| + 2 |delta_eta| <= 1 + 1e-12, and it keeps
-    # every accepted channel inside the ball guard of a channel call
-    if not channel.is_physical(5e-13):
+    if not channel.is_physical():
         raise ConfigError(f"lambda = {params['lambda']} and delta_eta = {params['delta_eta']} "
                           "push pure states outside the Bloch ball (need |delta_eta| <= lambda)")
     if out is not None and os.path.splitext(out)[0] + ".json" == out:

@@ -86,7 +86,7 @@ class CouplingMatrix:
             raise ValueError(f"J must be square, got shape {j.shape}")
         if not np.all(np.isfinite(j)):
             raise ValueError("J entries must be finite")
-        if np.max(np.abs(j - j.T)) > 1e-9 * max(1.0, np.max(np.abs(j))):
+        if np.max(np.abs(j - j.T)) > 1e-9 * np.max(np.abs(j)):    # relative: J is in rad/s
             raise ValueError("J must be symmetric")
         object.__setattr__(self, "j", j)
         j.flags.writeable = False

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ionqsim.bloch import state_from_angles
-from ionqsim.channels import (AffineChannel, ChannelInvalidError, affine_shift,
+from ionqsim.channels import (_CHOI_TOL, AffineChannel, ChannelInvalidError, affine_shift,
                               channel_from_spec,
                               compose, depolarizing,
                               phase_damping, rotation_channel,
@@ -229,6 +229,66 @@ class TestTomographyExact:
             axis = state_from_angles(math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))
             channel = tomography_exact(phase_damping(rng.uniform(0, 0.5), axis))
             assert np.linalg.norm(channel.v) < 1e-10
+
+
+class TestPhysicalityTolerance:
+    # one tolerance answers "is this channel physical?": is_physical() and the
+    # ball guard of a call both derive from _CHOI_TOL, so a channel the first
+    # accepts never fails the second
+
+    @staticmethod
+    def scaled_identity(delta):
+        """A raw spec m = (1 + delta) I, v = 0: its smallest Choi eigenvalue is
+        -delta/2, and it maps a pure state to length 1 + delta."""
+        return {"variant": "raw", "m": ((1.0 + delta) * np.eye(3)).tolist(), "v": [0.0, 0.0, 0.0]}
+
+    def test_scaled_identity_just_under_twice_the_tolerance_is_accepted(self):
+        channel = channel_from_spec(self.scaled_identity(0.99 * 2.0 * _CHOI_TOL))
+        assert channel.is_physical()
+        channel(fibonacci_sphere(2000))
+        tomography_exact(channel)
+        tomography_sampled(channel, 100, seed=0)
+
+    def test_scaled_identity_just_over_twice_the_tolerance_is_rejected(self):
+        with pytest.raises(ChannelInvalidError, match="not completely positive"):
+            channel_from_spec(self.scaled_identity(1.01 * 2.0 * _CHOI_TOL))
+
+    # 1e-12 itself, twice the tolerance, falls on either side by rounding
+    @pytest.mark.parametrize("delta", [*np.logspace(-13, -8, 26), 1.5e-9])
+    def test_scaled_identity_never_fails_the_ball_guard(self, delta):
+        try:
+            channel = channel_from_spec(self.scaled_identity(delta))
+        except ChannelInvalidError as exc:
+            assert "not completely positive" in str(exc)
+            assert delta > 0.99 * 2.0 * _CHOI_TOL
+            return
+        assert delta < 1.01 * 2.0 * _CHOI_TOL
+        channel(fibonacci_sphere(2000))
+
+    def test_edge_channels_pass_the_ball_guard(self):
+        # mix a random physical channel a with a random affine map b at the
+        # largest weight t that is_physical() accepts, found by bisection:
+        # the Choi matrix then has an eigenvalue just above -_CHOI_TOL
+        rng = np.random.default_rng(31)
+        states = fibonacci_sphere(2000)
+        longest = 0.0
+        for _ in range(200):
+            a = random_physical_channel(rng)
+            b = AffineChannel(rng.normal(size=(3, 3)), rng.normal(size=3))
+
+            def mix(t):
+                return AffineChannel((1.0 - t) * a.m + t * b.m, (1.0 - t) * a.v + t * b.v)
+
+            assert not mix(1.0).is_physical()
+            lo, hi = 0.0, 1.0
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if mix(mid).is_physical() else (lo, mid)
+            channel = mix(lo)
+            assert channel.is_physical()
+            longest = max(longest, np.max(np.linalg.norm(channel(states), axis=1)))
+        # the edge reaches past 1 + _CHOI_TOL, and stays within 1 + 2 _CHOI_TOL
+        assert 1.0 + _CHOI_TOL < longest <= 1.0 + 2.0 * _CHOI_TOL
 
 
 class TestTomographySampled:

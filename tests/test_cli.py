@@ -330,6 +330,32 @@ class TestChannelCommand:
         assert not out.exists()
 
 
+class TestRawSpecEdge:
+    # a raw m = (1 + delta) I has smallest Choi eigenvalue -delta/2: physical
+    # up to delta = 1e-12, twice the 5e-13 tolerance, and a config error
+    # (exit 2) past it; no delta reaches the ball guard's numerical exit 1
+    @staticmethod
+    def run_scaled_identity(tmp_path, delta, *flags):
+        spec, out = tmp_path / "spec.json", tmp_path / "chan.json"
+        spec.write_text(json.dumps({"variant": "raw", "m": ((1.0 + delta) * np.eye(3)).tolist(),
+                                    "v": [0.0, 0.0, 0.0]}))
+        code = run(["channel", "--spec", str(spec), *flags, "--out", str(out)])
+        assert out.exists() == (code == 0)
+        return code
+
+    @pytest.mark.parametrize("flags", [[], ["--shots", "1000"]])
+    @pytest.mark.parametrize("delta, code", [(0.99e-12, 0), (1.01e-12, 2)])
+    def test_edge(self, tmp_path, capsys, flags, delta, code):
+        assert self.run_scaled_identity(tmp_path, delta, *flags) == code
+        err = capsys.readouterr().err
+        assert (err == "") if code == 0 else ("not completely positive" in err)
+
+    @pytest.mark.parametrize("delta", [*np.logspace(-13, -8, 26), 1.5e-9])
+    def test_sweep_exits_0_or_2(self, tmp_path, capsys, delta):
+        assert self.run_scaled_identity(tmp_path, delta) in (0, 2)
+        capsys.readouterr()
+
+
 class TestZenoModes:
     def test_runlength_mode(self, tmp_path):
         out = tmp_path / "rl.csv"

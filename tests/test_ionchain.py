@@ -536,6 +536,23 @@ class TestCouplings:
         with pytest.raises(ValueError):
             CouplingMatrix(j=np.full((2, 2), np.nan))
 
+    # the symmetry check is relative to max|J|, whatever its size in rad/s:
+    # a 1e-3 rad/s J asymmetric by 5e-7 of its size is not symmetric, though
+    # its entries are only 5e-10 rad/s apart
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("asymmetry, symmetric", [(0.5e-9, True), (2e-9, False),
+                                                      (5e-7, False)])
+    def test_coupling_matrix_symmetry_is_relative(self, scale, asymmetry, symmetric):
+        j = scale * np.array([[0.0, 1.0], [1.0 + asymmetry, 0.0]])
+        if symmetric:
+            CouplingMatrix(j=j)
+        else:
+            with pytest.raises(ValueError, match="symmetric"):
+                CouplingMatrix(j=j)
+
+    def test_coupling_matrix_all_zero_is_symmetric(self):
+        np.testing.assert_array_equal(CouplingMatrix(j=np.zeros((3, 3))).j, np.zeros((3, 3)))
+
     @pytest.mark.parametrize("scale, message", [(1e200, "overflow"), (np.inf, "invalid")])
     def test_coupling_matrix_overflow_raises(self, scale, message):
         # a gradient 1e200 times too large overflows J; an infinite one
