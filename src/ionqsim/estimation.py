@@ -94,11 +94,13 @@ class SphereDistribution:
         return s / np.asarray(self.integral)[..., None]
 
     def second_moment(self) -> np.ndarray:
-        """Second moment Q = <u u^T> of the normalized density, (..., 3, 3), from
-        the grid's kept `monomials` table and the snapshot's shared `integral`."""
+        """Second moment Q = <u u^T> of the normalized density, (..., 3, 3) in
+        C order, from the grid's kept `monomials` table and the snapshot's
+        shared `integral`."""
         # one stacked (1, K) @ (K, 6) product per row: a batch row rounds as on its own
-        q = (self.values[..., None, :] @ self.grid.monomials)[..., 0, _PAIR_OF]
-        return q / np.asarray(self.integral)[..., None, None]
+        q6 = (self.values[..., None, :] @ self.grid.monomials)[..., 0, :]
+        # np.take lays its output out in C order; an index gather keeps the row axis innermost
+        return np.take(q6 / np.asarray(self.integral)[..., None], _PAIR_OF, axis=-1)
 
 
 def uniform_prior(grid: SphereGrid) -> SphereDistribution:
@@ -189,7 +191,7 @@ def optimal_next_direction(dist: SphereDistribution) -> np.ndarray:
     qs2, s2 = 2.0 * (q @ s_bar[:, :, None])[..., 0], _row_dot(s_bar, s_bar)[:, None]
 
     def objective(dirs):
-        square = q2 @ sweep_monomials(dirs) + s2
+        square = q2 @ sweep_monomials() + s2
         cross = qs2 @ dirs.T
         # |a| and |b|; abs turns a roundoff below an exact zero into one above it
         fbar = np.sqrt(np.abs(square + cross))
@@ -200,9 +202,6 @@ def optimal_next_direction(dist: SphereDistribution) -> np.ndarray:
 
     best, flat = maximize_on_sphere(objective)
     active = np.flatnonzero(~flat)      # flat rows become +z below
-    # Indexing by active copies the rows in C order, as the stacked products
-    # need: Q from second_moment is strided, and a product on that layout
-    # rounds a row's axis ~1 ulp off its lone search.
     # q^T/4 keeps the memory layout of q's transpose, and with it the
     # products' rounding; a power-of-two factor scales every rounded partial
     # sum exactly, so grad and the Hessian round as with the 1/4 applied after

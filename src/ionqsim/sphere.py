@@ -13,12 +13,11 @@ Gauss-Legendre integrates exactly when 2 n_theta - 1 >= N + 2, i.e.
 n_theta >= (N + 3)/2.  `moment_grid(N)` is the smallest such grid with
 n_phi = 2 n_theta (8x16 at N = 12).
 
-Grid and sweep arrays are read-only.  `moment_grid` and
-`fibonacci_sphere` build a grid or sweep of at most 4096 nodes once per
-process and hand out the same arrays after that, so the axis search
-rebuilds neither its 400 sweep axes, nor their monomials
-(`sweep_monomials`), nor the moment grid on every step; larger one-off
-builds are not kept.
+Grid and sweep arrays are read-only.  A grid or sweep of at most 4096
+nodes is built once per process, through `functools.cache`, and the same
+arrays are handed out after that; larger one-off builds are not kept.
+So the axis search rebuilds neither its 400 sweep axes, nor their
+monomial table (`sweep_monomials`), nor the moment grid on every step.
 
 Functions here take a leading batch axis where noted, so that many
 densities can be swept at once; each batch row is rounded exactly as
@@ -27,7 +26,7 @@ the same row would be on its own.
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -97,56 +96,34 @@ def _row_norm(a) -> np.ndarray:
     return np.sqrt(_row_dot(a, a))
 
 
-_KEPT_POINTS = 4096          # grids and sweeps up to this many nodes are built once
-_kept_grids: dict[int, SphereGrid] = {}
-_kept_sweeps: dict[int, tuple[np.ndarray, np.ndarray]] = {}    # n -> (axes, their monomials)
+_KEPT_POINTS = 4096          # grids and sweeps of at most this many nodes are kept
+_kept_grid = cache(SphereGrid.build)
 
 
 def moment_grid(n_updates: int) -> SphereGrid:
     """Smallest grid on which the first and second moments of a uniform
-    prior after `n_updates` Bayes updates are exact (see module notes).
-
-    A grid of at most _KEPT_POINTS nodes is built once and shared."""
+    prior after `n_updates` Bayes updates are exact (see module notes)."""
     n_theta = (n_updates + 4) // 2          # ceil((n_updates + 3) / 2)
-    grid = _kept_grids.get(n_theta)
-    if grid is None:
-        grid = SphereGrid.build(n_theta)
-        if grid.size <= _KEPT_POINTS:
-            _kept_grids[n_theta] = grid
-    return grid
+    return (_kept_grid if 2 * n_theta * n_theta <= _KEPT_POINTS else SphereGrid.build)(n_theta)
 
 
-def fibonacci_sphere(n: int) -> np.ndarray:
-    """n roughly equidistributed unit vectors (golden-angle spiral), as a
-    read-only (n, 3) array; a sweep of at most _KEPT_POINTS axes is built
-    once and shared."""
-    if n in _kept_sweeps:
-        return _kept_sweeps[n][0]
+def _spiral(n: int) -> np.ndarray:
     i = np.arange(n)
     z = 1.0 - (2.0 * i + 1.0) / n
     r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
     phi = i * GOLDEN_ANGLE
     pts = np.column_stack([r * np.cos(phi), r * np.sin(phi), z])
     pts.flags.writeable = False
-    if n <= _KEPT_POINTS:
-        table = _monomials(pts)
-        table.flags.writeable = False
-        _kept_sweeps[n] = pts, table
     return pts
 
 
-def _monomials(dirs) -> np.ndarray:
-    """(6, n) monomials m_i m_j, i <= j, of (n, 3) axes: the transpose of an (n, 6) array."""
-    return (dirs[:, _PAIR_ROW] * dirs[:, _PAIR_COL]).T
+_kept_spiral = cache(_spiral)
 
 
-def sweep_monomials(dirs) -> np.ndarray:
-    """`_monomials(dirs)`, read-only and built once when dirs is a kept
-    `fibonacci_sphere` array itself.  Any other array, such as a sweep of
-    more than _KEPT_POINTS axes (which is not kept), gets a table built
-    afresh on each call."""
-    kept, table = _kept_sweeps.get(len(dirs), (None, None))
-    return table if kept is dirs else _monomials(dirs)
+def fibonacci_sphere(n: int) -> np.ndarray:
+    """n roughly equidistributed unit vectors (golden-angle spiral), as a
+    read-only (n, 3) array."""
+    return (_kept_spiral if n <= _KEPT_POINTS else _spiral)(n)
 
 
 def rotate(v, axis, angle):
@@ -165,6 +142,17 @@ def rotate(v, axis, angle):
 
 SWEEP_POINTS = 400          # axes in maximize_on_sphere's sweep
 _TIE_TOL = 1e-12            # sweep values this close below a row's maximum tie with it
+
+
+@cache
+def sweep_monomials() -> np.ndarray:
+    """(6, SWEEP_POINTS) read-only monomials m_i m_j, i <= j, of the sweep
+    axes that `maximize_on_sphere` hands its objective: the transpose of
+    a (SWEEP_POINTS, 6) array."""
+    dirs = _kept_spiral(SWEEP_POINTS)
+    table = (dirs[:, _PAIR_ROW] * dirs[:, _PAIR_COL]).T
+    table.flags.writeable = False
+    return table
 
 
 def maximize_on_sphere(objective):

@@ -223,6 +223,18 @@ class TestBayesUpdate:
             np.testing.assert_array_equal(batch.mean_vector()[row], single.mean_vector())
             np.testing.assert_array_equal(batch.second_moment()[row], single.second_moment())
 
+    @pytest.mark.parametrize("rows", [None, 2, 6])
+    def test_second_moment_in_c_order(self, rows):
+        # Q is laid out in C order where it is made, so that every stacked
+        # product over its rows reads each 3 x 3 matrix contiguously
+        batch = TestOptimalNextDirection._updated_batch(rows or 1, 21)
+        dist = batch if rows else SphereDistribution(batch.grid, batch.values[0])
+        q = dist.second_moment()
+        assert q.shape == dist.values.shape[:-1] + (3, 3) and q.flags.c_contiguous
+        for row, values in enumerate(dist.values.reshape(-1, batch.grid.size)):
+            lone = SphereDistribution(batch.grid, values).second_moment()
+            assert q.reshape(-1, 3, 3)[row].tobytes() == lone.tobytes()
+
 
 class TestFidelityAndEstimate:
     def test_uniform_map_constant_half(self):
@@ -630,33 +642,33 @@ class TestHemisphereRule:
 
 
 class TestKeptSweepsAndGrids:
-    """fibonacci_sphere and moment_grid hand out read-only arrays, built
-    once per size, that equal a fresh build bit for bit."""
+    """fibonacci_sphere, moment_grid and sweep_monomials hand out read-only
+    arrays, kept by functools.cache, that equal a fresh build bit for bit."""
 
-    def test_sweep_axes_kept_read_only(self, monkeypatch):
+    def test_sweep_axes_kept_read_only(self):
         pts = fibonacci_sphere(sphere.SWEEP_POINTS)
         assert fibonacci_sphere(sphere.SWEEP_POINTS) is pts
         assert not pts.flags.writeable
         with pytest.raises(ValueError):
             pts[0, 0] = 0.0
-        monkeypatch.setattr(sphere, "_kept_sweeps", {})
+        sphere._kept_spiral.cache_clear()
         fresh = fibonacci_sphere(sphere.SWEEP_POINTS)
         assert fresh is not pts
-        np.testing.assert_array_equal(fresh, pts)
+        assert fresh.tobytes() == pts.tobytes()
 
-    def test_moment_grid_kept_read_only(self, monkeypatch):
+    def test_moment_grid_kept_read_only(self):
         grid = moment_grid(12)
         assert moment_grid(12) is grid and moment_grid(13) is grid   # both 8x16
         assert not grid.weights.flags.writeable and not grid.units.flags.writeable
         with pytest.raises(ValueError):
             grid.units[0, 0] = 0.0
-        monkeypatch.setattr(sphere, "_kept_grids", {})
+        sphere._kept_grid.cache_clear()
         fresh = moment_grid(12)
         assert fresh is not grid
         built = SphereGrid.build(8)
         for other in (fresh, built):
-            np.testing.assert_array_equal(other.weights, grid.weights)
-            np.testing.assert_array_equal(other.units, grid.units)
+            assert other.weights.tobytes() == grid.weights.tobytes()
+            assert other.units.tobytes() == grid.units.tobytes()
 
     @pytest.mark.parametrize("direct", [False, True])
     def test_grid_monomials_kept_read_only(self, direct):
@@ -670,10 +682,10 @@ class TestKeptSweepsAndGrids:
         expected = np.stack([w * u[:, i] * u[:, j] for i, j in pairs], axis=-1)
         assert table.shape == (grid.size, 6) and table.tobytes() == expected.tobytes()
 
-    def test_sweep_monomials_kept_read_only(self, monkeypatch):
+    def test_sweep_monomials_kept_read_only(self):
         pts = fibonacci_sphere(sphere.SWEEP_POINTS)
-        table = sphere.sweep_monomials(pts)
-        assert sphere.sweep_monomials(pts) is table and not table.flags.writeable
+        table = sphere.sweep_monomials()
+        assert sphere.sweep_monomials() is table and not table.flags.writeable
         with pytest.raises(ValueError):
             table[0, 0] = 0.0
         pairs = [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)]
@@ -682,15 +694,19 @@ class TestKeptSweepsAndGrids:
         # the memory layout of the per-search build, so that products with it round alike
         layout = (pts[:, [0, 0, 0, 1, 1, 2]] * pts[:, [0, 1, 2, 1, 2, 2]]).T.strides
         assert table.strides == layout
-        # an equal array that is not the kept sweep gets a table of its own
-        fresh = sphere.sweep_monomials(np.array(pts))
+        sphere.sweep_monomials.cache_clear()
+        fresh = sphere.sweep_monomials()
         assert fresh is not table and fresh.tobytes() == table.tobytes()
         assert fresh.strides == layout
-        # a search builds no table: the sweep it is handed is the kept one
-        built = []
-        monkeypatch.setattr(sphere, "_monomials", lambda dirs: built.append(dirs))
+
+    def test_search_builds_no_table(self):
+        # a search after the first finds the sweep, its monomials and the grid kept
+        batch = TestOptimalNextDirection._updated_batch(3, 8)
+        optimal_next_direction(batch)
+        kept = (sphere._kept_spiral, sphere.sweep_monomials, sphere._kept_grid)
+        misses = [memo.cache_info().misses for memo in kept]
         optimal_next_direction(TestOptimalNextDirection._updated_batch(3, 8))
-        assert built == []
+        assert [memo.cache_info().misses for memo in kept] == misses
 
     @pytest.mark.parametrize("rows", [None, 5])
     def test_integral_evaluated_once_per_snapshot(self, monkeypatch, rows):
@@ -719,11 +735,13 @@ class TestKeptSweepsAndGrids:
     def test_large_one_off_builds_not_kept(self):
         # the 200 000-point sweep of test_gap_to_dense_sweep, and a grid
         # above 4096 nodes, are freed once their caller drops them
+        kept = (sphere._kept_spiral, sphere._kept_grid)
+        sizes = [memo.cache_info().currsize for memo in kept]
         for build in (lambda: fibonacci_sphere(200_000), lambda: moment_grid(200)):
             ref = weakref.ref(build())
             gc.collect()
             assert ref() is None
-        assert 200_000 not in sphere._kept_sweeps
+        assert [memo.cache_info().currsize for memo in kept] == sizes
 
 
 class TestBenchmarkSpanCoverage:
