@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, constants
+from . import __version__, bloch, constants
 from .bloch import DetectionModel, DrivePulse, rabi_excitation_probability, ramsey_probability
 from .channels import (ChannelInvalidError, affine_shift, channel_from_spec, compose,
                        depolarizing, tomography_exact, tomography_sampled)
@@ -32,7 +32,7 @@ NUMERICAL_ERRORS = (ConvergenceError, NotAMinimumError, ChannelInvalidError,
                     ArithmeticError, np.linalg.LinAlgError)
 MAX_POINTS = 10**6          # rabi scan points; a full scan writes ~40 MB of CSV
 INT64_MAX = 2**63 - 1
-_SEEDS = (0, INT64_MAX)
+_SEEDS, _COUNTS, _NON_NEGATIVE = (0, INT64_MAX), (1, INT64_MAX), (0.0, sys.float_info.max)
 _UNBOUNDED = {int: (-INT64_MAX - 1, INT64_MAX), float: (-sys.float_info.max, sys.float_info.max)}
 
 _STRATEGY_ALIASES = {"self": "self_learning", "random": "random", "fixed": "fixed_axes"}
@@ -42,15 +42,15 @@ class ConfigError(ValueError):
     pass
 
 
-# flag name -> (type, default, help[, accepted]); None defaults mean "required".
-# accepted is a (low, high) range for numbers or the allowed names for text;
-# without one an int must fit int64 and a float must be finite
+# flag name -> (type, default, help[, accepted]).  A None default is unset: only --spec is
+# required, and the photon-count flags go all three or none.  accepted is a (low, high) range
+# for numbers or the allowed names for text; else an int must fit int64, a float be finite
 _SPECS = {
     "rabi": {
         "seed": (int, 0, "RNG seed (unused; kept for uniform artifacts)", _SEEDS),
-        "rabi_khz": (float, 2.9165, "Rabi frequency Omega/2pi in kHz"),
+        "rabi_khz": (float, 2.9165, "Rabi frequency Omega/2pi in kHz", _NON_NEGATIVE),
         "detuning_hz": (float, 0.0, "detuning delta/2pi in Hz"),
-        "tmax_ms": (float, 2.0, "scan end time in ms"),
+        "tmax_ms": (float, 2.0, "scan end time in ms", _NON_NEGATIVE),
         "points": (int, 200, "number of scan points", (1, MAX_POINTS)),
         "ramsey": (bool, False, "scan Ramsey precession time instead of pulse length"),
     },
@@ -58,23 +58,26 @@ _SPECS = {
         "seed": (int, 0, "RNG seed", _SEEDS),
         "mode": (str, "survival", "protocol", ("survival", "runlength")),
         "fractions": (str, "1,2,3,4,10", "comma-separated N values (survival mode)"),
-        "sequences": (int, 2000, "sequences per N (survival mode)"),
+        "sequences": (int, 2000, "sequences per N (survival mode)", _COUNTS),
         "theta_total": (float, math.pi, "total pulse area in rad"),
-        "prep_efficiency": (float, 1.0, "probability of correct |0> preparation"),
-        "eta0": (float, 1.0, "probability of reading |0> as off"),
-        "eta1": (float, 1.0, "probability of reading |1> as on"),
-        "on_mean": (float, None, "Poisson mean photon count for on (with off_mean, threshold)"),
-        "off_mean": (float, None, "Poisson mean photon count for off"),
-        "threshold": (int, None, "count cutoff: on means count > threshold"),
+        "prep_efficiency": (float, 1.0, "probability of correct |0> preparation",
+                            (math.ulp(0.0), 1.0)),
+        "eta0": (float, 1.0, "probability of reading |0> as off", (0.5, 1.0)),
+        "eta1": (float, 1.0, "probability of reading |1> as on", (0.5, 1.0)),
+        "on_mean": (float, None, "Poisson mean photon count for on (with off_mean, threshold)",
+                    (0.0, bloch.MAX_COUNT_MEAN)),
+        "off_mean": (float, None, "Poisson mean photon count for off",
+                     (0.0, bloch.MAX_COUNT_MEAN)),
+        "threshold": (int, None, "count cutoff: on means count > threshold", (0, INT64_MAX)),
         "theta": (float, math.pi / 5.0, "drive area per pair in rad (runlength mode)"),
-        "pairs": (int, 10000, "drive/probe pairs (runlength mode)"),
-        "qmax": (int, 10, "largest run length reported (runlength mode)", (1, INT64_MAX)),
+        "pairs": (int, 10000, "drive/probe pairs (runlength mode)", _COUNTS),
+        "qmax": (int, 10, "largest run length reported (runlength mode)", _COUNTS),
     },
     "estimate": {
         "seed": (int, 0, "RNG seed", _SEEDS),
         "strategy": (str, "self", "measurement strategy", tuple(_STRATEGY_ALIASES)),
-        "n": (int, 12, "measurements per state"),
-        "states": (int, 1000, "number of random true states"),
+        "n": (int, 12, "measurements per state", _COUNTS),
+        "states": (int, 1000, "number of random true states", _COUNTS),
         "lambda": (float, 0.0, "depolarization strength", (0, 0.5)),
         "delta_eta": (float, 0.0, "detection bias (eta1-eta0)/2", (-0.25, 0.25)),
     },
@@ -85,10 +88,11 @@ _SPECS = {
     },
     "chain": {
         "seed": (int, 0, "RNG seed (unused; kept for uniform artifacts)", _SEEDS),
-        "species": (str, "yb171", "ion species key"),
-        "nu1_khz": (float, 100.0, "COM mode frequency nu1/2pi in kHz"),
-        "n": (int, 10, "number of ions"),
-        "gradient": (float, 25.0, "axial field gradient in T/m"),
+        "species": (str, "yb171", "ion species key", tuple(constants.SPECIES_REGISTRY)),
+        "nu1_khz": (float, 100.0, "COM mode frequency nu1/2pi in kHz",
+                    (math.ulp(0.0), sys.float_info.max)),
+        "n": (int, 10, "number of ions", _COUNTS),
+        "gradient": (float, 25.0, "axial field gradient in T/m", _NON_NEGATIVE),
         "b0": (float, 0.0, "offset field in T (used when weak-field limit is off)"),
         "no_weak_field": (bool, False, "evaluate the chi factor at the local field"),
         "table": (bool, False, "also print the J table in the standard layout"),
@@ -386,11 +390,7 @@ def _format_j_table(j_hz: np.ndarray) -> str:
 
 
 def _cmd_chain(params: dict, out) -> list:
-    species_key = params["species"].lower()
-    if species_key not in constants.SPECIES_REGISTRY:
-        raise ConfigError(f"unknown species {params['species']!r}; "
-                          f"known: {sorted(constants.SPECIES_REGISTRY)}")
-    species = constants.SPECIES_REGISTRY[species_key]
+    species = constants.SPECIES_REGISTRY[params["species"]]
     nu1 = 2.0 * math.pi * params["nu1_khz"] * 1e3
     trap = TrapConfig(nu1=nu1, n_ions=params["n"], b=params["gradient"], b0=params["b0"])
     weak_field = not params["no_weak_field"]

@@ -7,12 +7,16 @@ The chain couplings are rebuilt through the Lamb-Dicke parameters eps and
 through the inverse Hessian, neither of which the package forms.
 """
 
+import math
+
 import numpy as np
 from scipy.linalg import expm
 
 from ionqsim.constants import HBAR
-from ionqsim.estimation import _CURVATURE, bayes_update, estimate_state
+from ionqsim.estimation import (_CURVATURE, SphereDistribution, bayes_update, estimate_state,
+                                optimal_next_direction, uniform_prior)
 from ionqsim.ionchain import _hessian
+from ionqsim.sphere import moment_grid
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -79,6 +83,31 @@ def expected_mean_fidelity(dist, m):
         p = dist.grid.integrate(dist.values * 0.5 * (1.0 + outcome * (dist.grid.units @ m)))
         fbar += p * estimate_state(bayes_update(dist, m, outcome))[1]
     return fbar
+
+
+def exact_mean_fidelity_oracle(n, strategy="self_learning"):
+    """The mean fidelity over uniform pure states of n measurements whose axes
+    depend on past outcomes alone ("self_learning" or "fixed_axes"), as the
+    exact sum Fbar = 1/2 + sum_o p(o) |S_o| / 2 over the 2^n outcome strings o,
+    with S_o the posterior mean after o (no Monte Carlo).
+
+    The tree is walked level by level on moment_grid(n), where the moments
+    are exact: each level's strings are one batch through the library's
+    optimal_next_direction (or the fixed x, y, z cycle) and bayes_update, and
+    a child of outcome o along axis m carries its parent's probability times
+    (1 + o m.S)/2, S the parent's posterior mean."""
+    prior = uniform_prior(moment_grid(n))
+    dist, prob = SphereDistribution(prior.grid, prior.values[None]), np.ones(1)
+    for k in range(n):
+        if strategy == "self_learning":
+            axes = optimal_next_direction(dist)
+        else:
+            axes = np.tile(np.eye(3)[k % 3], (len(prob), 1))
+        along = (dist.mean_vector() * axes).sum(axis=-1)
+        prob = np.concatenate([prob * (1.0 + along) / 2, prob * (1.0 - along) / 2])
+        dist = bayes_update(SphereDistribution(dist.grid, np.concatenate([dist.values] * 2)),
+                            np.concatenate([axes, axes]), np.repeat([1, -1], len(axes)))
+    return 0.5 + 0.5 * math.fsum(prob * np.linalg.norm(dist.mean_vector(), axis=-1))
 
 
 def sweep_objective_oracle(dist):

@@ -661,11 +661,11 @@ class TestProcessEntryPoint:
         assert run(["rabi"] + _RAMSEY_FRINGES + ["--out", str(tmp_path / "in_process.csv")]) == 0
         assert (tmp_path / "fringes.csv").read_bytes() == (tmp_path / "in_process.csv").read_bytes()
 
-    # a zero Rabi frequency is a ConfigError; a negative scan end makes
-    # negative precession times, which ramsey_probability rejects
+    # a zero Rabi frequency is a ConfigError; a negative scan end lies
+    # outside the accepted values of --tmax-ms
     @pytest.mark.parametrize("argv, message", [
         (["--rabi-khz", "0"], "positive Rabi frequency"),
-        (["--tmax-ms", "-1"], "precession_time must be >= 0"),
+        (["--tmax-ms", "-1"], "'tmax_ms' must lie in [0.0, 1.7976931348623157e+308], got -1.0"),
     ])
     def test_config_error_exits_2_and_writes_nothing(self, tmp_path, argv, message):
         done = self.call(["rabi", "--ramsey"] + argv + ["--out", "fringes.csv"], tmp_path)
@@ -704,7 +704,7 @@ class TestProcessEntryPoint:
         (["chain", "--no-weak-field", "--b0", "1e308", "--n", "2"], 1, "field B = 1e+308 T"),
         (["chain", "--nu1-khz", "1e-300", "--n", "3"], 1, "zeta is out of range for nu1"),
         (["zeno", "--on-mean", "1000", "--off-mean", "0.2", "--threshold", "1"], 2,
-         "on_mean=1000.0"),
+         "'on_mean' must lie in [0.0, 690.0], got 1000.0"),
         (["rabi", "--ramsey", "--rabi-khz", "1e306", "--tmax-ms", "1", "--points", "3"], 1,
          "Rabi frequency Omega = 2 pi x 1e+306 kHz overflows"),
         (["rabi", "--ramsey", "--detuning-hz", "1e308", "--tmax-ms", "1", "--points", "3"], 1,
@@ -728,11 +728,12 @@ class TestProcessEntryPoint:
         (["channel", "--shots", "9223372036854775808", "--out", "out.json"], 2,
          "'shots' must lie in [0, 9223372036854775807], got 9223372036854775808"),
         (["estimate", "--n", "18446744073709551616", "--out", "fid.csv"], 2,
-         "'n' must lie in [-9223372036854775808, 9223372036854775807], "
-         "got 18446744073709551616"),
-        # a NaN or infinite float that has no table range
-        (["rabi", "--rabi-khz=nan", "--out", "rabi.csv"], 2, "'rabi_khz' must be finite, got nan"),
-        (["chain", "--gradient=-inf", "--n", "3"], 2, "'gradient' must be finite, got -inf"),
+         "'n' must lie in [1, 9223372036854775807], got 18446744073709551616"),
+        # a NaN or infinite float lies outside every table range
+        (["rabi", "--rabi-khz=nan", "--out", "rabi.csv"], 2,
+         "'rabi_khz' must lie in [0.0, 1.7976931348623157e+308], got nan"),
+        (["chain", "--gradient=-inf", "--n", "3"], 2,
+         "'gradient' must lie in [0.0, 1.7976931348623157e+308], got -inf"),
     ])
     def test_failure_prints_one_error_line(self, tmp_path, argv, code, message):
         done = self.call(argv, tmp_path)

@@ -214,3 +214,31 @@ def test_readme_input_tables_match_the_table():
             tables[command].append([c.strip().replace("\x00", "|") for c in cells])
     assert tables == {command: [_readme_row(name, *entry) for name, entry in spec.items()]
                       for command, spec in cli._SPECS.items()}
+
+
+# one value just outside each range the library checks as well, and a species
+# spelt in another case: each exits 2 naming its key first (argv, key)
+@pytest.mark.parametrize("argv, key", [
+    (["rabi", "--rabi-khz=-1"], "rabi_khz"),
+    (["rabi", "--tmax-ms=-1"], "tmax_ms"),
+    (["zeno", "--eta0", "0.4"], "eta0"),
+    (["zeno", "--prep-efficiency", "0"], "prep_efficiency"),
+    (["zeno", "--sequences", "0"], "sequences"),
+    (["zeno", "--threshold=-1", "--on-mean", "5", "--off-mean", "0.2"], "threshold"),
+    (["zeno", "--on-mean", "691", "--off-mean", "0.2", "--threshold", "1"], "on_mean"),
+    (["zeno", "--mode", "runlength", "--pairs", "0"], "pairs"),
+    (["estimate", "--n", "0"], "n"),
+    (["estimate", "--states", "0"], "states"),
+    (["chain", "--n", "0"], "n"),
+    (["chain", "--nu1-khz", "0"], "nu1_khz"),
+    (["chain", "--gradient=-1"], "gradient"),
+    (["chain", "--species", "YB171"], "species"),
+])
+def test_value_outside_its_table_entry_is_named(tmp_path, monkeypatch, capsys, argv, key):
+    monkeypatch.chdir(tmp_path)
+    assert run(argv + ["--out=out.csv"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {key!r} ") and captured.err.count("\n") == 1, \
+        captured.err
+    assert list(tmp_path.iterdir()) == []

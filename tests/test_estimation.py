@@ -17,8 +17,8 @@ from ionqsim.estimation import (STRATEGIES, DegenerateUpdateError, SphereDistrib
                                 optimal_fidelity_bound, optimal_next_direction,
                                 random_direction, run_estimation, uniform_prior)
 from ionqsim.sphere import SphereGrid, fibonacci_sphere, moment_grid, rotate
-from oracles import (expected_mean_fidelity, imperfection_oracle, newton_step_oracle,
-                     sweep_objective_oracle)
+from oracles import (exact_mean_fidelity_oracle, expected_mean_fidelity, imperfection_oracle,
+                     newton_step_oracle, sweep_objective_oracle)
 
 # reference quadrature for densities not tied to one measurement count
 GRID = SphereGrid.build(64)
@@ -972,6 +972,42 @@ class TestEnsembleProperties:
         noisy, _, _ = mean_fidelity_experiment(
             200, 6, "self_learning", _imperfect(0.2), seed=44)
         assert noisy < ideal
+
+
+class TestExactOutcomeTree:
+    """The exact ensemble mean over all 2^N outcome strings (no Monte Carlo)
+    for the two strategies whose axes depend on past outcomes alone."""
+
+    SHARED = ("self_learning", "fixed_axes")
+
+    @pytest.fixture(scope="class")
+    def exact(self):
+        return {(strategy, n): exact_mean_fidelity_oracle(n, strategy)
+                for strategy in self.SHARED for n in range(1, 13)}
+
+    @pytest.mark.parametrize("strategy", SHARED)
+    def test_first_three_measurements_closed_forms(self, exact, strategy):
+        for n, want in ((1, 2.0 / 3.0), (2, 0.5 + math.sqrt(2.0) / 6.0),
+                        (3, 0.5 + 1.0 / math.sqrt(12.0))):
+            assert abs(exact[strategy, n] - want) <= 1e-15, (n, exact[strategy, n])
+
+    # a fingerprint of the axis search's tie rule: another maximizer at one
+    # level of the tree moves the N = 12 value by ~1e-5
+    @pytest.mark.parametrize("strategy, want", [("self_learning", 0.9228183787904757),
+                                                ("fixed_axes", 0.9151552420722425)])
+    def test_twelve_measurements_pinned(self, exact, strategy, want):
+        assert abs(exact[strategy, 12] - want) <= 1e-12, exact[strategy, 12]
+
+    @pytest.mark.parametrize("strategy", SHARED)
+    def test_within_the_collective_bound(self, exact, strategy):
+        for n in range(1, 13):
+            assert exact[strategy, n] <= optimal_fidelity_bound(n) + 1e-12, n
+
+    # the Monte Carlo ensemble of acceptance criterion 5
+    @pytest.mark.parametrize("strategy", SHARED)
+    def test_monte_carlo_mean_within_four_sigma(self, exact, strategy):
+        mean, stderr, _ = mean_fidelity_experiment(1000, 12, strategy, seed=501)
+        assert abs(mean - exact[strategy, 12]) <= 4.0 * stderr, (mean, stderr)
 
 
 def _per_state_reference(num_states, n, strategy, channel, seed):
