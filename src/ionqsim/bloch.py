@@ -148,24 +148,28 @@ def evolve(state: np.ndarray, pulse: DrivePulse) -> np.ndarray:
     return rotate(state, axis, omega_r * pulse.duration)
 
 
-def rabi_excitation_probability(rabi: float, detuning: float, t: float) -> float:
+def rabi_excitation_probability(rabi: float, detuning: float, t):
     """P_1(t) = (Omega/Omega_R)^2 sin^2(Omega_R t / 2) from |0>.
 
-    Returns 0 in the degenerate limit Omega = delta = 0, and raises
-    OverflowError when Omega^2 + delta^2 or Omega_R t overflows a float.
+    A float t gives a float, and an array of times an array of that shape,
+    each time rounded as on its own.  Returns 0 when Omega = delta = 0, and
+    raises OverflowError when Omega^2 + delta^2 or Omega_R t overflows a float.
     """
-    if rabi < 0 or t < 0:
+    times = np.asarray(t, dtype=float)
+    if rabi < 0 or np.any(times < 0):
         raise ValueError("rabi and t must be >= 0")
-    # in float arithmetic an overflow gives inf, where numpy scalars would also warn
-    rabi, detuning, t = float(rabi), float(detuning), float(t)
+    rabi, detuning = float(rabi), float(detuning)   # these overflow to inf with no warning
     omega_r_sq = rabi * rabi + detuning * detuning
     if omega_r_sq == 0.0:
-        return 0.0
-    half_angle = 0.5 * math.sqrt(omega_r_sq) * t
-    if not math.isfinite(half_angle):
+        return 0.0 if times.ndim == 0 else np.zeros(times.shape)
+    with np.errstate(over="ignore", invalid="ignore"):     # inf, or inf x 0: raised below
+        half_angle = 0.5 * math.sqrt(omega_r_sq) * times
+    if not np.isfinite(half_angle).all():
         raise OverflowError(f"Omega_R t overflows a float (Omega = {rabi:g} rad/s, "
-                            f"delta = {detuning:g} rad/s, t = {t:g} s)")
-    return (rabi * rabi / omega_r_sq) * math.sin(half_angle) ** 2
+                            f"delta = {detuning:g} rad/s, t up to {times.max():g} s)")
+    # np.square rounds x * x correctly on scalars and arrays alike; libm's pow does not
+    p = (rabi * rabi / omega_r_sq) * np.square(np.sin(half_angle))
+    return float(p) if p.ndim == 0 else p
 
 
 def ramsey_probability(pulse: DrivePulse, precession_time):

@@ -214,9 +214,7 @@ def _meta(command: str, params: dict) -> dict:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return "%.17g" % value
-    return str(value)
+    return "%.17g" % value if isinstance(value, float) else str(value)
 
 
 def _emit_files(outputs) -> None:
@@ -245,12 +243,11 @@ def _emit_files(outputs) -> None:
             fh.write(text)
 
 
-def _csv_text(meta: dict, columns: list, rows: list) -> str:
+def _csv_text(meta: dict, columns: list, rows) -> str:
     lines = [f"# {key}={meta[key]}" for key in ("seed", "config_hash", "version")]
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
+    return "\n".join([*lines, ""])        # the final newline without a copy of the text
 
 
 def _json_text(payload: dict) -> str:
@@ -275,12 +272,11 @@ def _cmd_rabi(params: dict, out) -> list:
         if not math.isfinite(half_pi):
             raise OverflowError(f"pi/2 pulse length overflows a float (Omega = {omega:g} rad/s)")
         pulse = DrivePulse(rabi=omega, detuning=delta, duration=half_pi)
-        rows = list(zip(times, ramsey_probability(pulse, times)))
-        columns = ["precession_time_s", "p1"]
+        column, p1 = "precession_time_s", ramsey_probability(pulse, times)
     else:
-        rows = [(t, rabi_excitation_probability(omega, delta, t)) for t in times]
-        columns = ["pulse_length_s", "p1"]
-    return [(out, _csv_text(_meta("rabi", params), columns, rows))]
+        column, p1 = "pulse_length_s", rabi_excitation_probability(omega, delta, times)
+    rows = zip(times.tolist(), p1.tolist())
+    return [(out, _csv_text(_meta("rabi", params), [column, "p1"], rows))]
 
 
 def _detection_from(params: dict) -> DetectionModel:
@@ -292,9 +288,8 @@ def _detection_from(params: dict) -> DetectionModel:
     return DetectionModel.from_counts(*counting)
 
 
-def _cmd_zeno(params: dict, out) -> list:
+def _zeno_rows(params: dict):
     detection = _detection_from(params)
-    rows = []
     if params["mode"] == "survival":
         try:
             fractions = [int(tok) for tok in params["fractions"].split(",") if tok.strip()]
@@ -310,7 +305,7 @@ def _cmd_zeno(params: dict, out) -> list:
             raw_stderr = math.sqrt(max(raw * (1.0 - raw), 0.0) / params["sequences"])
             stderr = corrected_survival(raw_stderr, n, **losses)
             theory = survival_probability(params["theta_total"] / n, n)
-            rows.append((n, theory, corrected, stderr))
+            yield n, theory, corrected, stderr
     else:
         if params["qmax"] > params["pairs"] > 1:      # one result: no complete run, exit 1
             raise ConfigError(f"'qmax' = {params['qmax']} exceeds 'pairs' = {params['pairs']}: "
@@ -326,9 +321,12 @@ def _cmd_zeno(params: dict, out) -> list:
             # U(1)/U(1) is exactly 1; for q > 1 the multinomial covariance terms
             # of the delta method cancel, leaving exactly 1/n_q + 1/n_1
             stderr = ratio * math.sqrt(1.0 / n_q + 1.0 / n_1) if q > 1 and n_q and n_1 else 0.0
-            rows.append((q, theory, ratio, stderr))
+            yield q, theory, ratio, stderr
+
+
+def _cmd_zeno(params: dict, out) -> list:
     return [(out, _csv_text(_meta("zeno", params), ["N_or_q", "theory", "simulated", "stderr"],
-                            rows))]
+                            _zeno_rows(params)))]
 
 
 def _cmd_estimate(params: dict, out) -> list:
@@ -349,8 +347,7 @@ def _cmd_estimate(params: dict, out) -> list:
     summary_text = _json_text(summary)
     if out is None:
         return [(None, summary_text)]
-    rows = [(i, f) for i, f in enumerate(fidelities)]
-    return [(out, _csv_text(meta, ["state_index", "fidelity"], rows)),
+    return [(out, _csv_text(meta, ["state_index", "fidelity"], enumerate(fidelities.tolist()))),
             (os.path.splitext(out)[0] + ".json", summary_text), (None, summary_text)]
 
 

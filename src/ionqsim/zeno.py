@@ -19,13 +19,12 @@ import numpy as np
 from .bloch import BLOCK, DetectionModel, detect
 
 
-def survival_probability(theta_per_step: float, q) -> float:
+def survival_probability(theta_per_step: float, q: int) -> float:
     """P_00 = cos^(2q)(theta/2): probability of q consecutive equal
     outcomes under drive steps of area theta between probes."""
-    if np.any(np.asarray(q) < 0):
+    if q < 0:
         raise ValueError("q must be >= 0")
-    c2 = math.cos(0.5 * theta_per_step) ** 2
-    return c2 ** np.asarray(q) if np.ndim(q) else float(c2**q)
+    return float((math.cos(0.5 * theta_per_step) ** 2) ** q)
 
 
 def net_transition_probability(theta_total: float, n: int) -> float:

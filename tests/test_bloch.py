@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -107,12 +108,42 @@ class TestRabiProbability:
     def test_degenerate_limit(self):
         assert rabi_excitation_probability(0.0, 0.0, 1.0) == 0.0
 
+    # the array cases: one overflowing Omega_R t among finite ones, and
+    # Omega_R = inf at t = 0, where inf x 0 is an invalid operation
     @pytest.mark.parametrize("rabi, det, t", [(1e300, 0.0, 0.0), (1.0, 1e300, 1.0),
-                                              (1e200, 0.0, 1e200)])
+                                              (1e200, 0.0, 1e200),
+                                              (1e150, 0.0, [0.0, 1.0, 1e200, 2.0]),
+                                              (1e300, 0.0, [[0.0], [0.0]])])
     def test_overflow_raises(self, rabi, det, t):
         # Omega^2 + delta^2 or Omega_R t overflows: an error, not a NaN or a RuntimeWarning
-        with pytest.raises(OverflowError, match="overflows a float"):
-            rabi_excitation_probability(np.float64(rabi), np.float64(det), np.float64(t))
+        t = np.array(t) if np.ndim(t) else np.float64(t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(OverflowError, match="overflows a float"):
+                rabi_excitation_probability(np.float64(rabi), np.float64(det), t)
+
+    def test_array_of_times_matches_scalar_calls_bit_for_bit(self):
+        rng = np.random.default_rng(34)
+        # Omega = delta = 0, Omega = 0, delta != 0, then random pairs; t = 0 in every scan
+        cases = [(0.0, 0.0), (0.0, 3.1), (2.0, -0.7)] + [
+            (rng.uniform(0, 2 * math.pi * 50e3), rng.uniform(-1, 1) * 2 * math.pi * 1e3)
+            for _ in range(20)]
+        for rabi, det in cases:
+            times = np.concatenate([[0.0], rng.uniform(0, 5e-3, 500), rng.uniform(0, 1e3, 50)])
+            batch = rabi_excitation_probability(rabi, det, times)
+            assert batch.shape == times.shape
+            lone = [rabi_excitation_probability(rabi, det, t) for t in times.tolist()]
+            np.testing.assert_array_equal(batch, lone)
+            zero_d = rabi_excitation_probability(rabi, det, np.array(times[-1]))
+            assert type(zero_d) is float and all(type(p) is float for p in lone)
+            grid = times[:12].reshape(3, 4)
+            np.testing.assert_array_equal(rabi_excitation_probability(rabi, det, grid),
+                                          batch[:12].reshape(3, 4))
+
+    @pytest.mark.parametrize("t", [-1e-9, [0.0, 1.0, -1e-300]])
+    def test_negative_time_raises(self, t):
+        with pytest.raises(ValueError, match="t must be >= 0"):
+            rabi_excitation_probability(1.0, 0.0, t)
 
     def test_agrees_with_evolve_composition(self):
         rng = np.random.default_rng(14)

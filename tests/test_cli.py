@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from ionqsim import cli
-from ionqsim.bloch import DetectionModel, rabi_excitation_probability
+from ionqsim.bloch import (DetectionModel, DrivePulse, rabi_excitation_probability,
+                           ramsey_probability)
 from ionqsim.cli import run
 
 
@@ -67,16 +68,23 @@ class TestArtifactFormat:
         assert columns == ["pulse_length_s", "p1"]
         assert len(rows) == 10
 
-    def test_floats_round_trip(self, tmp_path):
-        # 17 significant digits parse back to the exact same float
+    @pytest.mark.parametrize("ramsey", [False, True])
+    def test_floats_round_trip(self, tmp_path, ramsey):
+        # 17 significant digits parse back to the exact floats of the
+        # library's one array call, in either scan
         out = tmp_path / "scan.csv"
-        run(["rabi", "--rabi-khz", "2", "--tmax-ms", "2", "--points", "50",
-             "--out", str(out)])
+        mode = ["--ramsey", "--detuning-hz", "103.9"] if ramsey else []
+        assert run(["rabi"] + mode + ["--rabi-khz", "2", "--tmax-ms", "2", "--points", "50",
+                                      "--out", str(out)]) == 0
         _, _, rows = read_artifact(out)
+        times, p1 = np.array([[float(v) for v in row] for row in rows]).T
+        np.testing.assert_array_equal(times, np.linspace(0.0, 2.0 * 1e-3, 50))
         omega = 2.0 * math.pi * 2.0 * 1e3
-        for t_str, p_str in rows:
-            t, p = float(t_str), float(p_str)
-            assert p == rabi_excitation_probability(omega, 0.0, t)
+        if ramsey:
+            pulse = DrivePulse(omega, 2.0 * math.pi * 103.9, 0.5 * math.pi / omega)
+            np.testing.assert_array_equal(p1, ramsey_probability(pulse, times))
+        else:
+            np.testing.assert_array_equal(p1, rabi_excitation_probability(omega, 0.0, times))
 
     def test_json_meta(self, tmp_path):
         out = tmp_path / "chain.json"
@@ -863,12 +871,15 @@ class TestGoldenArtifacts:
         assert hashlib.sha256(printed.encode()).hexdigest() == table_digest
 
     # sha256 of the two README rabi calls, the 400-point pulse-length scan
-    # and the Ramsey fringes, recorded while each Ramsey time was still its
-    # own scalar call; a change here means the artifacts drifted and must
-    # be explained
+    # and the Ramsey fringes.  The fringes were recorded while each Ramsey
+    # time was still its own scalar call.  The pulse-length scan was
+    # re-recorded when its sin^2 became np.square of np.sin, one array call
+    # for the scan: one row moved in its last digit, t = 2.756892230576441e-4
+    # s, where libm's pow gave ...771 and the correctly rounded x * x gives
+    # ...776.  A change here means the artifacts drifted and must be explained
     @pytest.mark.parametrize("argv, digest", [
         (["--rabi-khz", "2.9165", "--tmax-ms", "2", "--points", "400"],
-         "f57396ac4f48bfe49979a3abe40d776b900cc8351fd67b172f4741ba91476dd3"),
+         "edfe0f2690c0400a9659494f7a96e3d94dbe96003973a9859d475c3e848a0d92"),
         (_RAMSEY_FRINGES,
          "ed5a99eeb21fc6a0938553e30460a77e871453b5a0d10cc3d1a1e4a2866c2061"),
     ])
