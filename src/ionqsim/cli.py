@@ -213,10 +213,6 @@ def _meta(command: str, params: dict) -> dict:
     }
 
 
-def _fmt(value) -> str:
-    return "%.17g" % value if isinstance(value, float) else str(value)
-
-
 def _emit_files(outputs) -> None:
     """Write every (path, text) pair, or none of them.
 
@@ -243,10 +239,11 @@ def _emit_files(outputs) -> None:
             fh.write(text)
 
 
-def _csv_text(meta: dict, columns: list, rows) -> str:
+def _csv_text(meta: dict, columns: list, row_format: str, rows) -> str:
+    # each row is row_format % row; a %d field truncates a float, so only int columns get it
     lines = [f"# {key}={meta[key]}" for key in ("seed", "config_hash", "version")]
     lines.append(",".join(columns))
-    lines.extend(",".join(map(_fmt, row)) for row in rows)
+    lines.extend(row_format % row for row in rows)
     return "\n".join([*lines, ""])        # the final newline without a copy of the text
 
 
@@ -276,7 +273,7 @@ def _cmd_rabi(params: dict, out) -> list:
     else:
         column, p1 = "pulse_length_s", rabi_excitation_probability(omega, delta, times)
     rows = zip(times.tolist(), p1.tolist())
-    return [(out, _csv_text(_meta("rabi", params), [column, "p1"], rows))]
+    return [(out, _csv_text(_meta("rabi", params), [column, "p1"], "%.17g,%.17g", rows))]
 
 
 def _detection_from(params: dict) -> DetectionModel:
@@ -302,7 +299,7 @@ def _zeno_rows(params: dict):
             raw, _records = simulate_fractionated_pi(n, params["sequences"], params["seed"] + k,
                                                      params["theta_total"], **losses)
             corrected = corrected_survival(raw, n, **losses)
-            raw_stderr = math.sqrt(max(raw * (1.0 - raw), 0.0) / params["sequences"])
+            raw_stderr = math.sqrt(raw * (1.0 - raw) / params["sequences"])
             stderr = corrected_survival(raw_stderr, n, **losses)
             theory = survival_probability(params["theta_total"] / n, n)
             yield n, theory, corrected, stderr
@@ -312,21 +309,20 @@ def _zeno_rows(params: dict):
                               "no complete run is longer than the record")
         results = simulate_alternating(params["theta"], params["pairs"], seed=params["seed"],
                                        detection=detection)
-        dist, total_runs = run_length_distribution(results)
+        counts = run_length_distribution(results)
         for q in range(1, params["qmax"] + 1):
-            ratio = run_length_ratio(dist, q)
+            ratio = run_length_ratio(counts, q)
             theory = survival_probability(params["theta"], q - 1)
-            n_q = dist.get(q, 0.0) * total_runs
-            n_1 = dist.get(1, 0.0) * total_runs
+            n_q, n_1 = counts.get(q, 0), counts[1]
             # U(1)/U(1) is exactly 1; for q > 1 the multinomial covariance terms
             # of the delta method cancel, leaving exactly 1/n_q + 1/n_1
-            stderr = ratio * math.sqrt(1.0 / n_q + 1.0 / n_1) if q > 1 and n_q and n_1 else 0.0
+            stderr = ratio * math.sqrt(1.0 / n_q + 1.0 / n_1) if q > 1 and n_q else 0.0
             yield q, theory, ratio, stderr
 
 
 def _cmd_zeno(params: dict, out) -> list:
     return [(out, _csv_text(_meta("zeno", params), ["N_or_q", "theory", "simulated", "stderr"],
-                            _zeno_rows(params)))]
+                            "%d,%.17g,%.17g,%.17g", _zeno_rows(params)))]
 
 
 def _cmd_estimate(params: dict, out) -> list:
@@ -347,7 +343,8 @@ def _cmd_estimate(params: dict, out) -> list:
     summary_text = _json_text(summary)
     if out is None:
         return [(None, summary_text)]
-    return [(out, _csv_text(meta, ["state_index", "fidelity"], enumerate(fidelities.tolist()))),
+    return [(out, _csv_text(meta, ["state_index", "fidelity"], "%d,%.17g",
+                            enumerate(fidelities.tolist()))),
             (os.path.splitext(out)[0] + ".json", summary_text), (None, summary_text)]
 
 

@@ -135,14 +135,14 @@ def simulate_alternating(theta_per_step: float, n_pairs: int, seed,
     return detect(true_on, detection or DetectionModel(), rng)
 
 
-def run_length_distribution(results: np.ndarray) -> tuple[dict[int, float], int]:
-    """Normalized distribution U(q) of maximal runs of q equal results,
-    and the number of complete runs it was normalized by.
+def run_length_distribution(results: np.ndarray) -> dict[int, int]:
+    """{q: number of complete maximal runs of q equal results}, as Python
+    ints, for every q that occurs.
 
     The trailing run is truncated by the end of the record and is
-    excluded from the counts.  U(q)/U(1) estimates P_00(q-1).  The
-    record is scanned one block at a time, so the working memory is one
-    block's change flags and run ends plus the histogram.
+    excluded.  U(q) = count / total, and U(q)/U(1) estimates P_00(q-1).
+    The record is scanned one block at a time, so the working memory is
+    one block's change flags and run ends plus the histogram.
     """
     results = np.asarray(results)
     if results.size == 0:
@@ -157,18 +157,18 @@ def run_length_distribution(results: np.ndarray) -> tuple[dict[int, float], int]
         block[:counts.size] += counts
         counts = block
         last_end = ends[-1] if ends.size else last_end
-    total = int(counts.sum())
-    return {int(q): counts[q] / total for q in range(1, counts.size) if counts[q] > 0}, total
+    return {q: n for q, n in enumerate(counts.tolist()) if n}
 
 
-def run_length_ratio(dist: dict[int, float], q: int) -> float:
-    """U(q)/U(1), the empirical estimator of P_00(q-1).
+def run_length_ratio(counts: dict[int, int], q: int) -> float:
+    """U(q)/U(1) = n_q/n_1 from run_length_distribution's counts, the
+    empirical estimator of P_00(q-1).
 
     Raises FloatingPointError when the record held no complete run of
     length 1 (as with no drive, or a record of one result): U(1) is then
     0 and the ratio is undefined.
     """
-    if 1 not in dist:
+    if 1 not in counts:
         raise FloatingPointError("U(q)/U(1) is undefined: the record has no complete run "
                                  "of length 1")
-    return dist.get(q, 0.0) / dist[1]
+    return counts.get(q, 0) / counts[1]

@@ -103,14 +103,12 @@ def test_criterion_3_zeno_analytic_suite():
 
     for theta in (math.pi, math.pi / 2, math.pi / 5):
         results = simulate_alternating(theta, 10**6, seed=int(theta * 1000))
-        dist, _ = run_length_distribution(results)
-        total_runs = len(np.flatnonzero(np.diff(results)))
+        counts = run_length_distribution(results)
         p = math.cos(theta / 2) ** 2
         for q in range(2, 11):
             theory = p ** (q - 1)
-            ratio = run_length_ratio(dist, q)
-            n_q = dist.get(q, 0.0) * total_runs
-            n_1 = dist[1] * total_runs
+            ratio = run_length_ratio(counts, q)
+            n_q, n_1 = counts.get(q, 0), counts[1]
             if theory == 0.0:
                 assert ratio == 0.0
                 continue

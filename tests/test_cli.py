@@ -13,7 +13,11 @@ import pytest
 from ionqsim import cli
 from ionqsim.bloch import (DetectionModel, DrivePulse, rabi_excitation_probability,
                            ramsey_probability)
+from ionqsim.channels import affine_shift, compose, depolarizing
 from ionqsim.cli import run
+from ionqsim.estimation import mean_fidelity_experiment
+from ionqsim.zeno import (corrected_survival, run_length_distribution, simulate_alternating,
+                          simulate_fractionated_pi, survival_probability)
 
 
 def read_artifact(path):
@@ -57,6 +61,32 @@ class TestDeterminism:
         assert a.read_bytes() != b.read_bytes()
 
 
+# the round-trip scans: a 2 kHz Rabi frequency over 2 ms in 50 points
+_SCAN = ["--rabi-khz", "2", "--tmax-ms", "2", "--points", "50"]
+_OMEGA = 2.0 * math.pi * 2.0 * 1e3
+_TIMES = np.linspace(0.0, 2.0 * 1e-3, 50)
+_RAMSEY_PULSE = DrivePulse(_OMEGA, 2.0 * math.pi * 103.9, 0.5 * math.pi / _OMEGA)
+
+
+def survival_rows(fractions, sequences, seed, detection, prep_efficiency):
+    """The survival CSV's rows from the library's simulations."""
+    losses = {"detection": detection, "prep_efficiency": prep_efficiency}
+    for k, n in enumerate(fractions):
+        raw, _ = simulate_fractionated_pi(n, sequences, seed + k, **losses)
+        stderr = corrected_survival(math.sqrt(raw * (1.0 - raw) / sequences), n, **losses)
+        yield n, survival_probability(math.pi / n, n), corrected_survival(raw, n, **losses), stderr
+
+
+def runlength_rows(theta, pairs, qmax, seed, detection=None):
+    """The run-length CSV's rows from the library's integer run counts:
+    simulated is n_q / n_1, stderr is ratio * sqrt(1/n_q + 1/n_1)."""
+    counts = run_length_distribution(simulate_alternating(theta, pairs, seed, detection))
+    for q in range(1, qmax + 1):
+        ratio = counts[q] / counts[1]
+        stderr = ratio * math.sqrt(1.0 / counts[q] + 1.0 / counts[1]) if q > 1 else 0.0
+        yield q, survival_probability(theta, q - 1), ratio, stderr
+
+
 class TestArtifactFormat:
     def test_header_metadata(self, tmp_path):
         out = tmp_path / "scan.csv"
@@ -68,23 +98,32 @@ class TestArtifactFormat:
         assert columns == ["pulse_length_s", "p1"]
         assert len(rows) == 10
 
-    @pytest.mark.parametrize("ramsey", [False, True])
-    def test_floats_round_trip(self, tmp_path, ramsey):
+    @pytest.mark.parametrize("argv, library_rows", [
+        (["rabi", *_SCAN],
+         lambda: zip(_TIMES.tolist(), rabi_excitation_probability(_OMEGA, 0.0, _TIMES).tolist())),
+        (["rabi", "--ramsey", "--detuning-hz", "103.9", *_SCAN],
+         lambda: zip(_TIMES.tolist(), ramsey_probability(_RAMSEY_PULSE, _TIMES).tolist())),
+        (["zeno", "--fractions", "1,2,10", "--sequences", "300", "--seed", "5",
+          "--eta0", "0.97", "--eta1", "0.95", "--prep-efficiency", "0.9"],
+         lambda: survival_rows([1, 2, 10], 300, 5, DetectionModel(0.97, 0.95), 0.9)),
+        (["zeno", "--mode", "runlength", "--theta", "0.9", "--pairs", "20000", "--qmax", "6",
+          "--seed", "5"],
+         lambda: runlength_rows(0.9, 20000, 6, 5)),
+        (["estimate", "--strategy", "random", "--n", "4", "--states", "20", "--seed", "5"],
+         lambda: enumerate(mean_fidelity_experiment(
+             20, 4, "random", compose(depolarizing(0.0), affine_shift([0.0, 0.0, 0.0])),
+             seed=5)[2].tolist())),
+    ], ids=["rabi", "ramsey", "zeno-survival", "zeno-runlength", "estimate"])
+    def test_floats_round_trip(self, tmp_path, argv, library_rows):
         # 17 significant digits parse back to the exact floats of the
-        # library's one array call, in either scan
-        out = tmp_path / "scan.csv"
-        mode = ["--ramsey", "--detuning-hz", "103.9"] if ramsey else []
-        assert run(["rabi"] + mode + ["--rabi-khz", "2", "--tmax-ms", "2", "--points", "50",
-                                      "--out", str(out)]) == 0
+        # library's calls, and the %d columns to their ints
+        out = tmp_path / "out.csv"
+        assert run(argv + ["--out", str(out)]) == 0
         _, _, rows = read_artifact(out)
-        times, p1 = np.array([[float(v) for v in row] for row in rows]).T
-        np.testing.assert_array_equal(times, np.linspace(0.0, 2.0 * 1e-3, 50))
-        omega = 2.0 * math.pi * 2.0 * 1e3
-        if ramsey:
-            pulse = DrivePulse(omega, 2.0 * math.pi * 103.9, 0.5 * math.pi / omega)
-            np.testing.assert_array_equal(p1, ramsey_probability(pulse, times))
-        else:
-            np.testing.assert_array_equal(p1, rabi_excitation_probability(omega, 0.0, times))
+        expected = [tuple(row) for row in library_rows()]
+        assert len(rows) == len(expected)
+        assert [tuple(type(e)(v) for v, e in zip(row, exp))
+                for row, exp in zip(rows, expected)] == expected
 
     def test_json_meta(self, tmp_path):
         out = tmp_path / "chain.json"
@@ -790,7 +829,11 @@ class TestProcessEntryPoint:
 # became its two efficiencies: it now draws one uniform per probe, not a
 # Poisson count, so its rows moved within their printed stderr.  The three
 # runlength digests were recorded again when the q = 1 row's stderr became
-# 0, as U(1)/U(1) is exactly 1; no other field changed.
+# 0, as U(1)/U(1) is exactly 1; no other field changed.  They were recorded
+# once more when simulated became the int division n_q / n_1 of the run
+# counts, in place of the ratio of two normalized frequencies: simulated and
+# stderr moved by 1-2 ulp in rows q = 2, 4, 5 (ideal read-out), q = 2, 5, 7,
+# 8, 10 (efficiencies) and q = 3, 4, 6, 9 (counts), and no other field.
 _ZENO_SURVIVAL = ["zeno", "--fractions", "1,2,3,4,10", "--sequences", "2000", "--seed", "7"]
 _ZENO_RUNLENGTH = ["zeno", "--mode", "runlength", "--theta", "0.628318",
                    "--pairs", "1000000", "--qmax", "10"]
@@ -815,16 +858,30 @@ class TestGoldenArtifacts:
         (_ZENO_SURVIVAL + _COUNTS,
          "c1d32892f62aff855ddc1c7bcf6af6095cc57f966d738d7130f6ac8f4e2cbe56"),
         (_ZENO_RUNLENGTH,
-         "e2a90f0ca80a07c536b66f270ef138384e0a9d3c44be566326d54eb01b294878"),
+         "1c8d06c4cf585968ee2b1716b9377f4f100ce40dbeac747b752bb6dd95d2e7fd"),
         (_ZENO_RUNLENGTH + _EFFICIENCIES,
-         "5586d5eeb3090a8b04ee8acdb61824e57721bec7a23cb1ff5386be12d0ceae9f"),
+         "8e7acb5f0632b026a5f410b5d65ce879839aaf1dc0cf103779267dae12bad589"),
         (_ZENO_RUNLENGTH + _COUNTS,
-         "6212e6d3fce003cf6a1476d59d01e6d1104f620949bace8add3c457edf2c0674"),
-    ])
+         "d5f0a1e717741f870fad1c3772a7e0ffb16b8c270f4ca4115d592f9501e4349b"),
+    ], ids=["survival", "survival-efficiencies", "survival-counts",
+            "runlength", "runlength-efficiencies", "runlength-counts"])
     def test_zeno_artifact_digest(self, tmp_path, argv, digest):
         out = tmp_path / "zeno.csv"
         assert run(argv + ["--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("readout, detection", [
+        ([], None), (_EFFICIENCIES, DetectionModel(0.97, 0.95)),
+        (_COUNTS, DetectionModel.from_counts(5.3, 0.2, 1)),
+    ], ids=["ideal", "efficiencies", "counts"])
+    def test_runlength_rows_are_count_ratios(self, tmp_path, readout, detection):
+        # bit for bit: simulated is one int division of the run counts, not
+        # a ratio of two normalized frequencies (1-2 ulp off in some rows)
+        out = tmp_path / "runs.csv"
+        assert run(_ZENO_RUNLENGTH + readout + ["--out", str(out)]) == 0
+        _, _, rows = read_artifact(out)
+        assert [(int(row[0]), *map(float, row[1:])) for row in rows] == list(
+            runlength_rows(0.628318, 10**6, 10, 0, detection))
 
     # sha256 of channel artifacts; a change here means they drifted and
     # must be explained.  The spec path enters the config hash, so it is
@@ -837,7 +894,7 @@ class TestGoldenArtifacts:
          "a5e999725ebcc58699a7cb28a32356331385cb8bfe2d0cfa540598d89376a91c"),
         (["--shots", "10000", "--seed", "3"],
          "d7aa1cfe6267f11c244a61794fade558b27d6117af4ed3e609f03d6ccb67ec81"),
-    ])
+    ], ids=["exact", "shots"])
     def test_channel_artifact_digest(self, tmp_path, monkeypatch, argv, digest):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "channel.json").write_text(json.dumps(_TILTED_SPEC))
@@ -862,7 +919,7 @@ class TestGoldenArtifacts:
         (["--n", "60"],
          "71740eeb28fed38cd9a10e4d71e348d850f1dd9b7c084f4e70e1e1bc177816ae",
          "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
-    ])
+    ], ids=["readme", "n60"])
     def test_chain_artifact_digest(self, tmp_path, capsys, argv, digest, table_digest):
         out = tmp_path / "chain.json"
         assert run(["chain"] + argv + ["--out", str(out)]) == 0
@@ -882,7 +939,7 @@ class TestGoldenArtifacts:
          "edfe0f2690c0400a9659494f7a96e3d94dbe96003973a9859d475c3e848a0d92"),
         (_RAMSEY_FRINGES,
          "ed5a99eeb21fc6a0938553e30460a77e871453b5a0d10cc3d1a1e4a2866c2061"),
-    ])
+    ], ids=["pulse-length", "ramsey"])
     def test_rabi_artifact_digest(self, tmp_path, argv, digest):
         out = tmp_path / "rabi.csv"
         assert run(["rabi"] + argv + ["--out", str(out)]) == 0
@@ -906,7 +963,7 @@ class TestGoldenArtifacts:
         (["--strategy", "fixed"],
          "7c49b25f9c1b35bfb95a3f97114cf362a41e03770e93f8b256c344aec71aef8a",
          "fccbd3685943ab0cbae135003e01b8399bb66760e9a2bb4d7e6f825e7889a18f"),
-    ])
+    ], ids=["self", "random-noisy", "fixed"])
     def test_estimate_artifact_digest(self, tmp_path, capsys, argv, csv_digest, json_digest):
         out = tmp_path / "fid.csv"
         assert run(["estimate", "--n", "12", "--states", "200", "--seed", "1"] + argv

@@ -153,23 +153,21 @@ class TestAlternating:
 class TestRunLengths:
     def test_alternating_trajectory(self):
         results = simulate_alternating(math.pi, 500, seed=6)
-        assert run_length_distribution(results) == ({1: 1.0}, 499)
+        assert run_length_distribution(results) == {1: 499}
 
     def test_theta_half_pi_ratio(self):
         results = simulate_alternating(math.pi / 2, 200_000, seed=8)
-        dist, _ = run_length_distribution(results)
-        assert run_length_ratio(dist, 2) == pytest.approx(0.5, abs=0.01)
+        counts = run_length_distribution(results)
+        assert run_length_ratio(counts, 2) == pytest.approx(0.5, abs=0.01)
 
     def test_theta_pi_fifth_matches_survival_law(self):
         results = simulate_alternating(math.pi / 5, 10**6, seed=9)
-        dist, _ = run_length_distribution(results)
-        total_runs = len(np.flatnonzero(np.diff(results)))
+        counts = run_length_distribution(results)
         p = math.cos(math.pi / 10) ** 2
         for q in range(2, 11):
-            ratio = run_length_ratio(dist, q)
+            ratio = run_length_ratio(counts, q)
             theory = p ** (q - 1)
-            n_q = dist.get(q, 0.0) * total_runs
-            n_1 = dist[1] * total_runs
+            n_q, n_1 = counts.get(q, 0), counts[1]
             sigma = theory * math.sqrt(1.0 / n_q + 1.0 / n_1)
             assert abs(ratio - theory) < 3 * sigma
 
@@ -179,20 +177,22 @@ class TestRunLengths:
 
     def test_constant_trajectory_has_no_complete_runs(self):
         results = simulate_alternating(2 * math.pi, 100, seed=10)
-        assert run_length_distribution(results) == ({}, 0)
+        assert run_length_distribution(results) == {}
 
     @pytest.mark.parametrize("theta, pairs", [(0.0, 1000), (0.628318, 1)])
     def test_ratio_without_runs_of_length_one_is_numerical(self, theta, pairs):
         # no drive never leaves |0>, and one result ends no run: U(1) = 0
-        dist, total = run_length_distribution(simulate_alternating(theta, pairs, seed=1))
-        assert (dist, total) == ({}, 0)
+        counts = run_length_distribution(simulate_alternating(theta, pairs, seed=1))
+        assert counts == {}
         with pytest.raises(FloatingPointError, match="no complete run of length 1"):
-            run_length_ratio(dist, 1)
+            run_length_ratio(counts, 1)
 
-    def test_distribution_normalized(self):
+    def test_counts_sum_to_result_changes(self):
+        # each change between neighbouring results ends one complete run
         results = simulate_alternating(1.0, 50_000, seed=12)
-        dist, _ = run_length_distribution(results)
-        assert sum(dist.values()) == pytest.approx(1.0, abs=1e-12)
+        counts = run_length_distribution(results)
+        assert sum(counts.values()) == np.count_nonzero(results[1:] != results[:-1])
+        assert all(type(q) is int and type(n) is int for q, n in counts.items())
 
 
 def whole_array_detect(true_on, model, rng):
@@ -203,14 +203,10 @@ def whole_array_detect(true_on, model, rng):
 
 
 def whole_array_runs(results):
-    """Reference run-length histogram built from full-length arrays."""
+    """Reference run-length counts built from full-length arrays."""
     boundaries = np.flatnonzero(results[1:] != results[:-1])
-    run_lengths = np.diff(np.concatenate([[-1], boundaries]))
-    if run_lengths.size == 0:
-        return {}, 0
-    counts = np.bincount(run_lengths)
-    total = run_lengths.size
-    return {int(q): counts[q] / total for q in range(1, counts.size) if counts[q] > 0}, total
+    counts = np.bincount(np.diff(np.concatenate([[-1], boundaries])))
+    return {int(q): int(n) for q, n in enumerate(counts) if n}
 
 
 READOUTS = [DetectionModel(), DetectionModel(0.97, 0.95),
@@ -229,8 +225,7 @@ class TestStreamedDraws:
         expected = whole_array_detect(np.cumsum(flips) % 2 == 1, model, rng)
         results = simulate_alternating(0.628318, length, seed=length, detection=model)
         assert np.array_equal(results, expected)
-        dist, total = whole_array_runs(expected)
-        assert run_length_distribution(results) == (dist, total)
+        assert run_length_distribution(results) == whole_array_runs(expected)
 
     @pytest.mark.parametrize("model", READOUTS)
     @pytest.mark.parametrize("length", LENGTHS)
@@ -266,9 +261,9 @@ class TestStreamedDraws:
         results = np.zeros(3 * BLOCK + 7, dtype=bool)
         results[5:2 * BLOCK + 3] = True     # one run across two block edges
         results[2 * BLOCK + 10] = True
-        dist, total = whole_array_runs(results)
-        assert run_length_distribution(results) == (dist, total)
-        assert total == 4
+        counts = whole_array_runs(results)
+        assert run_length_distribution(results) == counts
+        assert sum(counts.values()) == 4
 
 
 class TestTrajectoryMemory:
